@@ -11,8 +11,8 @@ from .core import (
     load_config,
     split_dataset,
 )
-from .models import Learner, ensemble_variance, gp_fit, gp_posterior, mlp_fit
-from .density import kde_fit, kde_log_density
+from .models import Learner, ensemble_variance, gp_fit, mlp_fit
+from .density import kde_fit
 from .estimator import (
     UncertaintyModel,
     build_features,
@@ -20,7 +20,6 @@ from .estimator import (
     deup_init_state,
     deup_interactive_step,
     deup_pretrain_cv,
-    epistemic,
     estimate_aleatoric_from_replicates,
 )
 from .acquisition import (
@@ -61,14 +60,11 @@ __all__ = [
     "deup_interactive_step",
     "deup_pretrain_cv",
     "ensemble_variance",
-    "epistemic",
     "estimate_aleatoric_from_replicates",
     "expected_improvement",
     "gaussian_kl",
     "gp_fit",
-    "gp_posterior",
     "kde_fit",
-    "kde_log_density",
     "levi13",
     "load_config",
     "make_oracle",

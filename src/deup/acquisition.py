@@ -107,8 +107,7 @@ def score_batch(spec: AcquisitionSpec, X: np.ndarray, ctx: AcquisitionContext) -
     else:
         if ctx.model is None:
             raise ValueError(f"{kind.value} scoring needs an uncertainty model in the context")
-        mean = ctx.model.predict_mean_batch(X)
-        var = ctx.model.epistemic_batch(X)
+        mean, var = ctx.model.predict_batch(X)
     if kind in (Acquisition.EI, Acquisition.DEUP_EI):
         return expected_improvement(mean, var, ctx.best, spec.xi)
     return ucb(mean, var, spec.beta)

@@ -94,10 +94,6 @@ class Oracle:
         return fx + sigma * gen.standard_normal(replicates)
 
 
-def sample(o: Oracle, x, rng, replicates: int = 1) -> np.ndarray:
-    return o.sample(x, rng, replicates)
-
-
 _FIXED_DIMENSION = {"levi13": 2, "synth1d": 1}
 
 

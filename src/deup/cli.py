@@ -22,7 +22,7 @@ from . import estimator as est
 from .benchmarks import make_oracle
 from .core import Dataset, Feature, RngStream, load_config
 from .models import Learner, gp_fit
-from .smo import read_trace, run_smo
+from .smo import build_aleatoric, error_model_cfg, main_learner, read_trace, run_smo
 
 
 class OutputExistsError(FileExistsError):
@@ -249,28 +249,17 @@ def fit_uncertainty_command(config_path, out_dir, force: bool = False) -> dict:
     train = draw("train", cfg.n_init)
     held_out = draw("oos", cfg.n_init)
 
-    gp_cfg = {
-        "kernel": cfg.hp("gp.kernel", "rbf"),
-        "n_restarts": cfg.hp("gp.n_restarts", 8),
-        "noise_floor": cfg.hp("gp.noise_floor", 1e-6),
-    }
     model = est.deup_fixed_train(
         train,
         held_out,
-        Learner("gp", gp_cfg),
+        main_learner(cfg),
         cfg.layout(),
         root.child("deup"),
-        error_cfg={"error_model": cfg.hp("deup.error_model", "auto")},
+        aleatoric=build_aleatoric(cfg, oracle, train, root.child("aleatoric")),
+        error_cfg=error_model_cfg(cfg),
         bandwidth=cfg.hp("kde.bandwidth"),
     )
-
-    d_u = Dataset()
-    for part in (train, held_out):
-        X = part.inputs()
-        F = est.build_features_batch(train, X, model.context, model.layout)
-        t = est.log_error_target((part.targets() - model.predict_mean_batch(X)) ** 2)
-        for i in range(len(part)):
-            d_u.append_xy(F[i], t[i])
+    d_u = model.meta["error_dataset"]
     est.export_error_dataset(d_u, du_path)
 
     oos_mse = float(np.mean((held_out.targets() - model.predict_mean_batch(held_out.inputs())) ** 2))

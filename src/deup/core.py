@@ -56,11 +56,10 @@ class AleatoricMode(enum.Enum):
 
 @dataclass(frozen=True)
 class LabeledExample:
-    """One (input, target) pair; replicate_id groups repeat queries at identical x."""
+    """One (input, target) pair."""
 
     x: np.ndarray
     y: float
-    replicate_id: int | None = None
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64).reshape(-1)
@@ -89,7 +88,7 @@ class Dataset:
             self.append(ex)
 
     @classmethod
-    def from_arrays(cls, X, y, replicate_ids=None) -> "Dataset":
+    def from_arrays(cls, X, y) -> "Dataset":
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X[:, None]
@@ -98,8 +97,7 @@ class Dataset:
             raise ValidationError("X and y lengths differ")
         d = cls()
         for i in range(len(y)):
-            rid = None if replicate_ids is None else replicate_ids[i]
-            d.append(LabeledExample(X[i], y[i], rid))
+            d.append(LabeledExample(X[i], y[i]))
         return d
 
     def append(self, example: LabeledExample) -> None:
@@ -112,8 +110,8 @@ class Dataset:
         self._hasher.update(example.x.tobytes())
         self._hasher.update(np.float64(example.y).tobytes())
 
-    def append_xy(self, x, y, replicate_id=None) -> None:
-        self.append(LabeledExample(np.asarray(x, dtype=np.float64), y, replicate_id))
+    def append_xy(self, x, y) -> None:
+        self.append(LabeledExample(np.asarray(x, dtype=np.float64), y))
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=np.float64).reshape(-1)
@@ -309,10 +307,6 @@ def _parse_value(section: str, key: str, raw: str):
     typ, _ = _SCHEMA[section][key]
     raw = raw.strip()
     try:
-        if typ is bool:
-            if raw not in ("true", "false"):
-                raise ValueError
-            return raw == "true"
         return typ(raw)
     except ValueError:
         raise ConfigError(
@@ -339,8 +333,6 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except FileNotFoundError:
-        raise
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 

@@ -45,6 +45,7 @@ class KdePredictor:
         return logsumexp(-0.5 * sq / self.bandwidth**2, axis=1) - log_norm
 
     def log_density(self, x) -> float:
+        """Log mixture density at x, finite for any finite x by log-sum-exp."""
         return float(self.log_density_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
@@ -56,8 +57,3 @@ def kde_fit(d: Dataset, bandwidth: float | None = None) -> KdePredictor:
     X = d.inputs()
     h = float(bandwidth) if bandwidth is not None else silverman_bandwidth(X)
     return KdePredictor(points=X.copy(), bandwidth=h)
-
-
-def kde_log_density(k: KdePredictor, x) -> float:
-    """Log mixture density at x, finite for any finite x by log-sum-exp."""
-    return k.log_density(x)

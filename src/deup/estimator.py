@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import Dataset, Feature, RngStream, split_dataset
 from .density import KdePredictor, kde_fit
-from .models import GPPredictor, Learner, gp_fit, mlp_fit
+from .models import Learner, gp_fit, mlp_fit
 
 logger = logging.getLogger(__name__)
 
@@ -44,10 +44,6 @@ class FeatureContext:
     kde: KdePredictor | None = None
     variance_source: object | None = None  # exposes predict_batch -> (mean, var)
 
-    def model_variance_batch(self, X: np.ndarray) -> np.ndarray:
-        _, var = self.variance_source.predict_batch(X)
-        return var
-
 
 def fit_feature_context(
     d: Dataset,
@@ -55,7 +51,6 @@ def fit_feature_context(
     rng: RngStream,
     bandwidth: float | None = None,
     variance_source=None,
-    gp_cfg: dict | None = None,
 ) -> FeatureContext:
     """Fit the density / variance estimators the layout requires on d.
 
@@ -64,8 +59,10 @@ def fit_feature_context(
     fitted when the layout asks for log variance.
     """
     kde = kde_fit(d, bandwidth) if Feature.LOG_DENSITY in layout else None
-    if Feature.LOG_VARIANCE in layout and variance_source is None:
-        variance_source = gp_fit(d, gp_cfg, rng.child("variance-gp"))
+    if Feature.LOG_VARIANCE not in layout:
+        variance_source = None
+    elif variance_source is None:
+        variance_source = gp_fit(d, None, rng.child("variance-gp"))
     return FeatureContext(
         dataset_fingerprint=d.fingerprint(),
         kde=kde,
@@ -73,8 +70,14 @@ def fit_feature_context(
     )
 
 
-def build_features_batch(d: Dataset, X: np.ndarray, context: FeatureContext, layout: tuple) -> np.ndarray:
-    """Stationarizing feature rows for X under the context fitted on d."""
+def build_features_batch(
+    d: Dataset, X: np.ndarray, context: FeatureContext, layout: tuple, variance: np.ndarray | None = None
+) -> np.ndarray:
+    """Stationarizing feature rows for X under the context fitted on d.
+
+    `variance` is the variance source's posterior variance at X when the
+    caller has already solved it; otherwise the source is queried here.
+    """
     if context.dataset_fingerprint != d.fingerprint():
         raise StaleFeaturesError("feature context is stale: dataset changed since fit")
     X = np.asarray(X, dtype=np.float64)
@@ -89,7 +92,7 @@ def build_features_batch(d: Dataset, X: np.ndarray, context: FeatureContext, lay
         elif feat is Feature.LOG_DENSITY:
             cols.append(context.kde.log_density_batch(X)[:, None])
         elif feat is Feature.LOG_VARIANCE:
-            var = context.model_variance_batch(X)
+            var = context.variance_source.predict_batch(X)[1] if variance is None else variance
             cols.append(np.log(np.maximum(var, VARIANCE_LOG_FLOOR))[:, None])
     return np.hstack(cols)
 
@@ -104,7 +107,7 @@ class ConstantModel:
 
     value: float
 
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
+    def predict_mean_batch(self, X: np.ndarray) -> np.ndarray:
         return np.full(len(np.atleast_2d(X)), self.value)
 
 
@@ -132,10 +135,7 @@ class ErrorPredictor:
             F = F[None, :]
         if self.feature_lows is not None:
             F = np.clip(F, self.feature_lows, self.feature_highs)
-        if isinstance(self.model, GPPredictor):
-            mean, _ = self.model.predict_batch(F)
-            return mean
-        return self.model.predict_batch(F)
+        return self.model.predict_mean_batch(F)
 
     def predict_error_batch(self, F: np.ndarray) -> np.ndarray:
         return np.exp(self.predict_log_error_batch(F))
@@ -193,11 +193,7 @@ class AleatoricEstimator:
             return np.zeros(len(X))
         if self.mode == "known":
             return np.maximum(np.asarray(self.known_fn(X), dtype=np.float64), 0.0)
-        if isinstance(self.model, GPPredictor):
-            preds = self.model.predict_batch(X)[0]
-        else:
-            preds = self.model.predict_batch(X)
-        return np.maximum(preds, 0.0)
+        return np.maximum(self.model.predict_mean_batch(X), 0.0)
 
     def value(self, x) -> float:
         return float(self.values(np.asarray(x, dtype=np.float64)[None, :])[0])
@@ -244,13 +240,26 @@ class UncertaintyModel:
     layout: tuple
     meta: dict = field(default_factory=dict)
 
+    def predict_batch(self, X: np.ndarray):
+        """(mean, epistemic) at each row of X, shaped like a GP's (mean, variance).
+
+        When the main GP is the log-variance source, its posterior is solved
+        once and serves both the mean and the feature.
+        """
+        if self.context.variance_source is self.main:
+            mean, var = self.main.predict_batch(X)
+            return mean, self._epistemic(X, var)
+        return self.predict_mean_batch(X), self.epistemic_batch(X)
+
     def predict_mean_batch(self, X: np.ndarray) -> np.ndarray:
-        if isinstance(self.main, GPPredictor):
-            return self.main.predict_batch(X)[0]
-        return self.main.predict_batch(X)
+        return self.main.predict_mean_batch(X)
 
     def epistemic_batch(self, X: np.ndarray) -> np.ndarray:
-        F = build_features_batch(self.dataset, X, self.context, self.layout)
+        """max(u(features(x)) - a(x), 0) per row; with a == 0 this is the total-uncertainty estimate."""
+        return self._epistemic(X, None)
+
+    def _epistemic(self, X: np.ndarray, variance: np.ndarray | None) -> np.ndarray:
+        F = build_features_batch(self.dataset, X, self.context, self.layout, variance)
         u = self.error.predict_error_batch(F)
         a = self.aleatoric.values(X)
         return np.maximum(u - a, 0.0)
@@ -259,22 +268,15 @@ class UncertaintyModel:
         return float(self.epistemic_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
-def epistemic(model: UncertaintyModel, x) -> float:
-    """max(u(features(x)) - a(x), 0); with a == 0 this is the total-uncertainty estimate."""
-    return model.epistemic(x)
+def _fit_main(learner: Learner, d: Dataset, layout: tuple, rng: RngStream, labels: tuple, bandwidth):
+    """Fit f on d under stream labels[0], then the feature context under labels[1].
 
-
-def _main_mean(predictor, X):
-    if isinstance(predictor, GPPredictor):
-        return predictor.predict_batch(X)[0]
-    return predictor.predict_batch(X)
-
-
-def _variance_source_for(learner: Learner, predictor, d: Dataset, rng: RngStream, gp_cfg=None):
-    """Main GP doubles as the variance feature source; MLP mains get a side GP."""
-    if isinstance(predictor, GPPredictor):
-        return predictor
-    return gp_fit(d, gp_cfg, rng)
+    A main GP doubles as the log-variance source; an MLP main gets a side GP.
+    """
+    main = learner.fit(d, rng.child(labels[0]))
+    variance_source = main if learner.kind == "gp" else None
+    context = fit_feature_context(d, layout, rng.child(labels[1]), bandwidth, variance_source)
+    return main, context
 
 
 def deup_fixed_train(
@@ -295,15 +297,7 @@ def deup_fixed_train(
     """
     if len(train) < 1:
         raise ValueError("train dataset is empty")
-    main = learner.fit(train, rng.child("main"))
-    context = fit_feature_context(
-        train,
-        layout,
-        rng.child("features"),
-        bandwidth=bandwidth,
-        variance_source=main if isinstance(main, GPPredictor) else None,
-        gp_cfg=learner.hyperparameters if learner.kind == "gp" else None,
-    )
+    main, context = _fit_main(learner, train, layout, rng, ("main", "features"), bandwidth)
 
     meta = {}
     if len(out_of_sample) == 0:
@@ -316,7 +310,7 @@ def deup_fixed_train(
             continue
         X = part.inputs()
         F = build_features_batch(train, X, context, layout)
-        resid_sq = (part.targets() - _main_mean(main, X)) ** 2
+        resid_sq = (part.targets() - main.predict_mean_batch(X)) ** 2
         t = log_error_target(resid_sq)
         for i in range(len(part)):
             d_u.append_xy(F[i], t[i])
@@ -329,7 +323,7 @@ def deup_fixed_train(
         dataset=train,
         context=context,
         layout=layout,
-        meta={**meta, "n_error_rows": len(d_u)},
+        meta={**meta, "n_error_rows": len(d_u), "error_dataset": d_u},
     )
 
 
@@ -361,17 +355,10 @@ def deup_pretrain_cv(
         for fold in folds[:-1]:
             for ex in fold:
                 d_tilde.append(ex)
-        main = learner.fit(d_tilde, rng.child(f"fit-{pass_idx}"))
-        context = fit_feature_context(
-            d_tilde,
-            layout,
-            rng.child(f"features-{pass_idx}"),
-            bandwidth=bandwidth,
-            variance_source=main if isinstance(main, GPPredictor) else None,
-            gp_cfg=learner.hyperparameters if learner.kind == "gp" else None,
-        )
+        labels = (f"fit-{pass_idx}", f"features-{pass_idx}")
+        main, context = _fit_main(learner, d_tilde, layout, rng, labels, bandwidth)
         F = build_features_batch(d_tilde, X_all, context, layout)
-        t = log_error_target((y_all - _main_mean(main, X_all)) ** 2)
+        t = log_error_target((y_all - main.predict_mean_batch(X_all)) ** 2)
         for i in range(len(d_init)):
             d_u.append_xy(F[i], t[i])
     return d_u
@@ -415,15 +402,7 @@ def deup_init_state(
         d_u = deup_pretrain_cv(
             d_init, k, n_pretrain, learner, layout, rng.child("pretrain"), bandwidth
         )
-    main = learner.fit(d_init, rng.child("main-0"))
-    context = fit_feature_context(
-        d_init,
-        layout,
-        rng.child("features-0"),
-        bandwidth=bandwidth,
-        variance_source=main if isinstance(main, GPPredictor) else None,
-        gp_cfg=learner.hyperparameters if learner.kind == "gp" else None,
-    )
+    main, context = _fit_main(learner, d_init, layout, rng, ("main-0", "features-0"), bandwidth)
     error = fit_error_predictor(d_u, layout, rng.child("error-0"), error_cfg)
     model = UncertaintyModel(
         main=main,
@@ -460,24 +439,18 @@ def deup_interactive_step(state: DeupState, x_acq, y_acq: float) -> DeupState:
     layout = state.layout
 
     f_pre = build_features(state.dataset, x_acq, state.model.context, layout)
-    resid_pre = (y_acq - _main_mean(state.model.main, x_acq[None, :])[0]) ** 2
+    resid_pre = (y_acq - state.model.predict_mean_batch(x_acq[None, :])[0]) ** 2
     t_pre = float(log_error_target(resid_pre))
 
     new_d = state.dataset.copy()
     new_d.append_xy(x_acq, y_acq)
 
     t = state.step + 1
-    main = state.learner.fit(new_d, state.rng.child(f"main-{t}"))
-    context = fit_feature_context(
-        new_d,
-        layout,
-        state.rng.child(f"features-{t}"),
-        bandwidth=state.bandwidth,
-        variance_source=main if isinstance(main, GPPredictor) else None,
-        gp_cfg=state.learner.hyperparameters if state.learner.kind == "gp" else None,
+    main, context = _fit_main(
+        state.learner, new_d, layout, state.rng, (f"main-{t}", f"features-{t}"), state.bandwidth
     )
     f_post = build_features(new_d, x_acq, context, layout)
-    resid_post = (y_acq - _main_mean(main, x_acq[None, :])[0]) ** 2
+    resid_post = (y_acq - main.predict_mean_batch(x_acq[None, :])[0]) ** 2
     t_post = float(log_error_target(resid_post))
 
     new_du = state.d_u.copy()

@@ -99,8 +99,8 @@ class GPPredictor:
     def _noise_z(self) -> float:
         return self.noise_variance / self.y_std**2
 
-    def predict_batch(self, X: np.ndarray):
-        """Posterior (mean, variance) at each row of X; variance includes noise."""
+    def _cross_kernel(self, X: np.ndarray) -> np.ndarray:
+        """Kernel between the training inputs and each row of X (standardized units)."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X[None, :]
@@ -110,7 +110,11 @@ class GPPredictor:
                 f"{self.training_inputs.shape[1]}"
             )
         sq = _pairwise_sq_dists(self.training_inputs, X)
-        Ks = _kernel_from_sq_dists(sq, self.kernel, self.lengthscale, self._signal_z)
+        return _kernel_from_sq_dists(sq, self.kernel, self.lengthscale, self._signal_z)
+
+    def predict_batch(self, X: np.ndarray):
+        """Posterior (mean, variance) at each row of X; variance includes noise."""
+        Ks = self._cross_kernel(X)
         mean_z = Ks.T @ self.alpha
         v = solve_triangular(self.chol_factor, Ks, lower=True)
         var_z = self._signal_z + self._noise_z - np.einsum("ij,ij->j", v, v)
@@ -124,12 +128,9 @@ class GPPredictor:
         return float(mean[0]), float(var[0])
 
     def predict_mean_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_batch(X)[0]
-
-
-def gp_posterior(g: GPPredictor, x) -> tuple[float, float]:
-    """Posterior (mean, variance) of g at a single point."""
-    return g.predict(x)
+        """Posterior mean at each row of X, without the triangular solve for the variance."""
+        mean_z = self._cross_kernel(X).T @ self.alpha
+        return self.y_mean + self.y_std * mean_z
 
 
 def _log_marginal_likelihood(sq, z, kernel, log_ls, log_sig, log_noise, base_jitter):
@@ -330,6 +331,9 @@ class MLPPredictor:
 
     def predict(self, x) -> float:
         return float(self.predict_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
+
+    def predict_mean_batch(self, X: np.ndarray) -> np.ndarray:
+        return self.predict_batch(X)
 
 
 def mlp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> MLPPredictor:

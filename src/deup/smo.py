@@ -121,14 +121,6 @@ def _gp_cfg(cfg: ExperimentConfig) -> dict:
     return out
 
 
-def _error_cfg(cfg: ExperimentConfig) -> dict:
-    return {
-        "error_model": cfg.hp("deup.error_model", "auto"),
-        "n_restarts": cfg.hp("deup.error_gp_restarts", 4),
-        "noise_floor": cfg.hp("gp.noise_floor", 1e-6),
-    }
-
-
 def _mlp_cfg(cfg: ExperimentConfig) -> dict:
     return {
         "epochs": cfg.hp("mlp.epochs", 400),
@@ -139,7 +131,23 @@ def _mlp_cfg(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _build_aleatoric(cfg, oracle, d_init, rng) -> est.AleatoricEstimator:
+def main_learner(cfg: ExperimentConfig) -> Learner:
+    """The main predictor f of a DEUP fit: `deup.main_model` with its [gp] or [mlp] keys."""
+    kind = str(cfg.hp("deup.main_model", "gp")).lower()
+    return Learner(kind, _gp_cfg(cfg) if kind == "gp" else _mlp_cfg(cfg))
+
+
+def error_model_cfg(cfg: ExperimentConfig) -> dict:
+    """Settings of the error predictor u: [mlp] keys for an MLP, error GP keys for a GP."""
+    return {
+        **_mlp_cfg(cfg),
+        "error_model": cfg.hp("deup.error_model", "auto"),
+        "n_restarts": cfg.hp("deup.error_gp_restarts", 4),
+        "noise_floor": cfg.hp("gp.noise_floor", 1e-6),
+    }
+
+
+def build_aleatoric(cfg, oracle, d_init, rng) -> est.AleatoricEstimator:
     mode = cfg.aleatoric_mode
     if mode is AleatoricMode.ZERO:
         return est.zero_aleatoric()
@@ -194,21 +202,19 @@ def run_smo(cfg: ExperimentConfig) -> RunTrace:
     gp = None
     try:
         if mode.uses_error_model:
-            main_kind = str(cfg.hp("deup.main_model", "gp")).lower()
-            learner = Learner(main_kind, _gp_cfg(cfg) if main_kind == "gp" else _mlp_cfg(cfg))
             n_pretrain = cfg.hp("deup.n_pretrain")
             if n_pretrain is None:
                 n_pretrain = 4 * cfg.n_init
-            aleatoric = _build_aleatoric(cfg, oracle, d, root.child("aleatoric"))
+            aleatoric = build_aleatoric(cfg, oracle, d, root.child("aleatoric"))
             state = est.deup_init_state(
                 d,
-                learner,
+                main_learner(cfg),
                 layout,
                 root.child("deup"),
                 k=int(cfg.hp("deup.cv_folds", 2)),
                 n_pretrain=int(n_pretrain),
                 aleatoric=aleatoric,
-                error_cfg=_error_cfg(cfg),
+                error_cfg=error_model_cfg(cfg),
                 bandwidth=cfg.hp("kde.bandwidth"),
             )
         elif mode in (Acquisition.EI, Acquisition.UCB):

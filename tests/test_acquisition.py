@@ -13,7 +13,7 @@ from deup.acquisition import (
 )
 from deup.core import Acquisition, Dataset, Feature, RngStream
 from deup.estimator import deup_fixed_train
-from deup.models import Learner, gp_fit
+from deup.models import GPPredictor, Learner, gp_fit
 
 
 def fit_1d_gp(fn=lambda x: np.sin(6 * x), n=8):
@@ -113,6 +113,25 @@ class TestScore:
             model.predict_mean_batch(x[None, :])[0], model.epistemic(x), best, 0.01
         )
         assert abs(val - direct) < 1e-12
+
+    def test_deup_score_solves_main_posterior_once(self, monkeypatch):
+        _, d = fit_1d_gp()
+        oos = Dataset.from_arrays(np.array([[0.11], [0.52]]), np.sin(6 * np.array([0.11, 0.52])))
+        model = deup_fixed_train(
+            d, oos, Learner("gp", {"noise_variance": 0.0, "n_restarts": 4}),
+            (Feature.LOG_VARIANCE,), RngStream(0, "deup"),
+        )
+        rows = []
+        predict_batch = GPPredictor.predict_batch
+
+        def spy(self, X):
+            rows.append(len(X))
+            return predict_batch(self, X)
+
+        monkeypatch.setattr(GPPredictor, "predict_batch", spy)
+        X = np.linspace(0.0, 1.0, 64)[:, None]
+        score_batch(AcquisitionSpec(Acquisition.DEUP_EI), X, AcquisitionContext(best=0.0, model=model))
+        assert rows == [64]
 
     def test_missing_context_rejected(self):
         spec = AcquisitionSpec(Acquisition.EI)

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+import deup.estimator
+import deup.models
 from deup.cli import demo_fig1, main, report_command
 
 FAST_CFG = """
@@ -120,6 +122,56 @@ class TestFitUncertaintyCommand:
         summary = json.loads((out / "fit_summary.json").read_text())
         assert summary["error_rows"] == 12
         assert (out / "eu_grid.csv").exists()
+
+
+MLP_KEYS = {"epochs": 7, "learning_rate": 0.01, "batch_size": 4, "hidden_layers": 1, "hidden_units": 8}
+
+
+def spy_fits(monkeypatch):
+    """Record (fit function, cfg) of every model fit, keyed by the last label of its stream."""
+    calls = {}
+    for module in (deup.models, deup.estimator):
+        for name in ("gp_fit", "mlp_fit"):
+            fit = getattr(module, name)
+
+            def spy(d, cfg, rng, fit=fit, name=name):
+                calls[rng.label.rsplit("/", 1)[-1]] = (name, dict(cfg or {}))
+                return fit(d, cfg, rng)
+
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestFitUncertaintyConfigKeys:
+    def fit(self, tmp_path, monkeypatch, sections):
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("[oracle]\nname = synth1d\nnoise = 0.1\n\n[smo]\nn_init = 6\n\n" + sections)
+        calls = spy_fits(monkeypatch)
+        assert main(["fit-uncertainty", "--config", str(cfg), "--out", str(tmp_path / "fit")]) == 0
+        return calls
+
+    def test_gp_keys_reach_main_error_and_aleatoric_fits(self, tmp_path, monkeypatch):
+        calls = self.fit(
+            tmp_path,
+            monkeypatch,
+            "[gp]\nnoise_variance = 0.01\nmax_sweeps = 3\nnoise_floor = 1e-5\n\n"
+            "[deup]\nerror_gp_restarts = 2\naleatoric = replicates\nreplicates_k = 3\n",
+        )
+        name, main_cfg = calls["main"]
+        assert name == "gp_fit"
+        assert (main_cfg["noise_variance"], main_cfg["max_sweeps"], main_cfg["noise_floor"]) == (0.01, 3, 1e-5)
+        name, error_cfg = calls["error"]
+        assert name == "gp_fit"
+        assert (error_cfg["n_restarts"], error_cfg["noise_floor"]) == (2, 1e-5)
+        assert "aleatoric-fit" in calls
+
+    def test_mlp_keys_reach_main_and_error_mlps(self, tmp_path, monkeypatch):
+        mlp = "".join(f"{k} = {v}\n" for k, v in MLP_KEYS.items())
+        calls = self.fit(tmp_path, monkeypatch, f"[deup]\nmain_model = mlp\nfeatures = x\n\n[mlp]\n{mlp}")
+        for label in ("main", "error"):
+            name, cfg = calls[label]
+            assert name == "mlp_fit"
+            assert MLP_KEYS.items() <= cfg.items()
 
 
 class TestReportCommand:

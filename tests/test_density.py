@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from deup.core import Dataset
-from deup.density import kde_fit, kde_log_density, silverman_bandwidth
+from deup.density import kde_fit, silverman_bandwidth
 
 
 def dataset_1d(values):
@@ -70,7 +70,7 @@ class TestKdeLogDensity:
                 ]
             )
             assert direct > 0
-            assert abs(kde_log_density(k, x) - np.log(direct)) < 1e-10
+            assert abs(k.log_density(x) - np.log(direct)) < 1e-10
 
     def test_dimension_mismatch(self):
         k = kde_fit(dataset_1d([0.0]))

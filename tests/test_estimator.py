@@ -5,6 +5,7 @@ from scipy.stats import spearmanr
 from deup.core import Dataset, Feature, RngStream
 from deup.estimator import (
     LOG_TARGET_EPS,
+    ConstantModel,
     StaleFeaturesError,
     build_features,
     build_features_batch,
@@ -12,14 +13,13 @@ from deup.estimator import (
     deup_init_state,
     deup_interactive_step,
     deup_pretrain_cv,
-    epistemic,
     estimate_aleatoric_from_replicates,
     export_error_dataset,
     fit_feature_context,
     known_aleatoric,
     log_error_target,
 )
-from deup.models import Learner
+from deup.models import GPPredictor, Learner, MLPPredictor
 
 GP_NOISELESS = {"noise_variance": 0.0, "n_restarts": 4}
 FULL_LAYOUT = (Feature.X, Feature.SEEN_BIT, Feature.LOG_DENSITY, Feature.LOG_VARIANCE)
@@ -251,7 +251,7 @@ class TestEpistemicQuery:
         x = np.array([0.9])
         F = build_features_batch(train, x[None, :], model.context, model.layout)
         u_val = model.error.predict_error_batch(F)[0]
-        assert epistemic(model, x) == u_val
+        assert model.epistemic(x) == u_val
 
     def test_clamped_at_zero_when_aleatoric_dominates(self):
         train = make_1d_dataset(8)
@@ -264,7 +264,7 @@ class TestEpistemicQuery:
             RngStream(0, "deup"),
             aleatoric=known_aleatoric(lambda X: np.full(len(X), 1e12)),
         )
-        assert epistemic(model, np.array([0.9])) == 0.0
+        assert model.epistemic(np.array([0.9])) == 0.0
 
     def test_near_zero_at_training_points_of_interpolator(self):
         # Noiseless linear truth: the GP interpolates and pretrained u sees
@@ -276,7 +276,36 @@ class TestEpistemicQuery:
         model = deup_fixed_train(
             train, oos, Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,), RngStream(2, "deup")
         )
-        assert epistemic(model, X[3]) <= 1e-4
+        assert model.epistemic(X[3]) <= 1e-4
+
+
+class TestUncertaintyModelPredictBatch:
+    """predict_batch is (predict_mean_batch, epistemic_batch), bit for bit, in every setup."""
+
+    SMALL_MLP = {"epochs": 30, "hidden_units": 16}
+
+    @pytest.mark.parametrize(
+        "main_kind, layout, n_pretrain, error_type",
+        [
+            ("gp", (Feature.LOG_VARIANCE,), None, GPPredictor),
+            ("gp", FULL_LAYOUT, None, MLPPredictor),
+            ("mlp", (Feature.LOG_VARIANCE,), None, GPPredictor),
+            ("gp", (Feature.LOG_VARIANCE,), 0, ConstantModel),
+        ],
+        ids=["gp-main-gp-error", "gp-main-mlp-error", "mlp-main-side-gp", "constant-error"],
+    )
+    def test_equals_mean_and_epistemic(self, main_kind, layout, n_pretrain, error_type):
+        learner = Learner(main_kind, GP_NOISELESS if main_kind == "gp" else self.SMALL_MLP)
+        state = deup_init_state(
+            make_1d_dataset(6), learner, layout, RngStream(0, "deup"), n_pretrain=n_pretrain, error_cfg=self.SMALL_MLP
+        )
+        model = state.model
+        assert isinstance(model.error.model, error_type)
+        assert (model.context.variance_source is model.main) == (main_kind == "gp")
+        X = np.linspace(-0.2, 1.2, 37)[:, None]
+        mean, eu = model.predict_batch(X)
+        assert mean.tobytes() == model.predict_mean_batch(X).tobytes()
+        assert eu.tobytes() == model.epistemic_batch(X).tobytes()
 
 
 def test_log_target_round_trip_property():

@@ -7,7 +7,6 @@ from deup.models import (
     Learner,
     ensemble_variance,
     gp_fit,
-    gp_posterior,
     load_predictor,
     loss_and_gradients,
     mlp_fit,
@@ -124,6 +123,14 @@ class TestGPPosterior:
             assert abs(mean - mean_ref) < 1e-8
             assert abs(var - var_ref) < 1e-8
 
+    def test_mean_batch_equals_posterior_mean_bitwise(self):
+        gen = np.random.default_rng(5)
+        for kernel in ("rbf", "matern52"):
+            X = gen.uniform(-3, 3, size=(12, 2))
+            gp = fit_fixed(X, gen.normal(size=12), 0.9, 1.1, 1e-3, kernel)
+            Q = gen.uniform(-4, 4, size=(50, 2))
+            assert gp.predict_mean_batch(Q).tobytes() == gp.predict_batch(Q)[0].tobytes()
+
     def test_matches_dense_reference_random_instances(self):
         gen = np.random.default_rng(17)
         for kernel in ("rbf", "matern52"):
@@ -137,7 +144,7 @@ class TestGPPosterior:
                 noise = float(gen.uniform(1e-4, 0.1))
                 gp = fit_fixed(X, y, ls, sig, noise, kernel)
                 xq = gen.uniform(-3, 3, size=d)
-                mean, var = gp_posterior(gp, xq)
+                mean, var = gp.predict(xq)
                 mean_ref, var_ref = dense_gp_reference(X, y, xq, kernel, ls, sig, noise, gp.jitter)
                 assert abs(mean - mean_ref) < 1e-8
                 assert abs(var - var_ref) < 1e-8

@@ -1,6 +1,7 @@
 import numpy as np
 
-from deup.core import Acquisition, AleatoricMode, ExperimentConfig
+import deup.estimator
+from deup.core import Acquisition, AleatoricMode, ExperimentConfig, Feature
 from deup.smo import best_so_far, read_trace, run_smo
 
 FAST_HP = {
@@ -64,6 +65,19 @@ class TestRunSmo:
         )
         assert len(trace.records) == 3
         assert not trace.incomplete
+
+    def test_mlp_keys_reach_error_mlp(self, monkeypatch):
+        epochs = []
+        mlp_fit = deup.estimator.mlp_fit
+
+        def spy(d, cfg, rng):
+            epochs.append(cfg.get("epochs"))
+            return mlp_fit(d, cfg, rng)
+
+        monkeypatch.setattr(deup.estimator, "mlp_fit", spy)
+        cfg = config(Acquisition.DEUP_EI, budget=8, **{"mlp.epochs": 7})
+        run_smo(cfg.replace(feature_set=frozenset({Feature.X, Feature.LOG_VARIANCE})))
+        assert epochs and all(e == 7 for e in epochs)
 
     def test_epistemic_recorded_for_deup(self):
         trace = run_smo(config(Acquisition.DEUP_EI, budget=10))
