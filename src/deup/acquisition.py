@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .core import Acquisition
+from .core import HYPERPARAMETERS, Acquisition
 from .estimator import UncertaintyModel
 from .models import GPPredictor
 
@@ -43,10 +43,10 @@ class BoxDomain:
 @dataclass(frozen=True)
 class AcquisitionSpec:
     kind: Acquisition
-    beta: float = 2.0
-    xi: float = 0.01
-    n_candidates: int = 2048
-    n_refine: int = 5
+    beta: float = HYPERPARAMETERS["smo.beta"]
+    xi: float = HYPERPARAMETERS["smo.xi"]
+    n_candidates: int = HYPERPARAMETERS["smo.n_candidates"]
+    n_refine: int = HYPERPARAMETERS["smo.n_refine"]
 
     def __post_init__(self):
         if self.n_candidates < 1:

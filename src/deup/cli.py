@@ -237,7 +237,7 @@ def fit_uncertainty_command(config_path, out_dir, force: bool = False) -> dict:
     du_path = _ensure_writable(out / "error_dataset.csv", force)
     summary_path = _ensure_writable(out / "fit_summary.json", force)
 
-    oracle = make_oracle(cfg.oracle_name, cfg.dimension, noise=cfg.hp("oracle.noise", 0.0))
+    oracle = make_oracle(cfg.oracle_name, cfg.dimension, noise=cfg.hp("oracle.noise"))
     root = RngStream(cfg.seed, "fit-uncertainty")
     oracle_gen = root.child("oracle").generator()
 
@@ -258,6 +258,7 @@ def fit_uncertainty_command(config_path, out_dir, force: bool = False) -> dict:
         aleatoric=build_aleatoric(cfg, oracle, train, root.child("aleatoric")),
         error_cfg=error_model_cfg(cfg),
         bandwidth=cfg.hp("kde.bandwidth"),
+        gp_cfg=cfg.section("gp"),
     )
     d_u = model.meta["error_dataset"]
     est.export_error_dataset(d_u, du_path)

@@ -13,7 +13,7 @@ _UINT64_MASK = (1 << 64) - 1
 
 
 class ConfigError(ValueError):
-    """Config file cannot be parsed or contains an unknown section/key."""
+    """Config cannot be parsed, or names an unknown section/key or choice."""
 
 
 class ValidationError(ValueError):
@@ -246,18 +246,61 @@ _SCHEMA = {
 }
 
 
+# Schema keys held as typed ExperimentConfig fields; every other key is a
+# hyperparameter, named "section.key" in ExperimentConfig.hyperparameters.
+_FIELD_KEYS = {
+    "oracle.name", "oracle.dimension", "smo.n_init", "smo.budget",
+    "smo.acquisition", "smo.seed", "deup.features", "deup.aleatoric",
+}
+_DEFAULTS = {f"{s}.{k}": default for s, keys in _SCHEMA.items() for k, (_, default) in keys.items()}
+HYPERPARAMETERS = {key: default for key, default in _DEFAULTS.items() if key not in _FIELD_KEYS}
+# Keys whose value is one of a fixed set of names, matched case-insensitively.
+_CHOICES = {
+    "smo.acquisition": [a.value for a in Acquisition],
+    "deup.aleatoric": [m.value for m in AleatoricMode],
+    "deup.main_model": ["gp", "mlp"],
+    "deup.error_model": ["auto", "gp", "mlp"],
+    "gp.kernel": ["rbf", "matern52"],
+}
+
+
+def _choice(key: str, raw: str, allowed) -> str:
+    value = raw.strip().lower()
+    if value not in allowed:
+        raise ConfigError(f"key '{key}': expected one of {', '.join(allowed)}, got {raw!r}")
+    return value
+
+
+def _features(raw: str) -> frozenset:
+    names = [t.strip() for t in raw.split(",") if t.strip()]
+    return frozenset(Feature(_choice("deup.features", n, [f.value for f in Feature])) for n in names)
+
+
+def schema_section(name: str, hyperparameters: dict | None = None) -> dict:
+    """One section's hyperparameters by bare key: `hyperparameters` ("section.key"
+    names) over the schema defaults, with optional keys that are unset left out."""
+    hyperparameters = hyperparameters or {}
+    out = {}
+    for key, default in HYPERPARAMETERS.items():
+        section, _, bare = key.partition(".")
+        value = default if hyperparameters.get(key) is None else hyperparameters[key]
+        if section == name and value is not None:
+            out[bare] = value
+    return out
+
+
 @dataclass
 class ExperimentConfig:
     """Fully validated description of one SMO experiment."""
 
     oracle_name: str
     dimension: int
-    n_init: int = 20
-    budget: int = 120
-    acquisition: Acquisition = Acquisition.DEUP_EI
-    feature_set: frozenset = frozenset({Feature.LOG_VARIANCE})
-    seed: int = 0
-    aleatoric_mode: AleatoricMode = AleatoricMode.ZERO
+    n_init: int = _DEFAULTS["smo.n_init"]
+    budget: int = _DEFAULTS["smo.budget"]
+    acquisition: Acquisition = Acquisition(_DEFAULTS["smo.acquisition"])
+    feature_set: frozenset = _features(_DEFAULTS["deup.features"])
+    seed: int = _DEFAULTS["smo.seed"]
+    aleatoric_mode: AleatoricMode = AleatoricMode(_DEFAULTS["deup.aleatoric"])
     hyperparameters: dict = field(default_factory=dict)
 
     def validate(self) -> None:
@@ -273,14 +316,22 @@ class ExperimentConfig:
             raise ValidationError(
                 "feature_set must be nonempty for DEUP acquisitions"
             )
+        unknown = sorted(set(self.hyperparameters) - HYPERPARAMETERS.keys())
+        if unknown:
+            raise ConfigError(f"not hyperparameter keys: {', '.join(unknown)}")
 
     def layout(self) -> tuple:
         """Feature layout in canonical order, fixed for the whole run."""
         return tuple(f for f in FEATURE_ORDER if f in self.feature_set)
 
-    def hp(self, key: str, default=None):
+    def hp(self, key: str):
+        """The value of hyperparameter `key` ("section.key"), or its schema default."""
         v = self.hyperparameters.get(key)
-        return default if v is None else v
+        return HYPERPARAMETERS[key] if v is None else v
+
+    def section(self, name: str) -> dict:
+        """This config's settings for section `name`, as `schema_section` gives them."""
+        return schema_section(name, self.hyperparameters)
 
     def replace(self, **kwargs) -> "ExperimentConfig":
         import dataclasses
@@ -299,7 +350,7 @@ class ExperimentConfig:
             "feature_set": sorted(f.value for f in self.feature_set),
             "seed": self.seed,
             "aleatoric_mode": self.aleatoric_mode.value,
-            "hyperparameters": dict(self.hyperparameters),
+            "hyperparameters": {key: self.hp(key) for key in HYPERPARAMETERS},
         }
 
 
@@ -314,20 +365,12 @@ def _parse_value(section: str, key: str, raw: str):
         ) from None
 
 
-def _enum_from_value(enum_cls, section_key: str, raw: str):
-    try:
-        return enum_cls(raw.strip().lower())
-    except ValueError:
-        allowed = ", ".join(e.value for e in enum_cls)
-        raise ConfigError(f"key '{section_key}': expected one of {allowed}, got {raw!r}") from None
-
-
 def load_config(path) -> ExperimentConfig:
     """Load and validate an experiment config from a key = value file.
 
     Sections are [oracle], [smo], [deup], [gp], [mlp], [kde]; unknown sections
-    or keys are errors. Unset keys take the documented defaults (e.g. budget
-    120, n_init 20).
+    or keys are errors, and so are choice values outside `_CHOICES`. Unset keys
+    take their `_SCHEMA` defaults.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -336,22 +379,19 @@ def load_config(path) -> ExperimentConfig:
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
-    values: dict[str, dict] = {s: {} for s in _SCHEMA}
+    values = dict(_DEFAULTS)
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key '{section}.{key}'")
-            values[section][key] = _parse_value(section, key, raw)
+            values[f"{section}.{key}"] = _parse_value(section, key, raw)
+    for key, allowed in _CHOICES.items():
+        values[key] = _choice(key, values[key], allowed)
 
-    def get(section, key):
-        if key in values[section]:
-            return values[section][key]
-        return _SCHEMA[section][key][1]
-
-    oracle_name = str(get("oracle", "name")).lower()
-    dimension = get("oracle", "dimension")
+    oracle_name = values["oracle.name"].lower()
+    dimension = values["oracle.dimension"]
     if dimension is None:
         from . import benchmarks  # deferred: benchmarks imports this module
 
@@ -361,40 +401,16 @@ def load_config(path) -> ExperimentConfig:
                 f"key 'oracle.dimension' is required for oracle '{oracle_name}'"
             )
 
-    acquisition = _enum_from_value(Acquisition, "smo.acquisition", get("smo", "acquisition"))
-    aleatoric = _enum_from_value(AleatoricMode, "deup.aleatoric", get("deup", "aleatoric"))
-
-    feature_names = [t.strip().lower() for t in str(get("deup", "features")).split(",") if t.strip()]
-    features = frozenset(
-        _enum_from_value(Feature, "deup.features", name) for name in feature_names
-    )
-
-    hyper = {}
-    for section in ("oracle", "smo", "deup", "gp", "mlp", "kde"):
-        for key in _SCHEMA[section]:
-            if f"{section}.{key}" in (
-                "oracle.name",
-                "oracle.dimension",
-                "smo.n_init",
-                "smo.budget",
-                "smo.acquisition",
-                "smo.seed",
-                "deup.features",
-                "deup.aleatoric",
-            ):
-                continue
-            hyper[f"{section}.{key}"] = get(section, key)
-
     cfg = ExperimentConfig(
         oracle_name=oracle_name,
         dimension=int(dimension),
-        n_init=get("smo", "n_init"),
-        budget=get("smo", "budget"),
-        acquisition=acquisition,
-        feature_set=features,
-        seed=get("smo", "seed"),
-        aleatoric_mode=aleatoric,
-        hyperparameters=hyper,
+        n_init=values["smo.n_init"],
+        budget=values["smo.budget"],
+        acquisition=Acquisition(values["smo.acquisition"]),
+        feature_set=_features(values["deup.features"]),
+        seed=values["smo.seed"],
+        aleatoric_mode=AleatoricMode(values["deup.aleatoric"]),
+        hyperparameters={key: values[key] for key in HYPERPARAMETERS},
     )
     cfg.validate()
     return cfg

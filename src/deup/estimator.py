@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import Dataset, Feature, RngStream, split_dataset
+from .core import HYPERPARAMETERS, Dataset, Feature, RngStream, split_dataset
 from .density import KdePredictor, kde_fit
 from .models import Learner, gp_fit, mlp_fit
 
@@ -25,7 +25,7 @@ LOG_TARGET_EPS = 1e-10
 # clamped to exactly zero at interpolated points.
 VARIANCE_LOG_FLOOR = 1e-25
 
-ERROR_GP_DEFAULTS = {"n_restarts": 4, "max_sweeps": 10}
+ERROR_GP_DEFAULTS = {"n_restarts": HYPERPARAMETERS["deup.error_gp_restarts"], "max_sweeps": 10}
 
 
 class StaleFeaturesError(RuntimeError):
@@ -51,18 +51,19 @@ def fit_feature_context(
     rng: RngStream,
     bandwidth: float | None = None,
     variance_source=None,
+    gp_cfg: dict | None = None,
 ) -> FeatureContext:
     """Fit the density / variance estimators the layout requires on d.
 
     A main-model GP can be passed as `variance_source` so its posterior
-    variance doubles as the feature at no extra cost; otherwise a side GP is
-    fitted when the layout asks for log variance.
+    variance doubles as the feature at no extra cost; otherwise a side GP with
+    settings `gp_cfg` is fitted when the layout asks for log variance.
     """
     kde = kde_fit(d, bandwidth) if Feature.LOG_DENSITY in layout else None
     if Feature.LOG_VARIANCE not in layout:
         variance_source = None
     elif variance_source is None:
-        variance_source = gp_fit(d, None, rng.child("variance-gp"))
+        variance_source = gp_fit(d, gp_cfg, rng.child("variance-gp"))
     return FeatureContext(
         dataset_fingerprint=d.fingerprint(),
         kde=kde,
@@ -154,7 +155,7 @@ def fit_error_predictor(d_u: Dataset, layout: tuple, rng: RngStream, cfg: dict |
     observed target or the log-eps floor.
     """
     cfg = dict(cfg or {})
-    choice = cfg.pop("error_model", "auto")
+    choice = cfg.pop("error_model", HYPERPARAMETERS["deup.error_model"])
     if choice == "auto":
         choice = "mlp" if Feature.X in layout else "gp"
     if len(d_u) < 2:
@@ -268,14 +269,15 @@ class UncertaintyModel:
         return float(self.epistemic_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
-def _fit_main(learner: Learner, d: Dataset, layout: tuple, rng: RngStream, labels: tuple, bandwidth):
+def _fit_main(learner: Learner, d: Dataset, layout: tuple, rng: RngStream, labels: tuple, bandwidth, gp_cfg):
     """Fit f on d under stream labels[0], then the feature context under labels[1].
 
-    A main GP doubles as the log-variance source; an MLP main gets a side GP.
+    A main GP doubles as the log-variance source; an MLP main gets a side GP
+    with settings `gp_cfg`.
     """
     main = learner.fit(d, rng.child(labels[0]))
     variance_source = main if learner.kind == "gp" else None
-    context = fit_feature_context(d, layout, rng.child(labels[1]), bandwidth, variance_source)
+    context = fit_feature_context(d, layout, rng.child(labels[1]), bandwidth, variance_source, gp_cfg)
     return main, context
 
 
@@ -288,6 +290,7 @@ def deup_fixed_train(
     aleatoric: AleatoricEstimator | None = None,
     error_cfg: dict | None = None,
     bandwidth: float | None = None,
+    gp_cfg: dict | None = None,
 ) -> UncertaintyModel:
     """Fixed-training-set mode: fit f on train, then u on errors over train + held-out.
 
@@ -297,7 +300,7 @@ def deup_fixed_train(
     """
     if len(train) < 1:
         raise ValueError("train dataset is empty")
-    main, context = _fit_main(learner, train, layout, rng, ("main", "features"), bandwidth)
+    main, context = _fit_main(learner, train, layout, rng, ("main", "features"), bandwidth, gp_cfg)
 
     meta = {}
     if len(out_of_sample) == 0:
@@ -335,6 +338,7 @@ def deup_pretrain_cv(
     layout: tuple,
     rng: RngStream,
     bandwidth: float | None = None,
+    gp_cfg: dict | None = None,
 ) -> Dataset:
     """Pre-fill the error dataset by cross-validation before any acquisition.
 
@@ -356,7 +360,7 @@ def deup_pretrain_cv(
             for ex in fold:
                 d_tilde.append(ex)
         labels = (f"fit-{pass_idx}", f"features-{pass_idx}")
-        main, context = _fit_main(learner, d_tilde, layout, rng, labels, bandwidth)
+        main, context = _fit_main(learner, d_tilde, layout, rng, labels, bandwidth, gp_cfg)
         F = build_features_batch(d_tilde, X_all, context, layout)
         t = log_error_target((y_all - main.predict_mean_batch(X_all)) ** 2)
         for i in range(len(d_init)):
@@ -377,6 +381,7 @@ class DeupState:
     step: int = 0
     error_cfg: dict | None = None
     bandwidth: float | None = None
+    gp_cfg: dict | None = None
 
 
 def deup_init_state(
@@ -384,11 +389,12 @@ def deup_init_state(
     learner: Learner,
     layout: tuple,
     rng: RngStream,
-    k: int = 2,
+    k: int = HYPERPARAMETERS["deup.cv_folds"],
     n_pretrain: int | None = None,
     aleatoric: AleatoricEstimator | None = None,
     error_cfg: dict | None = None,
     bandwidth: float | None = None,
+    gp_cfg: dict | None = None,
 ) -> DeupState:
     """Fit the initial model, optionally pre-filling D_u by cross-validation.
 
@@ -400,9 +406,9 @@ def deup_init_state(
     d_u = Dataset()
     if n_pretrain > 0:
         d_u = deup_pretrain_cv(
-            d_init, k, n_pretrain, learner, layout, rng.child("pretrain"), bandwidth
+            d_init, k, n_pretrain, learner, layout, rng.child("pretrain"), bandwidth, gp_cfg
         )
-    main, context = _fit_main(learner, d_init, layout, rng, ("main-0", "features-0"), bandwidth)
+    main, context = _fit_main(learner, d_init, layout, rng, ("main-0", "features-0"), bandwidth, gp_cfg)
     error = fit_error_predictor(d_u, layout, rng.child("error-0"), error_cfg)
     model = UncertaintyModel(
         main=main,
@@ -423,6 +429,7 @@ def deup_init_state(
         step=0,
         error_cfg=error_cfg,
         bandwidth=bandwidth,
+        gp_cfg=gp_cfg,
     )
 
 
@@ -446,9 +453,8 @@ def deup_interactive_step(state: DeupState, x_acq, y_acq: float) -> DeupState:
     new_d.append_xy(x_acq, y_acq)
 
     t = state.step + 1
-    main, context = _fit_main(
-        state.learner, new_d, layout, state.rng, (f"main-{t}", f"features-{t}"), state.bandwidth
-    )
+    labels = (f"main-{t}", f"features-{t}")
+    main, context = _fit_main(state.learner, new_d, layout, state.rng, labels, state.bandwidth, state.gp_cfg)
     f_post = build_features(new_d, x_acq, context, layout)
     resid_post = (y_acq - main.predict_mean_batch(x_acq[None, :])[0]) ** 2
     t_post = float(log_error_target(resid_post))

@@ -14,30 +14,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
-from .core import Dataset, NumericsError, RngStream
+from .core import Dataset, NumericsError, RngStream, schema_section
 
 logger = logging.getLogger(__name__)
 
 JITTER_START = 1e-8
 JITTER_MAX = 1e-2
 
-GP_DEFAULTS = {
-    "kernel": "rbf",
-    "n_restarts": 8,
-    "noise_floor": 1e-6,
-    "max_sweeps": 12,
-}
-
-MLP_DEFAULTS = {
-    "epochs": 400,
-    "learning_rate": 1e-3,
-    "batch_size": 256,
-    "hidden_layers": 3,
-    "hidden_units": 128,
-    "beta1": 0.9,
-    "beta2": 0.999,
-    "adam_eps": 1e-8,
-}
+GP_DEFAULTS = schema_section("gp")
+MLP_DEFAULTS = schema_section("mlp")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -364,7 +350,7 @@ def mlp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> MLPPredictor:
     weights, biases = _init_params(layer_sizes, gen)
 
     lr = float(cfg["learning_rate"])
-    b1, b2, eps = float(cfg["beta1"]), float(cfg["beta2"]), float(cfg["adam_eps"])
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     m_w = [np.zeros_like(W) for W in weights]
     v_w = [np.zeros_like(W) for W in weights]
     m_b = [np.zeros_like(b) for b in biases]

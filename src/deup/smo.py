@@ -109,41 +109,19 @@ def best_so_far(trace: RunTrace) -> list[float]:
     return out
 
 
-def _gp_cfg(cfg: ExperimentConfig) -> dict:
-    out = {
-        "kernel": cfg.hp("gp.kernel", "rbf"),
-        "n_restarts": cfg.hp("gp.n_restarts", 8),
-        "noise_floor": cfg.hp("gp.noise_floor", 1e-6),
-        "max_sweeps": cfg.hp("gp.max_sweeps", 12),
-    }
-    if cfg.hp("gp.noise_variance") is not None:
-        out["noise_variance"] = cfg.hp("gp.noise_variance")
-    return out
-
-
-def _mlp_cfg(cfg: ExperimentConfig) -> dict:
-    return {
-        "epochs": cfg.hp("mlp.epochs", 400),
-        "learning_rate": cfg.hp("mlp.learning_rate", 1e-3),
-        "batch_size": cfg.hp("mlp.batch_size", 256),
-        "hidden_layers": cfg.hp("mlp.hidden_layers", 3),
-        "hidden_units": cfg.hp("mlp.hidden_units", 128),
-    }
-
-
 def main_learner(cfg: ExperimentConfig) -> Learner:
     """The main predictor f of a DEUP fit: `deup.main_model` with its [gp] or [mlp] keys."""
-    kind = str(cfg.hp("deup.main_model", "gp")).lower()
-    return Learner(kind, _gp_cfg(cfg) if kind == "gp" else _mlp_cfg(cfg))
+    kind = cfg.hp("deup.main_model").lower()
+    return Learner(kind, cfg.section(kind))
 
 
 def error_model_cfg(cfg: ExperimentConfig) -> dict:
     """Settings of the error predictor u: [mlp] keys for an MLP, error GP keys for a GP."""
     return {
-        **_mlp_cfg(cfg),
-        "error_model": cfg.hp("deup.error_model", "auto"),
-        "n_restarts": cfg.hp("deup.error_gp_restarts", 4),
-        "noise_floor": cfg.hp("gp.noise_floor", 1e-6),
+        **cfg.section("mlp"),
+        "error_model": cfg.hp("deup.error_model"),
+        "n_restarts": cfg.hp("deup.error_gp_restarts"),
+        "noise_floor": cfg.hp("gp.noise_floor"),
     }
 
 
@@ -152,16 +130,16 @@ def build_aleatoric(cfg, oracle, d_init, rng) -> est.AleatoricEstimator:
     if mode is AleatoricMode.ZERO:
         return est.zero_aleatoric()
     if mode is AleatoricMode.KNOWN:
-        sigma = float(cfg.hp("oracle.noise", 0.0))
+        sigma = float(cfg.hp("oracle.noise"))
         return est.known_aleatoric(lambda X: np.full(len(np.atleast_2d(X)), sigma**2))
     # REPLICATES: groups drawn at the init points, fit once; the extra draws
     # per point are not counted against the acquisition budget (see README).
-    k = int(cfg.hp("deup.replicates_k", 5))
+    k = int(cfg.hp("deup.replicates_k"))
     groups = []
     for i, ex in enumerate(d_init):
         ys = oracle.sample(ex.x, rng.child(f"replicates-{i}"), replicates=k)
         groups.append((ex.x, ys))
-    regressor = Learner("gp", _gp_cfg(cfg))
+    regressor = Learner("gp", cfg.section("gp"))
     return est.estimate_aleatoric_from_replicates(groups, regressor, rng.child("aleatoric-fit"))
 
 
@@ -173,7 +151,7 @@ def run_smo(cfg: ExperimentConfig) -> RunTrace:
     failures flag the trace incomplete instead of raising.
     """
     cfg.validate()
-    oracle = make_oracle(cfg.oracle_name, cfg.dimension, noise=cfg.hp("oracle.noise", 0.0))
+    oracle = make_oracle(cfg.oracle_name, cfg.dimension, noise=cfg.hp("oracle.noise"))
     root = RngStream(cfg.seed, "smo")
 
     # Mode-independent labels: every acquisition mode under one seed shares
@@ -186,13 +164,8 @@ def run_smo(cfg: ExperimentConfig) -> RunTrace:
     d = Dataset.from_arrays(X_init, y_init)
 
     trace = RunTrace(config=cfg, init_X=X_init, init_y=y_init)
-    spec = AcquisitionSpec(
-        kind=cfg.acquisition,
-        beta=float(cfg.hp("smo.beta", 2.0)),
-        xi=float(cfg.hp("smo.xi", 0.01)),
-        n_candidates=int(cfg.hp("smo.n_candidates", 2048)),
-        n_refine=int(cfg.hp("smo.n_refine", 5)),
-    )
+    spec = AcquisitionSpec(kind=cfg.acquisition, **cfg.section("smo"))
+    gp_cfg = cfg.section("gp")
     n_steps = cfg.budget - cfg.n_init
     best = trace.init_best
     mode = cfg.acquisition
@@ -202,23 +175,21 @@ def run_smo(cfg: ExperimentConfig) -> RunTrace:
     gp = None
     try:
         if mode.uses_error_model:
-            n_pretrain = cfg.hp("deup.n_pretrain")
-            if n_pretrain is None:
-                n_pretrain = 4 * cfg.n_init
             aleatoric = build_aleatoric(cfg, oracle, d, root.child("aleatoric"))
             state = est.deup_init_state(
                 d,
                 main_learner(cfg),
                 layout,
                 root.child("deup"),
-                k=int(cfg.hp("deup.cv_folds", 2)),
-                n_pretrain=int(n_pretrain),
+                k=cfg.hp("deup.cv_folds"),
+                n_pretrain=cfg.hp("deup.n_pretrain"),
                 aleatoric=aleatoric,
                 error_cfg=error_model_cfg(cfg),
                 bandwidth=cfg.hp("kde.bandwidth"),
+                gp_cfg=gp_cfg,
             )
         elif mode in (Acquisition.EI, Acquisition.UCB):
-            gp = gp_fit(d, _gp_cfg(cfg), root.child("fit-0"))
+            gp = gp_fit(d, gp_cfg, root.child("fit-0"))
 
         for t in range(1, n_steps + 1):
             t0 = time.perf_counter()
@@ -244,7 +215,7 @@ def run_smo(cfg: ExperimentConfig) -> RunTrace:
                 state = est.deup_interactive_step(state, x, y)
             elif mode in (Acquisition.EI, Acquisition.UCB):
                 d.append_xy(x, y)
-                gp = gp_fit(d, _gp_cfg(cfg), root.child(f"fit-{t}"))
+                gp = gp_fit(d, gp_cfg, root.child(f"fit-{t}"))
             else:
                 d.append_xy(x, y)
 

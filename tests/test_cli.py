@@ -1,12 +1,16 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
+import deup.cli
 import deup.estimator
 import deup.models
+import deup.smo
 from deup.cli import demo_fig1, main, report_command
+from deup.core import HYPERPARAMETERS
 
 FAST_CFG = """
 [oracle]
@@ -128,14 +132,15 @@ MLP_KEYS = {"epochs": 7, "learning_rate": 0.01, "batch_size": 4, "hidden_layers"
 
 
 def spy_fits(monkeypatch):
-    """Record (fit function, cfg) of every model fit, keyed by the last label of its stream."""
+    """Record (fit function, cfg) of every model fit, keyed by the last label of its
+    stream without a step suffix ("main-3" -> "main")."""
     calls = {}
     for module in (deup.models, deup.estimator):
         for name in ("gp_fit", "mlp_fit"):
             fit = getattr(module, name)
 
             def spy(d, cfg, rng, fit=fit, name=name):
-                calls[rng.label.rsplit("/", 1)[-1]] = (name, dict(cfg or {}))
+                calls[re.sub(r"-\d+$", "", rng.label.rsplit("/", 1)[-1])] = (name, dict(cfg or {}))
                 return fit(d, cfg, rng)
 
             monkeypatch.setattr(module, name, spy)
@@ -172,6 +177,99 @@ class TestFitUncertaintyConfigKeys:
             name, cfg = calls[label]
             assert name == "mlp_fit"
             assert MLP_KEYS.items() <= cfg.items()
+
+
+def _fit(label, key=None):
+    """Where a key arrives in a model fit: the fit's kind ("gp"/"mlp") or one of its settings."""
+    return lambda c: c[label][0].removesuffix("_fit") if key is None else c[label][1][key]
+
+
+# Every hyperparameter key, with a value other than its default and the place
+# that value must arrive. The config sets an MLP main model (so [gp] reaches the
+# side variance GP), a GP error model over a layout with x (where `auto` would
+# pick an MLP), and replicate-based aleatoric noise, so that every key is read.
+KEY_REACH = {
+    "oracle.noise": (0.1, lambda c: c["oracle_noise"]),
+    "smo.n_candidates": (64, lambda c: c["spec"].n_candidates),
+    "smo.n_refine": (1, lambda c: c["spec"].n_refine),
+    "smo.beta": (1.5, lambda c: c["spec"].beta),
+    "smo.xi": (0.5, lambda c: c["spec"].xi),
+    "deup.n_pretrain": (6, lambda c: c["init_state"]["n_pretrain"]),
+    "deup.cv_folds": (3, lambda c: c["init_state"]["k"]),
+    "deup.main_model": ("mlp", _fit("main")),
+    "deup.error_model": ("gp", _fit("error")),
+    "deup.error_gp_restarts": (1, _fit("error", "n_restarts")),
+    "deup.replicates_k": (3, lambda c: c["replicates"]),
+    "gp.kernel": ("matern52", _fit("variance-gp", "kernel")),
+    "gp.n_restarts": (2, _fit("variance-gp", "n_restarts")),
+    "gp.noise_floor": (1e-5, _fit("variance-gp", "noise_floor")),
+    "gp.noise_variance": (0.01, _fit("variance-gp", "noise_variance")),
+    "gp.max_sweeps": (3, _fit("variance-gp", "max_sweeps")),
+    "mlp.epochs": (7, _fit("main", "epochs")),
+    "mlp.learning_rate": (0.01, _fit("main", "learning_rate")),
+    "mlp.batch_size": (4, _fit("main", "batch_size")),
+    "mlp.hidden_layers": (1, _fit("main", "hidden_layers")),
+    "mlp.hidden_units": (8, _fit("main", "hidden_units")),
+    "kde.bandwidth": (0.3, lambda c: c["bandwidth"]),
+}
+# Keys of the acquisition loop, which fit-uncertainty does not run.
+RUN_SMO_ONLY = {"smo.n_candidates", "smo.n_refine", "smo.beta", "smo.xi", "deup.n_pretrain", "deup.cv_folds"}
+
+
+class TestEveryKeyReaches:
+    def run(self, tmp_path, monkeypatch, command):
+        values = {
+            "oracle.name": "synth1d",
+            "smo.n_init": 4,
+            "smo.budget": 5,
+            "deup.features": "x,log_density,log_variance",
+            "deup.aleatoric": "replicates",
+            **{key: value for key, (value, _) in KEY_REACH.items()},
+        }
+        sections = {}
+        for key, value in values.items():
+            section, name = key.split(".")
+            sections.setdefault(section, []).append(f"{name} = {value}\n")
+        cfg = tmp_path / "keys.cfg"
+        cfg.write_text("".join(f"[{s}]\n" + "".join(lines) + "\n" for s, lines in sections.items()))
+
+        calls = spy_fits(monkeypatch)
+
+        def spy(module, name, record):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                record(*args, **kwargs)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        def replicates(groups, *a):
+            calls["replicates"] = len(groups[0][1])
+
+        for module in (deup.smo, deup.cli):
+            spy(module, "make_oracle", lambda *a, noise, **kw: calls.update(oracle_noise=noise))
+        spy(deup.smo, "argmax_acquisition", lambda spec, *a: calls.update(spec=spec))
+        spy(deup.estimator, "deup_init_state", lambda *a, **kw: calls.update(init_state=kw))
+        spy(deup.estimator, "estimate_aleatoric_from_replicates", replicates)
+        spy(deup.estimator, "kde_fit", lambda d, bandwidth: calls.update(bandwidth=bandwidth))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        return calls
+
+    def test_every_hyperparameter_has_a_row(self):
+        assert set(KEY_REACH) == set(HYPERPARAMETERS)
+        assert all(value != HYPERPARAMETERS[key] for key, (value, _) in KEY_REACH.items())
+
+    def test_run_smo(self, tmp_path, monkeypatch):
+        calls = self.run(tmp_path, monkeypatch, "run-smo")
+        for key, (value, arrived) in KEY_REACH.items():
+            assert arrived(calls) == value, key
+
+    def test_fit_uncertainty(self, tmp_path, monkeypatch):
+        calls = self.run(tmp_path, monkeypatch, "fit-uncertainty")
+        for key, (value, arrived) in KEY_REACH.items():
+            if key not in RUN_SMO_ONLY:
+                assert arrived(calls) == value, key
 
 
 class TestReportCommand:

@@ -1,10 +1,16 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from deup.core import (
+    _SCHEMA,
+    HYPERPARAMETERS,
     Acquisition,
     ConfigError,
     Dataset,
+    ExperimentConfig,
     Feature,
     LabeledExample,
     RngStream,
@@ -12,6 +18,8 @@ from deup.core import (
     load_config,
     split_dataset,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def make_dataset(n, d=2, seed=0):
@@ -177,3 +185,65 @@ class TestLoadConfig:
         cfg = load_config(path)
         assert cfg.feature_set == frozenset({Feature.X, Feature.SEEN_BIT, Feature.LOG_DENSITY})
         assert cfg.layout() == (Feature.X, Feature.SEEN_BIT, Feature.LOG_DENSITY)
+
+    def test_choice_keys_are_lower_cased(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            "[oracle]\nname = synth1d\n\n[deup]\nmain_model = GP\nerror_model = GP\n\n[gp]\nkernel = RBF\n"
+        )
+        cfg = load_config(path)
+        assert (cfg.hp("deup.main_model"), cfg.hp("deup.error_model"), cfg.hp("gp.kernel")) == ("gp", "gp", "rbf")
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("deup", "main_model", "mpl"), ("deup", "error_model", "svm"), ("gp", "kernel", "matern")],
+    )
+    def test_choice_typo_named_in_error(self, tmp_path, section, key, value):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"[oracle]\nname = synth1d\n\n[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            load_config(path)
+
+
+class TestExperimentConfig:
+    @pytest.mark.parametrize("key", ["gp.kernal", "smo.budget"])
+    def test_validate_rejects_keys_that_are_not_hyperparameters(self, key):
+        cfg = ExperimentConfig(oracle_name="synth1d", dimension=1, hyperparameters={key: 1})
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            cfg.validate()
+
+    def test_programmatic_defaults_match_loaded_defaults(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("[oracle]\nname = synth1d\n")
+        cfg = ExperimentConfig(oracle_name="synth1d", dimension=1)
+        assert cfg.as_dict() == load_config(path).as_dict()
+        assert cfg.as_dict()["hyperparameters"] == HYPERPARAMETERS
+
+    def test_section_fills_defaults_and_drops_unset_optional_keys(self):
+        cfg = ExperimentConfig(oracle_name="synth1d", dimension=1, hyperparameters={"gp.kernel": "matern52"})
+        assert cfg.section("gp") == {"kernel": "matern52", "n_restarts": 8, "noise_floor": 1e-6, "max_sweeps": 12}
+        assert cfg.section("kde") == {}
+
+
+def readme_config_lines():
+    """(section, key, value, commented) for each `key = value` line of the README's ini block."""
+    block = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    section, out = None, []
+    for line in block.splitlines():
+        if m := re.match(r"\[(\w+)\]", line):
+            section = m.group(1)
+        elif m := re.match(r"(#\s*)?(\w+)\s*=\s*([^\s#]*)", line):
+            out.append((section, m.group(2), m.group(3), bool(m.group(1))))
+    return out
+
+
+class TestReadmeConfig:
+    def test_every_key_is_a_schema_key_and_every_schema_key_is_listed(self):
+        listed = {(section, key) for section, key, _, _ in readme_config_lines()}
+        assert listed == {(section, key) for section in _SCHEMA for key in _SCHEMA[section]}
+
+    def test_uncommented_values_are_the_defaults(self):
+        for section, key, value, commented in readme_config_lines():
+            typ, default = _SCHEMA[section][key]
+            if not commented and default is not None:
+                assert typ(value) == default, f"{section}.{key}"

@@ -79,6 +79,20 @@ class TestRunSmo:
         run_smo(cfg.replace(feature_set=frozenset({Feature.X, Feature.LOG_VARIANCE})))
         assert epochs and all(e == 7 for e in epochs)
 
+    def test_gp_keys_reach_side_variance_gp(self, monkeypatch):
+        kernels = []
+        gp_fit = deup.estimator.gp_fit
+
+        def spy(d, cfg, rng):
+            if rng.label.endswith("/variance-gp"):
+                kernels.append(cfg["kernel"])
+            return gp_fit(d, cfg, rng)
+
+        monkeypatch.setattr(deup.estimator, "gp_fit", spy)
+        hp = {"deup.main_model": "mlp", "mlp.epochs": 7, "gp.kernel": "matern52"}
+        run_smo(config(Acquisition.DEUP_EI, budget=8, **hp))
+        assert kernels and all(k == "matern52" for k in kernels)
+
     def test_epistemic_recorded_for_deup(self):
         trace = run_smo(config(Acquisition.DEUP_EI, budget=10))
         assert all(np.isfinite(r.epistemic) and r.epistemic >= 0 for r in trace.records)
