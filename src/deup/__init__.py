@@ -14,6 +14,7 @@ from .core import (
 from .models import Learner, ensemble_variance, gp_fit, mlp_fit
 from .density import kde_fit
 from .estimator import (
+    DeupFit,
     UncertaintyModel,
     build_features,
     deup_fixed_train,
@@ -40,6 +41,7 @@ __all__ = [
     "AleatoricMode",
     "BoxDomain",
     "Dataset",
+    "DeupFit",
     "ExperimentConfig",
     "Feature",
     "GaussianPair",

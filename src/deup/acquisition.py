@@ -8,8 +8,6 @@ import numpy as np
 from scipy.stats import norm
 
 from .core import HYPERPARAMETERS, Acquisition
-from .estimator import UncertaintyModel
-from .models import GPPredictor
 
 
 @dataclass(frozen=True)
@@ -83,11 +81,13 @@ def ucb(mean, variance, beta):
 
 @dataclass
 class AcquisitionContext:
-    """Model context scored against: a GP for EI/UCB, an UncertaintyModel for DEUP_*."""
+    """Model scored against: a GP for EI/UCB, an UncertaintyModel for DEUP_*.
+
+    Either answers predict_batch(X) -> (mean, variance or epistemic uncertainty).
+    """
 
     best: float = -np.inf
-    predictor: GPPredictor | None = None
-    model: UncertaintyModel | None = None
+    model: object | None = None
     gen: np.random.Generator | None = None  # RANDOM scoring only
 
 
@@ -100,14 +100,9 @@ def score_batch(spec: AcquisitionSpec, X: np.ndarray, ctx: AcquisitionContext) -
         if ctx.gen is None:
             raise ValueError("RANDOM scoring needs a generator in the context")
         return ctx.gen.uniform(size=len(X))
-    if kind in (Acquisition.EI, Acquisition.UCB):
-        if ctx.predictor is None:
-            raise ValueError(f"{kind.value} scoring needs a GP predictor in the context")
-        mean, var = ctx.predictor.predict_batch(X)
-    else:
-        if ctx.model is None:
-            raise ValueError(f"{kind.value} scoring needs an uncertainty model in the context")
-        mean, var = ctx.model.predict_batch(X)
+    if ctx.model is None:
+        raise ValueError(f"{kind.value} scoring needs a model in the context")
+    mean, var = ctx.model.predict_batch(X)
     if kind in (Acquisition.EI, Acquisition.DEUP_EI):
         return expected_improvement(mean, var, ctx.best, spec.xi)
     return ucb(mean, var, spec.beta)

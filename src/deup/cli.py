@@ -22,7 +22,7 @@ from . import estimator as est
 from .benchmarks import make_oracle
 from .core import Dataset, Feature, RngStream, load_config
 from .models import Learner, gp_fit
-from .smo import build_aleatoric, error_model_cfg, main_learner, read_trace, run_smo
+from .smo import build_aleatoric, deup_fit, read_trace, run_smo
 
 
 class OutputExistsError(FileExistsError):
@@ -154,13 +154,7 @@ def demo_fig1(out_dir, seed: int = 0, force: bool = False) -> dict:
     gp2 = gp_fit(d_aug, gp_cfg, root.child("gp2"))
 
     layout = (Feature.LOG_VARIANCE,)
-    model = est.deup_fixed_train(
-        train,
-        acquired,
-        Learner("gp", gp_cfg),
-        layout,
-        root.child("deup"),
-    )
+    model = est.deup_fixed_train(train, acquired, est.DeupFit(Learner("gp", gp_cfg), layout), root.child("deup"))
 
     grid = np.linspace(0.0, 2.0, 401)[:, None]
     f_true = fig1_truth(grid[:, 0])
@@ -252,13 +246,9 @@ def fit_uncertainty_command(config_path, out_dir, force: bool = False) -> dict:
     model = est.deup_fixed_train(
         train,
         held_out,
-        main_learner(cfg),
-        cfg.layout(),
+        deup_fit(cfg),
         root.child("deup"),
         aleatoric=build_aleatoric(cfg, oracle, train, root.child("aleatoric")),
-        error_cfg=error_model_cfg(cfg),
-        bandwidth=cfg.hp("kde.bandwidth"),
-        gp_cfg=cfg.section("gp"),
     )
     d_u = model.meta["error_dataset"]
     est.export_error_dataset(d_u, du_path)

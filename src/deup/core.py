@@ -254,7 +254,8 @@ _FIELD_KEYS = {
 }
 _DEFAULTS = {f"{s}.{k}": default for s, keys in _SCHEMA.items() for k, (_, default) in keys.items()}
 HYPERPARAMETERS = {key: default for key, default in _DEFAULTS.items() if key not in _FIELD_KEYS}
-# Keys whose value is one of a fixed set of names, matched case-insensitively.
+# Keys whose value is one of a fixed set of lower-case names; `load_config`
+# lower-cases what it reads, `validate()` rejects anything else.
 _CHOICES = {
     "smo.acquisition": [a.value for a in Acquisition],
     "deup.aleatoric": [m.value for m in AleatoricMode],
@@ -319,6 +320,9 @@ class ExperimentConfig:
         unknown = sorted(set(self.hyperparameters) - HYPERPARAMETERS.keys())
         if unknown:
             raise ConfigError(f"not hyperparameter keys: {', '.join(unknown)}")
+        for key, allowed in _CHOICES.items():
+            if key in HYPERPARAMETERS and self.hp(key) not in allowed:
+                raise ConfigError(f"key '{key}': expected one of {', '.join(allowed)}, got {self.hp(key)!r}")
 
     def layout(self) -> tuple:
         """Feature layout in canonical order, fixed for the whole run."""

@@ -128,7 +128,6 @@ class ErrorPredictor:
     layout: tuple
     feature_lows: np.ndarray | None = None
     feature_highs: np.ndarray | None = None
-    epsilon: float = LOG_TARGET_EPS
 
     def predict_log_error_batch(self, F: np.ndarray) -> np.ndarray:
         F = np.asarray(F, dtype=np.float64)
@@ -140,9 +139,6 @@ class ErrorPredictor:
 
     def predict_error_batch(self, F: np.ndarray) -> np.ndarray:
         return np.exp(self.predict_log_error_batch(F))
-
-    def predict_error(self, f_row: np.ndarray) -> float:
-        return float(self.predict_error_batch(np.asarray(f_row)[None, :])[0])
 
 
 def fit_error_predictor(d_u: Dataset, layout: tuple, rng: RngStream, cfg: dict | None = None) -> ErrorPredictor:
@@ -178,35 +174,20 @@ def fit_error_predictor(d_u: Dataset, layout: tuple, rng: RngStream, cfg: dict |
 
 @dataclass
 class AleatoricEstimator:
-    """Nonnegative estimate a(x) of irreducible noise variance."""
+    """Nonnegative estimate a(x) = max(fn(x), 0) of irreducible noise variance."""
 
-    mode: str  # "zero" | "known" | "replicates"
-    model: object | None = None
-    known_fn: object | None = None
-    training_inputs: np.ndarray | None = None
+    fn: object  # X -> noise variance per row
     training_targets: np.ndarray | None = None
 
     def values(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X[None, :]
-        if self.mode == "zero":
-            return np.zeros(len(X))
-        if self.mode == "known":
-            return np.maximum(np.asarray(self.known_fn(X), dtype=np.float64), 0.0)
-        return np.maximum(self.model.predict_mean_batch(X), 0.0)
-
-    def value(self, x) -> float:
-        return float(self.values(np.asarray(x, dtype=np.float64)[None, :])[0])
+        return np.maximum(np.asarray(self.fn(X), dtype=np.float64), 0.0)
 
 
 def zero_aleatoric() -> AleatoricEstimator:
-    return AleatoricEstimator(mode="zero")
-
-
-def known_aleatoric(fn) -> AleatoricEstimator:
-    """Wrap a callable X -> noise variance array as a KNOWN-mode estimator."""
-    return AleatoricEstimator(mode="known", known_fn=fn)
+    return AleatoricEstimator(lambda X: np.zeros(len(X)))
 
 
 def estimate_aleatoric_from_replicates(groups, regressor: Learner, rng: RngStream) -> AleatoricEstimator:
@@ -224,9 +205,7 @@ def estimate_aleatoric_from_replicates(groups, regressor: Learner, rng: RngStrea
     X = np.stack(inputs)
     t = np.array(targets)
     model = regressor.fit(Dataset.from_arrays(X, t), rng)
-    return AleatoricEstimator(
-        mode="replicates", model=model, training_inputs=X, training_targets=t
-    )
+    return AleatoricEstimator(model.predict_mean_batch, training_targets=t)
 
 
 @dataclass
@@ -269,28 +248,45 @@ class UncertaintyModel:
         return float(self.epistemic_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
-def _fit_main(learner: Learner, d: Dataset, layout: tuple, rng: RngStream, labels: tuple, bandwidth, gp_cfg):
-    """Fit f on d under stream labels[0], then the feature context under labels[1].
+@dataclass(frozen=True)
+class DeupFit:
+    """The settings every DEUP fit shares: main learner f, feature layout, and
+    the settings of the error model u, the KDE bandwidth and the side GP."""
 
-    A main GP doubles as the log-variance source; an MLP main gets a side GP
-    with settings `gp_cfg`.
-    """
-    main = learner.fit(d, rng.child(labels[0]))
-    variance_source = main if learner.kind == "gp" else None
-    context = fit_feature_context(d, layout, rng.child(labels[1]), bandwidth, variance_source, gp_cfg)
-    return main, context
+    learner: Learner
+    layout: tuple
+    error_cfg: dict | None = None
+    bandwidth: float | None = None
+    gp_cfg: dict | None = None
+
+    def main(self, d: Dataset, rng: RngStream, labels: tuple):
+        """Fit f on d under stream labels[0], then the feature context under labels[1].
+
+        A main GP doubles as the log-variance source; an MLP main gets a side GP
+        with settings `gp_cfg`.
+        """
+        main = self.learner.fit(d, rng.child(labels[0]))
+        variance_source = main if self.learner.kind == "gp" else None
+        context = fit_feature_context(
+            d, self.layout, rng.child(labels[1]), self.bandwidth, variance_source, self.gp_cfg
+        )
+        return main, context
+
+    def error_rows(self, d: Dataset, main, context: FeatureContext, X: np.ndarray, y: np.ndarray):
+        """(features, log-error targets) of f = `main`, fitted on d with `context`, at rows (X, y)."""
+        F = build_features_batch(d, X, context, self.layout)
+        return F, log_error_target((y - main.predict_mean_batch(X)) ** 2)
+
+    def error(self, d_u: Dataset, rng: RngStream) -> ErrorPredictor:
+        return fit_error_predictor(d_u, self.layout, rng, self.error_cfg)
 
 
 def deup_fixed_train(
     train: Dataset,
     out_of_sample: Dataset,
-    learner: Learner,
-    layout: tuple,
+    fit: DeupFit,
     rng: RngStream,
     aleatoric: AleatoricEstimator | None = None,
-    error_cfg: dict | None = None,
-    bandwidth: float | None = None,
-    gp_cfg: dict | None = None,
 ) -> UncertaintyModel:
     """Fixed-training-set mode: fit f on train, then u on errors over train + held-out.
 
@@ -300,7 +296,7 @@ def deup_fixed_train(
     """
     if len(train) < 1:
         raise ValueError("train dataset is empty")
-    main, context = _fit_main(learner, train, layout, rng, ("main", "features"), bandwidth, gp_cfg)
+    main, context = fit.main(train, rng, ("main", "features"))
 
     meta = {}
     if len(out_of_sample) == 0:
@@ -309,37 +305,22 @@ def deup_fixed_train(
 
     d_u = Dataset()
     for part in (train, out_of_sample):
-        if len(part) == 0:
-            continue
-        X = part.inputs()
-        F = build_features_batch(train, X, context, layout)
-        resid_sq = (part.targets() - main.predict_mean_batch(X)) ** 2
-        t = log_error_target(resid_sq)
-        for i in range(len(part)):
-            d_u.append_xy(F[i], t[i])
+        if len(part):
+            for f_row, t in zip(*fit.error_rows(train, main, context, part.inputs(), part.targets())):
+                d_u.append_xy(f_row, t)
 
-    error = fit_error_predictor(d_u, layout, rng.child("error"), error_cfg)
     return UncertaintyModel(
         main=main,
-        error=error,
+        error=fit.error(d_u, rng.child("error")),
         aleatoric=aleatoric or zero_aleatoric(),
         dataset=train,
         context=context,
-        layout=layout,
+        layout=fit.layout,
         meta={**meta, "n_error_rows": len(d_u), "error_dataset": d_u},
     )
 
 
-def deup_pretrain_cv(
-    d_init: Dataset,
-    k: int,
-    n_pretrain: int,
-    learner: Learner,
-    layout: tuple,
-    rng: RngStream,
-    bandwidth: float | None = None,
-    gp_cfg: dict | None = None,
-) -> Dataset:
+def deup_pretrain_cv(d_init: Dataset, k: int, n_pretrain: int, fit: DeupFit, rng: RngStream) -> Dataset:
     """Pre-fill the error dataset by cross-validation before any acquisition.
 
     Repeats {random split into k folds; fit f and features on k-1 folds; add an
@@ -359,12 +340,9 @@ def deup_pretrain_cv(
         for fold in folds[:-1]:
             for ex in fold:
                 d_tilde.append(ex)
-        labels = (f"fit-{pass_idx}", f"features-{pass_idx}")
-        main, context = _fit_main(learner, d_tilde, layout, rng, labels, bandwidth, gp_cfg)
-        F = build_features_batch(d_tilde, X_all, context, layout)
-        t = log_error_target((y_all - main.predict_mean_batch(X_all)) ** 2)
-        for i in range(len(d_init)):
-            d_u.append_xy(F[i], t[i])
+        main, context = fit.main(d_tilde, rng, (f"fit-{pass_idx}", f"features-{pass_idx}"))
+        for f_row, t in zip(*fit.error_rows(d_tilde, main, context, X_all, y_all)):
+            d_u.append_xy(f_row, t)
     return d_u
 
 
@@ -372,29 +350,20 @@ def deup_pretrain_cv(
 class DeupState:
     """Everything the interactive loop carries between acquisitions."""
 
-    learner: Learner
-    layout: tuple
-    dataset: Dataset
+    fit: DeupFit
     d_u: Dataset
     model: UncertaintyModel
     rng: RngStream
     step: int = 0
-    error_cfg: dict | None = None
-    bandwidth: float | None = None
-    gp_cfg: dict | None = None
 
 
 def deup_init_state(
     d_init: Dataset,
-    learner: Learner,
-    layout: tuple,
+    fit: DeupFit,
     rng: RngStream,
     k: int = HYPERPARAMETERS["deup.cv_folds"],
     n_pretrain: int | None = None,
     aleatoric: AleatoricEstimator | None = None,
-    error_cfg: dict | None = None,
-    bandwidth: float | None = None,
-    gp_cfg: dict | None = None,
 ) -> DeupState:
     """Fit the initial model, optionally pre-filling D_u by cross-validation.
 
@@ -403,34 +372,18 @@ def deup_init_state(
     """
     if n_pretrain is None:
         n_pretrain = 4 * len(d_init)
-    d_u = Dataset()
-    if n_pretrain > 0:
-        d_u = deup_pretrain_cv(
-            d_init, k, n_pretrain, learner, layout, rng.child("pretrain"), bandwidth, gp_cfg
-        )
-    main, context = _fit_main(learner, d_init, layout, rng, ("main-0", "features-0"), bandwidth, gp_cfg)
-    error = fit_error_predictor(d_u, layout, rng.child("error-0"), error_cfg)
+    d_u = deup_pretrain_cv(d_init, k, n_pretrain, fit, rng.child("pretrain")) if n_pretrain > 0 else Dataset()
+    main, context = fit.main(d_init, rng, ("main-0", "features-0"))
     model = UncertaintyModel(
         main=main,
-        error=error,
+        error=fit.error(d_u, rng.child("error-0")),
         aleatoric=aleatoric or zero_aleatoric(),
         dataset=d_init,
         context=context,
-        layout=layout,
+        layout=fit.layout,
         meta={"pretrain_rows": len(d_u)},
     )
-    return DeupState(
-        learner=learner,
-        layout=layout,
-        dataset=d_init,
-        d_u=d_u,
-        model=model,
-        rng=rng,
-        step=0,
-        error_cfg=error_cfg,
-        bandwidth=bandwidth,
-        gp_cfg=gp_cfg,
-    )
+    return DeupState(fit=fit, d_u=d_u, model=model, rng=rng)
 
 
 def deup_interactive_step(state: DeupState, x_acq, y_acq: float) -> DeupState:
@@ -441,39 +394,23 @@ def deup_interactive_step(state: DeupState, x_acq, y_acq: float) -> DeupState:
     the main predictor, features and u are all refit on the grown datasets.
     The input state is never mutated, so failures leave it usable.
     """
-    x_acq = np.asarray(x_acq, dtype=np.float64).reshape(-1)
-    y_acq = float(y_acq)
-    layout = state.layout
+    X = np.asarray(x_acq, dtype=np.float64).reshape(1, -1)
+    y = np.array([float(y_acq)])
+    fit, old = state.fit, state.model
+    pre = fit.error_rows(old.dataset, old.main, old.context, X, y)
 
-    f_pre = build_features(state.dataset, x_acq, state.model.context, layout)
-    resid_pre = (y_acq - state.model.predict_mean_batch(x_acq[None, :])[0]) ** 2
-    t_pre = float(log_error_target(resid_pre))
-
-    new_d = state.dataset.copy()
-    new_d.append_xy(x_acq, y_acq)
-
+    new_d = old.dataset.copy()
+    new_d.append_xy(X[0], y[0])
     t = state.step + 1
-    labels = (f"main-{t}", f"features-{t}")
-    main, context = _fit_main(state.learner, new_d, layout, state.rng, labels, state.bandwidth, state.gp_cfg)
-    f_post = build_features(new_d, x_acq, context, layout)
-    resid_post = (y_acq - main.predict_mean_batch(x_acq[None, :])[0]) ** 2
-    t_post = float(log_error_target(resid_post))
+    main, context = fit.main(new_d, state.rng, (f"main-{t}", f"features-{t}"))
+    post = fit.error_rows(new_d, main, context, X, y)
 
     new_du = state.d_u.copy()
-    new_du.append_xy(f_pre, t_pre)
-    new_du.append_xy(f_post, t_post)
-    error = fit_error_predictor(new_du, layout, state.rng.child(f"error-{t}"), state.error_cfg)
-
-    model = UncertaintyModel(
-        main=main,
-        error=error,
-        aleatoric=state.model.aleatoric,
-        dataset=new_d,
-        context=context,
-        layout=layout,
-        meta=dict(state.model.meta),
-    )
-    return replace(state, dataset=new_d, d_u=new_du, model=model, step=t)
+    for F, target in (pre, post):
+        new_du.append_xy(F[0], target[0])
+    error = fit.error(new_du, state.rng.child(f"error-{t}"))
+    model = replace(old, main=main, error=error, dataset=new_d, context=context, meta=dict(old.meta))
+    return replace(state, d_u=new_du, model=model, step=t)
 
 
 def export_error_dataset(d_u: Dataset, path) -> None:

@@ -109,20 +109,20 @@ def best_so_far(trace: RunTrace) -> list[float]:
     return out
 
 
-def main_learner(cfg: ExperimentConfig) -> Learner:
-    """The main predictor f of a DEUP fit: `deup.main_model` with its [gp] or [mlp] keys."""
-    kind = cfg.hp("deup.main_model").lower()
-    return Learner(kind, cfg.section(kind))
-
-
-def error_model_cfg(cfg: ExperimentConfig) -> dict:
-    """Settings of the error predictor u: [mlp] keys for an MLP, error GP keys for a GP."""
-    return {
+def deup_fit(cfg: ExperimentConfig) -> est.DeupFit:
+    """The settings of a run's DEUP fits: `deup.main_model` with its [gp] or [mlp]
+    keys, the error model u ([mlp] keys for an MLP, error GP keys for a GP), the
+    KDE bandwidth, and [gp] for the side variance GP of an MLP main model."""
+    kind = cfg.hp("deup.main_model")
+    error_cfg = {
         **cfg.section("mlp"),
         "error_model": cfg.hp("deup.error_model"),
         "n_restarts": cfg.hp("deup.error_gp_restarts"),
         "noise_floor": cfg.hp("gp.noise_floor"),
     }
+    return est.DeupFit(
+        Learner(kind, cfg.section(kind)), cfg.layout(), error_cfg, cfg.hp("kde.bandwidth"), cfg.section("gp")
+    )
 
 
 def build_aleatoric(cfg, oracle, d_init, rng) -> est.AleatoricEstimator:
@@ -131,7 +131,7 @@ def build_aleatoric(cfg, oracle, d_init, rng) -> est.AleatoricEstimator:
         return est.zero_aleatoric()
     if mode is AleatoricMode.KNOWN:
         sigma = float(cfg.hp("oracle.noise"))
-        return est.known_aleatoric(lambda X: np.full(len(np.atleast_2d(X)), sigma**2))
+        return est.AleatoricEstimator(lambda X: np.full(len(X), sigma**2))
     # REPLICATES: groups drawn at the init points, fit once; the extra draws
     # per point are not counted against the acquisition budget (see README).
     k = int(cfg.hp("deup.replicates_k"))
@@ -169,55 +169,44 @@ def run_smo(cfg: ExperimentConfig) -> RunTrace:
     n_steps = cfg.budget - cfg.n_init
     best = trace.init_best
     mode = cfg.acquisition
-    layout = cfg.layout()
 
+    # One model slot: None for RANDOM, the GP for EI/UCB, the DEUP model for DEUP_*.
     state = None
-    gp = None
+    model = None
     try:
         if mode.uses_error_model:
             aleatoric = build_aleatoric(cfg, oracle, d, root.child("aleatoric"))
             state = est.deup_init_state(
                 d,
-                main_learner(cfg),
-                layout,
+                deup_fit(cfg),
                 root.child("deup"),
                 k=cfg.hp("deup.cv_folds"),
                 n_pretrain=cfg.hp("deup.n_pretrain"),
                 aleatoric=aleatoric,
-                error_cfg=error_model_cfg(cfg),
-                bandwidth=cfg.hp("kde.bandwidth"),
-                gp_cfg=gp_cfg,
             )
-        elif mode in (Acquisition.EI, Acquisition.UCB):
-            gp = gp_fit(d, gp_cfg, root.child("fit-0"))
+            model = state.model
+        elif mode is not Acquisition.RANDOM:
+            model = gp_fit(d, gp_cfg, root.child("fit-0"))
 
         for t in range(1, n_steps + 1):
             t0 = time.perf_counter()
-            if mode is Acquisition.RANDOM:
-                ctx = AcquisitionContext(best=best)
-                x = argmax_acquisition(spec, oracle.domain, ctx, root.child(f"acq-{t}"))
-                acq_value = float("nan")
-                eu = float("nan")
-            elif mode.uses_error_model:
-                ctx = AcquisitionContext(best=best, model=state.model)
-                x = argmax_acquisition(spec, oracle.domain, ctx, root.child(f"acq-{t}"))
-                acq_value = score(spec, x, ctx)
-                eu = state.model.epistemic(x)
+            ctx = AcquisitionContext(best=best, model=model)
+            x = argmax_acquisition(spec, oracle.domain, ctx, root.child(f"acq-{t}"))
+            if model is None:
+                acq_value = eu = float("nan")
             else:
-                ctx = AcquisitionContext(best=best, predictor=gp)
-                x = argmax_acquisition(spec, oracle.domain, ctx, root.child(f"acq-{t}"))
                 acq_value = score(spec, x, ctx)
-                eu = gp.predict(x)[1]
+                eu = float(model.predict_batch(x[None])[1][0])
 
             y = float(oracle.sample(x, oracle_gen, 1)[0])
 
-            if mode.uses_error_model:
+            if state is not None:
                 state = est.deup_interactive_step(state, x, y)
-            elif mode in (Acquisition.EI, Acquisition.UCB):
-                d.append_xy(x, y)
-                gp = gp_fit(d, gp_cfg, root.child(f"fit-{t}"))
+                model = state.model
             else:
                 d.append_xy(x, y)
+                if model is not None:
+                    model = gp_fit(d, gp_cfg, root.child(f"fit-{t}"))
 
             best = max(best, y)
             trace.records.append(

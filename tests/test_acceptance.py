@@ -8,7 +8,7 @@ import numpy as np
 
 from deup.cli import demo_fig1
 from deup.core import Acquisition, Dataset, ExperimentConfig, Feature, RngStream
-from deup.estimator import deup_init_state, deup_interactive_step, estimate_aleatoric_from_replicates
+from deup.estimator import DeupFit, deup_init_state, deup_interactive_step, estimate_aleatoric_from_replicates
 from deup.models import Learner, gp_fit, loss_and_gradients, _init_params
 from deup.density import kde_fit
 from deup.smo import best_so_far, run_smo
@@ -189,8 +189,7 @@ def test_criterion_7_bookkeeping():
     d = Dataset.from_arrays(X, np.sin(6 * X[:, 0]))
     state = deup_init_state(
         d,
-        Learner("gp", {"noise_variance": 0.0, "n_restarts": 4}),
-        (Feature.LOG_VARIANCE,),
+        DeupFit(Learner("gp", {"noise_variance": 0.0, "n_restarts": 4}), (Feature.LOG_VARIANCE,)),
         RngStream(7, "acceptance-bookkeeping"),
     )
     n0 = len(state.d_u)

@@ -12,7 +12,7 @@ from deup.acquisition import (
     ucb,
 )
 from deup.core import Acquisition, Dataset, Feature, RngStream
-from deup.estimator import deup_fixed_train
+from deup.estimator import DeupFit, deup_fixed_train
 from deup.models import GPPredictor, Learner, gp_fit
 
 
@@ -78,7 +78,7 @@ class TestScore:
         best = float(np.max(d.targets()))
         x_best = d.inputs()[int(np.argmax(d.targets()))]
         spec = AcquisitionSpec(Acquisition.EI)
-        val = score(spec, x_best, AcquisitionContext(best=best, predictor=gp))
+        val = score(spec, x_best, AcquisitionContext(best=best, model=gp))
         assert val <= 1e-6
 
     def test_deup_ucb_reduces_to_mean_when_eu_zero(self):
@@ -86,8 +86,8 @@ class TestScore:
         train = Dataset.from_arrays(d.inputs(), d.targets())
         oos = Dataset.from_arrays(np.array([[0.31], [0.77]]), np.array([np.sin(6 * 0.31), np.sin(6 * 0.77)]))
         model = deup_fixed_train(
-            train, oos, Learner("gp", {"noise_variance": 0.0, "n_restarts": 4}),
-            (Feature.LOG_VARIANCE,), RngStream(0, "deup"),
+            train, oos, DeupFit(Learner("gp", {"noise_variance": 0.0, "n_restarts": 4}), (Feature.LOG_VARIANCE,)),
+            RngStream(0, "deup"),
         )
         x = d.inputs()[3]
         spec = AcquisitionSpec(Acquisition.DEUP_UCB, beta=2.0)
@@ -102,8 +102,8 @@ class TestScore:
         gp, d = fit_1d_gp()
         oos = Dataset.from_arrays(np.array([[0.11], [0.52]]), np.sin(6 * np.array([0.11, 0.52])))
         model = deup_fixed_train(
-            d, oos, Learner("gp", {"noise_variance": 0.0, "n_restarts": 4}),
-            (Feature.LOG_VARIANCE,), RngStream(0, "deup"),
+            d, oos, DeupFit(Learner("gp", {"noise_variance": 0.0, "n_restarts": 4}), (Feature.LOG_VARIANCE,)),
+            RngStream(0, "deup"),
         )
         x = np.array([0.42])
         spec = AcquisitionSpec(Acquisition.DEUP_EI, xi=0.01)
@@ -118,8 +118,8 @@ class TestScore:
         _, d = fit_1d_gp()
         oos = Dataset.from_arrays(np.array([[0.11], [0.52]]), np.sin(6 * np.array([0.11, 0.52])))
         model = deup_fixed_train(
-            d, oos, Learner("gp", {"noise_variance": 0.0, "n_restarts": 4}),
-            (Feature.LOG_VARIANCE,), RngStream(0, "deup"),
+            d, oos, DeupFit(Learner("gp", {"noise_variance": 0.0, "n_restarts": 4}), (Feature.LOG_VARIANCE,)),
+            RngStream(0, "deup"),
         )
         rows = []
         predict_batch = GPPredictor.predict_batch
@@ -134,9 +134,9 @@ class TestScore:
         assert rows == [64]
 
     def test_missing_context_rejected(self):
-        spec = AcquisitionSpec(Acquisition.EI)
-        with pytest.raises(ValueError):
-            score(spec, np.array([0.0]), AcquisitionContext(best=0.0))
+        for kind in (Acquisition.EI, Acquisition.UCB, Acquisition.DEUP_EI, Acquisition.DEUP_UCB):
+            with pytest.raises(ValueError, match="needs a model"):
+                score(AcquisitionSpec(kind), np.array([0.0]), AcquisitionContext(best=0.0))
 
     def test_random_scores_are_uniform_draws(self):
         spec = AcquisitionSpec(Acquisition.RANDOM)
@@ -166,7 +166,7 @@ class TestArgmax:
         domain = BoxDomain(np.array([0.0]), np.array([1.0]))
         spec = AcquisitionSpec(Acquisition.EI, xi=0.0, n_candidates=512, n_refine=3)
         best = float(np.max(d.targets())) - 0.05
-        x = argmax_acquisition(spec, domain, AcquisitionContext(best=best, predictor=gp), RngStream(0, "acq"))
+        x = argmax_acquisition(spec, domain, AcquisitionContext(best=best, model=gp), RngStream(0, "acq"))
 
         grid = np.linspace(0, 1, 10_001)[:, None]
         mean, var = gp.predict_batch(grid)
@@ -178,7 +178,7 @@ class TestArgmax:
         gp, _ = fit_1d_gp()
         domain = BoxDomain(np.array([0.0]), np.array([1.0]))
         spec = AcquisitionSpec(Acquisition.UCB, n_candidates=64, n_refine=2)
-        ctx = AcquisitionContext(best=0.0, predictor=gp)
+        ctx = AcquisitionContext(best=0.0, model=gp)
         rng = RngStream(3, "acq")
         x = argmax_acquisition(spec, domain, ctx, rng)
         cands = domain.sample(rng.generator(), spec.n_candidates)
@@ -194,7 +194,7 @@ class TestArgmax:
                 Acquisition.EI, n_candidates=int(gen.integers(4, 64)), n_refine=2
             )
             x = argmax_acquisition(
-                spec, domain, AcquisitionContext(best=0.5, predictor=gp), RngStream(trial, "acq")
+                spec, domain, AcquisitionContext(best=0.5, model=gp), RngStream(trial, "acq")
             )
             assert domain.contains(x)
 

@@ -212,6 +212,14 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=re.escape(key)):
             cfg.validate()
 
+    @pytest.mark.parametrize(
+        "key, value", [("deup.error_model", "GP"), ("gp.kernel", "Matern"), ("deup.main_model", "MLP")]
+    )
+    def test_validate_rejects_choice_values_outside_the_lower_case_names(self, key, value):
+        cfg = ExperimentConfig(oracle_name="synth1d", dimension=1, hyperparameters={key: value})
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            cfg.validate()
+
     def test_programmatic_defaults_match_loaded_defaults(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("[oracle]\nname = synth1d\n")

@@ -5,7 +5,9 @@ from scipy.stats import spearmanr
 from deup.core import Dataset, Feature, RngStream
 from deup.estimator import (
     LOG_TARGET_EPS,
+    AleatoricEstimator,
     ConstantModel,
+    DeupFit,
     StaleFeaturesError,
     build_features,
     build_features_batch,
@@ -16,7 +18,6 @@ from deup.estimator import (
     estimate_aleatoric_from_replicates,
     export_error_dataset,
     fit_feature_context,
-    known_aleatoric,
     log_error_target,
 )
 from deup.models import GPPredictor, Learner, MLPPredictor
@@ -80,7 +81,7 @@ class TestFixedTrain:
         train = Dataset.from_arrays(X, np.sin(6 * X[:, 0]))
         oos = make_1d_dataset(4, seed=1)
         model = deup_fixed_train(
-            train, oos, Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,), RngStream(0, "deup")
+            train, oos, DeupFit(Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,)), RngStream(0, "deup")
         )
         # An exact interpolator has ~zero in-sample residuals, so the error rows
         # for train points sit at the log-eps floor.
@@ -92,14 +93,14 @@ class TestFixedTrain:
         train = make_1d_dataset(8)
         oos = make_1d_dataset(5, seed=2)
         model = deup_fixed_train(
-            train, oos, Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,), RngStream(0, "deup")
+            train, oos, DeupFit(Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,)), RngStream(0, "deup")
         )
         assert model.meta["n_error_rows"] == len(train) + len(oos)
 
     def test_empty_out_of_sample_flagged(self):
         train = make_1d_dataset(8)
         model = deup_fixed_train(
-            train, Dataset(), Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,), RngStream(0, "deup")
+            train, Dataset(), DeupFit(Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,)), RngStream(0, "deup")
         )
         assert model.meta.get("in_sample_only") is True
 
@@ -116,8 +117,7 @@ class TestFixedTrain:
         model = deup_fixed_train(
             train,
             oos,
-            Learner("gp", GP_NOISELESS),
-            (Feature.LOG_VARIANCE,),
+            DeupFit(Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,)),
             RngStream(1, "deup"),
         )
         grid = np.linspace(0.0, 2.0, 200)[:, None]
@@ -131,7 +131,7 @@ class TestPretrainCv:
     def test_default_row_budget_is_four_per_point(self):
         d = make_1d_dataset(6)
         state = deup_init_state(
-            d, Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,), RngStream(0, "deup")
+            d, DeupFit(Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,)), RngStream(0, "deup")
         )
         assert len(state.d_u) >= 4 * len(d)
         assert state.model.meta["pretrain_rows"] == len(state.d_u)
@@ -139,14 +139,14 @@ class TestPretrainCv:
     def test_one_pass_adds_one_row_per_point(self):
         d = make_1d_dataset(6)
         d_u = deup_pretrain_cv(
-            d, 2, 1, Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,), RngStream(0, "cv")
+            d, 2, 1, DeupFit(Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,)), RngStream(0, "cv")
         )
         assert len(d_u) == 6
 
     def test_seen_bits_reflect_fold_membership(self):
         d = make_1d_dataset(6)
         layout = (Feature.SEEN_BIT,)
-        d_u = deup_pretrain_cv(d, 2, 1, Learner("gp", GP_NOISELESS), layout, RngStream(0, "cv"))
+        d_u = deup_pretrain_cv(d, 2, 1, DeupFit(Learner("gp", GP_NOISELESS), layout), RngStream(0, "cv"))
         bits = sorted(ex.x[0] for ex in d_u)
         # K=2 folds over 6 points: 3 in-fold rows (bit 1), 3 held-out rows (bit 0)
         assert bits == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
@@ -157,8 +157,7 @@ class TestInteractiveStep:
         d = make_1d_dataset(n_init)
         return deup_init_state(
             d,
-            Learner("gp", GP_NOISELESS),
-            layout,
+            DeupFit(Learner("gp", GP_NOISELESS), layout),
             RngStream(0, "deup"),
             n_pretrain=n_pretrain,
         )
@@ -189,13 +188,13 @@ class TestInteractiveStep:
         for t, xv in enumerate(xs, start=1):
             state = deup_interactive_step(state, np.array([xv]), float(np.sin(3 * xv)))
             assert len(state.d_u) == n0 + 2 * t
-            assert len(state.dataset) == 6 + t
+            assert len(state.model.dataset) == 6 + t
 
     def test_original_state_not_mutated(self):
         state = self.setup_state()
-        n_d, n_du = len(state.dataset), len(state.d_u)
+        n_d, n_du = len(state.model.dataset), len(state.d_u)
         new_state = deup_interactive_step(state, np.array([0.42]), 0.1)
-        assert len(state.dataset) == n_d
+        assert len(state.model.dataset) == n_d
         assert len(state.d_u) == n_du
         assert new_state.step == state.step + 1
 
@@ -246,7 +245,7 @@ class TestEpistemicQuery:
         train = make_1d_dataset(8)
         oos = make_1d_dataset(4, seed=5)
         model = deup_fixed_train(
-            train, oos, Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,), RngStream(0, "deup")
+            train, oos, DeupFit(Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,)), RngStream(0, "deup")
         )
         x = np.array([0.9])
         F = build_features_batch(train, x[None, :], model.context, model.layout)
@@ -259,10 +258,9 @@ class TestEpistemicQuery:
         model = deup_fixed_train(
             train,
             oos,
-            Learner("gp", GP_NOISELESS),
-            (Feature.LOG_VARIANCE,),
+            DeupFit(Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,)),
             RngStream(0, "deup"),
-            aleatoric=known_aleatoric(lambda X: np.full(len(X), 1e12)),
+            aleatoric=AleatoricEstimator(lambda X: np.full(len(X), 1e12)),
         )
         assert model.epistemic(np.array([0.9])) == 0.0
 
@@ -274,7 +272,7 @@ class TestEpistemicQuery:
         oos_X = np.linspace(0.05, 0.95, 5)[:, None]
         oos = Dataset.from_arrays(oos_X, 2.0 * oos_X[:, 0] + 1.0)
         model = deup_fixed_train(
-            train, oos, Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,), RngStream(2, "deup")
+            train, oos, DeupFit(Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,)), RngStream(2, "deup")
         )
         assert model.epistemic(X[3]) <= 1e-4
 
@@ -297,7 +295,10 @@ class TestUncertaintyModelPredictBatch:
     def test_equals_mean_and_epistemic(self, main_kind, layout, n_pretrain, error_type):
         learner = Learner(main_kind, GP_NOISELESS if main_kind == "gp" else self.SMALL_MLP)
         state = deup_init_state(
-            make_1d_dataset(6), learner, layout, RngStream(0, "deup"), n_pretrain=n_pretrain, error_cfg=self.SMALL_MLP
+            make_1d_dataset(6),
+            DeupFit(learner, layout, self.SMALL_MLP),
+            RngStream(0, "deup"),
+            n_pretrain=n_pretrain,
         )
         model = state.model
         assert isinstance(model.error.model, error_type)
@@ -320,9 +321,8 @@ def test_log_target_round_trip_property():
 class TestErrorDatasetExport:
     def test_csv_columns_and_rows(self, tmp_path):
         d = make_1d_dataset(6)
-        d_u = deup_pretrain_cv(
-            d, 2, 12, Learner("gp", GP_NOISELESS), (Feature.SEEN_BIT, Feature.LOG_VARIANCE), RngStream(0, "cv")
-        )
+        layout = (Feature.SEEN_BIT, Feature.LOG_VARIANCE)
+        d_u = deup_pretrain_cv(d, 2, 12, DeupFit(Learner("gp", GP_NOISELESS), layout), RngStream(0, "cv"))
         path = tmp_path / "du.csv"
         export_error_dataset(d_u, path)
         lines = path.read_text().strip().splitlines()

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 import deup.estimator
+import deup.smo
 from deup.core import Acquisition, AleatoricMode, ExperimentConfig, Feature
 from deup.smo import best_so_far, read_trace, run_smo
 
@@ -92,6 +94,21 @@ class TestRunSmo:
         hp = {"deup.main_model": "mlp", "mlp.epochs": 7, "gp.kernel": "matern52"}
         run_smo(config(Acquisition.DEUP_EI, budget=8, **hp))
         assert kernels and all(k == "matern52" for k in kernels)
+
+    @pytest.mark.parametrize("kind", [Acquisition.EI, Acquisition.UCB, Acquisition.DEUP_EI])
+    def test_epistemic_column_is_the_scored_models_spread(self, kind, monkeypatch):
+        steps = []
+        argmax = deup.smo.argmax_acquisition
+
+        def spy(spec, domain, ctx, rng):
+            x = argmax(spec, domain, ctx, rng)
+            steps.append((ctx.model, x))
+            return x
+
+        monkeypatch.setattr(deup.smo, "argmax_acquisition", spy)
+        trace = run_smo(config(kind, budget=10))
+        expected = [model.epistemic(x) if kind.uses_error_model else model.predict(x)[1] for model, x in steps]
+        assert [r.epistemic for r in trace.records] == expected
 
     def test_epistemic_recorded_for_deup(self):
         trace = run_smo(config(Acquisition.DEUP_EI, budget=10))
