@@ -16,7 +16,6 @@ from .density import kde_fit
 from .estimator import (
     DeupFit,
     UncertaintyModel,
-    build_features,
     deup_fixed_train,
     deup_init_state,
     deup_interactive_step,
@@ -54,7 +53,6 @@ __all__ = [
     "ackley",
     "argmax_acquisition",
     "best_so_far",
-    "build_features",
     "check_nll_decomposition",
     "check_prop5",
     "deup_fixed_train",

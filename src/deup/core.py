@@ -323,6 +323,11 @@ class ExperimentConfig:
         for key, allowed in _CHOICES.items():
             if key in HYPERPARAMETERS and self.hp(key) not in allowed:
                 raise ConfigError(f"key '{key}': expected one of {', '.join(allowed)}, got {self.hp(key)!r}")
+        if self.hp("smo.n_candidates") < 1:
+            raise ConfigError(f"key 'smo.n_candidates': must be >= 1, got {self.hp('smo.n_candidates')}")
+        folds = self.hp("deup.cv_folds")  # read only by a DEUP run's CV pretraining
+        if self.acquisition.uses_error_model and self.hp("deup.n_pretrain") != 0 and not 2 <= folds <= self.n_init:
+            raise ConfigError(f"key 'deup.cv_folds': must be in [2, n_init={self.n_init}], got {folds}")
 
     def layout(self) -> tuple:
         """Feature layout in canonical order, fixed for the whole run."""

@@ -98,10 +98,6 @@ def build_features_batch(
     return np.hstack(cols)
 
 
-def build_features(d: Dataset, x, context: FeatureContext, layout: tuple) -> np.ndarray:
-    return build_features_batch(d, np.asarray(x, dtype=np.float64)[None, :], context, layout)[0]
-
-
 @dataclass
 class ConstantModel:
     """Fallback regressor used while fewer than two error rows exist."""

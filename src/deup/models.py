@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import get_lapack_funcs, solve_triangular
 
 from .core import Dataset, NumericsError, RngStream, schema_section
 
@@ -24,6 +24,11 @@ JITTER_MAX = 1e-2
 GP_DEFAULTS = schema_section("gp")
 MLP_DEFAULTS = schema_section("mlp")
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+# Unchecked LAPACK calls for the GP fit and its search: every Dataset holds finite
+# inputs and targets and the search bounds keep K finite, so scipy's
+# finiteness checks and wrapper logic would only add per-call overhead.
+_potrf, _trtrs = get_lapack_funcs(("potrf", "trtrs"), (np.empty(0),))
 
 
 def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -41,15 +46,31 @@ def _kernel_from_sq_dists(sq: np.ndarray, kernel: str, lengthscale: float, signa
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
+def _diagonal(K: np.ndarray) -> np.ndarray:
+    """Writable strided view of the diagonal of a C-contiguous square matrix."""
+    if not K.flags.c_contiguous:
+        raise ValueError("diagonal view needs a C-contiguous matrix")
+    return K.ravel()[:: len(K) + 1]
+
+
 def _chol_with_jitter(K: np.ndarray, base_jitter: float):
-    """Lower Cholesky factor of K + jitter*I, escalating jitter tenfold on failure."""
+    """Lower Cholesky factor of K + jitter*I, escalating jitter tenfold on failure.
+
+    Overwrites K's diagonal with diag(K) + jitter. The factor is Fortran-ordered
+    with a zeroed upper triangle, bit for bit what
+    `scipy.linalg.cholesky(K + jitter * I, lower=True)` returns.
+    """
+    diag = _diagonal(K)
+    d0 = diag.copy()
     jitter = base_jitter
     while jitter <= JITTER_MAX:
-        try:
-            L = cholesky(K + jitter * np.eye(len(K)), lower=True)
+        np.add(d0, jitter, out=diag)
+        L, info = _potrf(K, lower=1, clean=1)
+        if info == 0:
             return L, jitter
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
+        if info < 0:
+            raise ValueError(f"dpotrf rejected argument {-info}")
+        jitter *= 10.0
     raise NumericsError(
         f"kernel matrix is not positive definite even with jitter {JITTER_MAX}"
     )
@@ -122,13 +143,14 @@ class GPPredictor:
 def _log_marginal_likelihood(sq, z, kernel, log_ls, log_sig, log_noise, base_jitter):
     n = len(z)
     K = _kernel_from_sq_dists(sq, kernel, np.exp(log_ls), np.exp(log_sig))
-    K[np.diag_indices_from(K)] += np.exp(log_noise)
+    diag = _diagonal(K)
+    diag += np.exp(log_noise)
     try:
         L, _ = _chol_with_jitter(K, base_jitter)
     except NumericsError:
         return -np.inf
-    a = solve_triangular(L, z, lower=True)
-    return float(-0.5 * a @ a - np.sum(np.log(np.diag(L))) - 0.5 * n * np.log(2 * np.pi))
+    a, _ = _trtrs(L, z, lower=1)
+    return float(-0.5 * a @ a - np.log(L.diagonal()).sum() - 0.5 * n * np.log(2 * np.pi))
 
 
 def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
@@ -172,9 +194,14 @@ def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
     med = float(np.median(off[off > 0])) if np.any(off > 0) else input_range
     med = float(np.clip(med, np.exp(ls_bounds[0]), np.exp(ls_bounds[1])))
 
+    seen = {}  # the coordinate descent revisits points; evaluate each theta once
+
     def objective(theta):
-        log_ls, log_sig, log_noise = theta
-        return _log_marginal_likelihood(sq, z, kernel, log_ls, log_sig, log_noise, JITTER_START)
+        key = theta.tobytes()
+        if key not in seen:
+            log_ls, log_sig, log_noise = theta
+            seen[key] = _log_marginal_likelihood(sq, z, kernel, log_ls, log_sig, log_noise, JITTER_START)
+        return seen[key]
 
     if fixed_noise_z is not None:
         log_noise_fixed = np.log(max(fixed_noise_z, 1e-300))
@@ -210,7 +237,7 @@ def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
                 for i in free:
                     for direction in (1.0, -1.0):
                         cand = theta.copy()
-                        cand[i] = np.clip(cand[i] + direction * step, *bounds[i])
+                        cand[i] = min(max(cand[i] + direction * step, bounds[i][0]), bounds[i][1])
                         if cand[i] == theta[i]:
                             continue
                         cand_val = objective(cand)
@@ -234,7 +261,8 @@ def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
     noise_z = float(np.exp(log_noise))
 
     K = _kernel_from_sq_dists(sq, kernel, lengthscale, signal_z)
-    K[np.diag_indices_from(K)] += noise_z
+    diag = _diagonal(K)
+    diag += noise_z
     L, jitter = _chol_with_jitter(K, JITTER_START)
     if jitter > JITTER_START:
         logger.warning("GP fit used elevated jitter %.1e (n=%d)", jitter, n)

@@ -213,10 +213,19 @@ class TestExperimentConfig:
             cfg.validate()
 
     @pytest.mark.parametrize(
-        "key, value", [("deup.error_model", "GP"), ("gp.kernel", "Matern"), ("deup.main_model", "MLP")]
+        "key, value",
+        [
+            ("deup.error_model", "GP"),
+            ("gp.kernel", "Matern"),
+            ("deup.main_model", "MLP"),
+            ("deup.cv_folds", 9),
+            ("deup.cv_folds", 1),
+            ("smo.n_candidates", 0),
+        ],
     )
     def test_validate_rejects_choice_values_outside_the_lower_case_names(self, key, value):
-        cfg = ExperimentConfig(oracle_name="synth1d", dimension=1, hyperparameters={key: value})
+        # A DEUP-EI config with 4 initial points: cv_folds must lie in [2, 4].
+        cfg = ExperimentConfig(oracle_name="synth1d", dimension=1, n_init=4, hyperparameters={key: value})
         with pytest.raises(ConfigError, match=re.escape(key)):
             cfg.validate()
 

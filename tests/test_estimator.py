@@ -9,7 +9,6 @@ from deup.estimator import (
     ConstantModel,
     DeupFit,
     StaleFeaturesError,
-    build_features,
     build_features_batch,
     deup_fixed_train,
     deup_init_state,
@@ -39,13 +38,13 @@ class TestBuildFeatures:
         learner = Learner("gp", GP_NOISELESS)
         gp = learner.fit(d, RngStream(0, "fit"))
         ctx = fit_feature_context(d, FULL_LAYOUT, RngStream(0, "feat"), variance_source=gp)
-        before = build_features(d, x_new, ctx, FULL_LAYOUT)
+        before = build_features_batch(d, x_new[None, :], ctx, FULL_LAYOUT)[0]
         assert before[1] == 0.0
 
         d.append_xy(x_new, 0.5)
         gp2 = learner.fit(d, RngStream(1, "fit"))
         ctx2 = fit_feature_context(d, FULL_LAYOUT, RngStream(1, "feat"), variance_source=gp2)
-        after = build_features(d, x_new, ctx2, FULL_LAYOUT)
+        after = build_features_batch(d, x_new[None, :], ctx2, FULL_LAYOUT)[0]
         assert after[1] == 1.0
 
     def test_variance_only_layout_single_component(self):
@@ -53,7 +52,7 @@ class TestBuildFeatures:
         gp = Learner("gp", GP_NOISELESS).fit(d, RngStream(0, "fit"))
         layout = (Feature.LOG_VARIANCE,)
         ctx = fit_feature_context(d, layout, RngStream(0, "feat"), variance_source=gp)
-        row = build_features(d, np.array([0.7]), ctx, layout)
+        row = build_features_batch(d, np.array([0.7])[None, :], ctx, layout)[0]
         assert row.shape == (1,)
 
     def test_log_variance_matches_direct_posterior_call(self):
@@ -62,7 +61,7 @@ class TestBuildFeatures:
         layout = (Feature.LOG_VARIANCE,)
         ctx = fit_feature_context(d, layout, RngStream(0, "feat"), variance_source=gp)
         x = np.array([0.45])
-        row = build_features(d, x, ctx, layout)
+        row = build_features_batch(d, x[None, :], ctx, layout)[0]
         _, var = gp.predict(x)
         assert abs(row[0] - np.log(var)) < 1e-12
 
@@ -72,7 +71,7 @@ class TestBuildFeatures:
         ctx = fit_feature_context(d, (Feature.LOG_VARIANCE,), RngStream(0, "feat"), variance_source=gp)
         d.append_xy(np.array([0.9]), 0.0)
         with pytest.raises(StaleFeaturesError):
-            build_features(d, np.array([0.5]), ctx, (Feature.LOG_VARIANCE,))
+            build_features_batch(d, np.array([0.5])[None, :], ctx, (Feature.LOG_VARIANCE,))[0]
 
 
 class TestFixedTrain:

@@ -1,10 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, solve_triangular
 
+from deup import models
 from deup.core import Dataset, NumericsError, RngStream
 from deup.models import (
+    JITTER_MAX,
     GPPredictor,
     Learner,
+    _chol_with_jitter,
+    _kernel_from_sq_dists,
+    _log_marginal_likelihood,
+    _pairwise_sq_dists,
     ensemble_variance,
     gp_fit,
     load_predictor,
@@ -93,8 +102,6 @@ class TestGPFit:
             pass
 
     def test_jitter_ladder_escalates_and_gives_up(self):
-        from deup.models import _chol_with_jitter
-
         # Needs jitter above the base level but within the ladder.
         K = np.array([[1.0, 1.0], [1.0, 1.0]]) - 1e-5 * np.eye(2)
         _, jitter = _chol_with_jitter(K, 1e-8)
@@ -181,6 +188,133 @@ class TestGPPosterior:
             gp.predict(np.array([0.0, 1.0]))
 
 
+def reference_chol_with_jitter(K, base_jitter):
+    """The checked scipy ladder that `_chol_with_jitter` must reproduce bit for bit."""
+    jitter = base_jitter
+    while jitter <= JITTER_MAX:
+        try:
+            return cholesky(K + jitter * np.eye(len(K)), lower=True), jitter
+        except np.linalg.LinAlgError:
+            jitter *= 10.0
+    raise NumericsError("ladder exhausted")
+
+
+def reference_log_marginal_likelihood(sq, z, kernel, log_ls, log_sig, log_noise, base_jitter):
+    """The checked scipy likelihood that `_log_marginal_likelihood` must reproduce bit for bit."""
+    n = len(z)
+    K = _kernel_from_sq_dists(sq, kernel, np.exp(log_ls), np.exp(log_sig))
+    K[np.diag_indices_from(K)] += np.exp(log_noise)
+    try:
+        L, _ = reference_chol_with_jitter(K, base_jitter)
+    except NumericsError:
+        return -np.inf
+    a = solve_triangular(L, z, lower=True)
+    return float(-0.5 * a @ a - np.sum(np.log(np.diag(L))) - 0.5 * n * np.log(2 * np.pi))
+
+
+def duplicated_grid():
+    """Ten inputs on five points: a singular kernel that large signals push off the ladder."""
+    X = np.repeat(np.linspace(0.0, 1.0, 5), 2)[:, None]
+    return _pairwise_sq_dists(X, X), np.linspace(-1.0, 1.0, 10)
+
+
+class TestLeanLikelihood:
+    @pytest.mark.parametrize("kernel", ["rbf", "matern52"])
+    def test_matches_reference_bitwise_on_random_instances(self, kernel):
+        gen = np.random.default_rng(17)
+        for n in [2, 130, *gen.integers(2, 131, size=40)]:
+            dim = int(gen.integers(1, 4))
+            X = gen.uniform(-1.0, 1.0, size=(n, dim))
+            X[gen.random(n) < 0.2] = X[0]  # duplicate inputs
+            sq = _pairwise_sq_dists(X, X)
+            z = gen.normal(size=n)
+            theta = (gen.uniform(-4.0, 2.0), gen.uniform(np.log(1e-3), np.log(1e3)), gen.uniform(np.log(1e-6), 0.0))
+            lean = _log_marginal_likelihood(sq, z, kernel, *theta, 1e-8)
+            ref = reference_log_marginal_likelihood(sq, z, kernel, *theta, 1e-8)
+            assert lean.hex() == ref.hex(), (n, theta)
+
+    @pytest.mark.parametrize("log_sig, jitter", [(np.log(1e9), 1e-7), (np.log(1e16), None)])
+    def test_escalated_and_exhausted_ladders_match_reference(self, log_sig, jitter):
+        sq, z = duplicated_grid()
+        args = (sq, z, "rbf", np.log(0.5), log_sig, np.log(1e-300), 1e-8)
+        K = _kernel_from_sq_dists(sq, "rbf", 0.5, np.exp(log_sig))
+        if jitter is None:
+            with pytest.raises(NumericsError):
+                _chol_with_jitter(K, 1e-8)
+            assert _log_marginal_likelihood(*args) == -np.inf
+        else:
+            assert _chol_with_jitter(K, 1e-8)[1] == jitter
+        assert _log_marginal_likelihood(*args).hex() == reference_log_marginal_likelihood(*args).hex()
+
+    @pytest.mark.parametrize("log_sig", [0.0, np.log(1e9)])
+    def test_factor_has_scipy_bytes_and_order(self, log_sig):
+        sq, _ = duplicated_grid()
+        K = _kernel_from_sq_dists(sq, "matern52", 0.3, np.exp(log_sig))
+        ref, ref_jitter = reference_chol_with_jitter(K, 1e-8)
+        L, jitter = _chol_with_jitter(K.copy(), 1e-8)
+        assert jitter == ref_jitter
+        assert L.flags.f_contiguous == ref.flags.f_contiguous and L.flags.c_contiguous == ref.flags.c_contiguous
+        assert L.tobytes(order="A") == ref.tobytes(order="A")
+
+
+def golden_case(name):
+    """(dataset, gp config) of one pinned `gp_fit`; each case draws from its own generator."""
+    gen = np.random.default_rng(11)
+    if name == "rbf":
+        X = gen.uniform(-2.0, 2.0, size=(12, 1))
+        return Dataset.from_arrays(X, np.sin(2 * X[:, 0]) + 0.1 * gen.normal(size=12)), None
+    if name == "matern52":
+        X = gen.uniform(0.0, 1.0, size=(15, 2))
+        return Dataset.from_arrays(X, X[:, 0] ** 2 - np.cos(3 * X[:, 1])), {"kernel": "matern52"}
+    if name == "fixed_noise":
+        X = gen.uniform(0.0, 1.0, size=(10, 1))
+        return Dataset.from_arrays(X, np.exp(X[:, 0]) + 0.1 * gen.normal(size=10)), {"noise_variance": 0.01}
+    # Duplicate inputs, zero noise and a huge signal: the fit escalates jitter.
+    X = np.repeat(np.linspace(0.0, 1.0, 5), 2)[:, None]
+    y = np.cos(4 * X[:, 0]) + 0.05 * gen.normal(size=10)
+    cfg = {"lengthscale": 0.5, "signal_variance": 1e10, "noise_variance": 0.0, "n_restarts": 0}
+    return Dataset.from_arrays(X, y), cfg
+
+
+# float.hex of lengthscale, signal and noise variance, log marginal likelihood,
+# and the jitter; then sha256 of alpha's bytes. A change that moves the search
+# trajectory on purpose must regenerate these values.
+GOLDEN_FITS = {
+    "rbf": (
+        "0x1.076ee517e31c4p-2",
+        "0x1.14f24f2e8d9dcp-2",
+        "0x1.c453a1195a65fp-23",
+        "-0x1.3f497feed978bp+2",
+        "0x1.5798ee2308c3ap-27",
+        "9f241b4ec5717448996a886911f8a79cdf462ab41bcef22b8742b00f3e1cb716",
+    ),
+    "matern52": (
+        "0x1.ef1807e2abfcbp+0",
+        "0x1.91b67da57dc73p+2",
+        "0x1.5e534de00cbe9p-22",
+        "0x1.2e6b8cb3adcd6p+2",
+        "0x1.5798ee2308c3ap-27",
+        "758b64762078c5b2f9922d21a2597627443ebe1d393298b0c45c43792128b6c7",
+    ),
+    "fixed_noise": (
+        "0x1.9421bf4b763a3p-1",
+        "0x1.f0ed133450952p-1",
+        "0x1.47ae147ae147ap-7",
+        "-0x1.fc3cfad55a2a8p+0",
+        "0x1.5798ee2308c3ap-27",
+        "62064ae74dd9395c835b2147b53c309e60d3d5d0e6d09e9daddf2ee997384873",
+    ),
+    "duplicates": (
+        "0x1.0000000000000p-1",
+        "0x1.2a05f20000002p+33",
+        "0x1.9479a22bc8bafp-998",
+        "-0x1.9b6ca3ad37106p+11",
+        "0x1.0c6f7a0b5ed8dp-20",
+        "c9b449f66b4d95d088717432f28fab8f568b8d6778e868add8465f0e832f6dd0",
+    ),
+}
+
+
 class TestLogMarginalLikelihoodSearch:
     def test_search_improves_over_bad_start(self):
         # The fitted likelihood should be at least as good as any fixed guess.
@@ -192,6 +326,28 @@ class TestLogMarginalLikelihoodSearch:
         fixed = fit_fixed(X, y, lengthscale=50.0, signal=1.0, noise=0.5)
         assert fitted.log_marginal_likelihood >= fixed.log_marginal_likelihood
 
+    def test_evaluates_each_theta_once(self, monkeypatch):
+        thetas = []
+
+        def spy(sq, z, kernel, log_ls, log_sig, log_noise, base_jitter):
+            thetas.append((log_ls, log_sig, log_noise))
+            return _log_marginal_likelihood(sq, z, kernel, log_ls, log_sig, log_noise, base_jitter)
+
+        monkeypatch.setattr(models, "_log_marginal_likelihood", spy)
+        gen = np.random.default_rng(2)
+        X = gen.uniform(0.0, 1.0, size=(20, 1))
+        gp_fit(Dataset.from_arrays(X, np.sin(6 * X[:, 0])), None, RngStream(0, "fit"))
+        assert len(thetas) > 100
+        assert len(set(thetas)) == len(thetas)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_FITS))
+    def test_pinned_fits(self, name):
+        d, cfg = golden_case(name)
+        gp = gp_fit(d, cfg, RngStream(3, "fit"))
+        got = tuple(float(v).hex() for v in (
+            gp.lengthscale, gp.signal_variance, gp.noise_variance, gp.log_marginal_likelihood, gp.jitter
+        ))
+        assert got + (hashlib.sha256(gp.alpha.tobytes()).hexdigest(),) == GOLDEN_FITS[name]
 
 class TestMLP:
     def test_constant_target_reaches_tiny_mse(self):
