@@ -11,7 +11,7 @@ from .core import (
     load_config,
     split_dataset,
 )
-from .models import Learner, ensemble_variance, gp_fit, mlp_fit
+from .models import Learner, gp_fit, mlp_fit
 from .density import kde_fit
 from .estimator import (
     DeupFit,
@@ -59,7 +59,6 @@ __all__ = [
     "deup_init_state",
     "deup_interactive_step",
     "deup_pretrain_cv",
-    "ensemble_variance",
     "estimate_aleatoric_from_replicates",
     "expected_improvement",
     "gaussian_kl",

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .core import HYPERPARAMETERS, Acquisition
 
@@ -56,7 +56,11 @@ class AcquisitionSpec:
 
 
 def expected_improvement(mean, variance, best, xi=0.0):
-    """EI for maximization: E[max(Y - best - xi, 0)] with Y ~ N(mean, variance)."""
+    """EI for maximization: E[max(Y - best - xi, 0)] with Y ~ N(mean, variance).
+
+    The normal cdf and pdf are written out as `scipy.stats.norm` computes them,
+    without its per-call argument handling.
+    """
     mean = np.asarray(mean, dtype=np.float64)
     var = np.maximum(np.asarray(variance, dtype=np.float64), 0.0)
     improve = mean - best - xi
@@ -65,7 +69,7 @@ def expected_improvement(mean, variance, best, xi=0.0):
         z = np.where(sigma > 0, improve / np.where(sigma > 0, sigma, 1.0), 0.0)
         ei = np.where(
             sigma > 0,
-            improve * norm.cdf(z) + sigma * norm.pdf(z),
+            improve * ndtr(z) + sigma * (np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)),
             np.maximum(improve, 0.0),
         )
     out = np.maximum(ei, 0.0)

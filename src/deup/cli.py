@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from scipy.stats import spearmanr
 
 from . import estimator as est
 from .benchmarks import make_oracle
-from .core import Dataset, Feature, RngStream, load_config
+from .core import Dataset, Feature, RngStream, load_config, one_blas_thread
 from .models import Learner, gp_fit
 from .smo import build_aleatoric, deup_fit, read_trace, run_smo
 
@@ -51,7 +52,25 @@ def _run_one_seed(args):
     return run_smo(cfg.replace(seed=seed))
 
 
+def _finished_seeds(jobs, workers):
+    """Yield (job index, trace or the exception it raised) as each seed finishes."""
+    if workers == 1:
+        for i, job in enumerate(jobs):
+            try:
+                yield i, _run_one_seed(job)
+            except Exception as exc:  # the other seeds still run
+                yield i, exc
+        return
+    # Worker processes: one run is a GIL-heavy loop, so threads do not scale.
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {pool.submit(_run_one_seed, job): i for i, job in enumerate(jobs)}
+        for future in as_completed(futures):
+            yield futures[future], future.exception() or future.result()
+
+
 def run_smo_command(config_path, seeds, out_dir, force=False) -> list[Path]:
+    """Write each seed's trace CSV and summary JSON as soon as it finishes. A seed
+    that raises is reported on stderr; the command raises once all are done."""
     cfg = load_config(config_path)
     out = Path(out_dir)
     seeds = list(seeds) if seeds else [cfg.seed]
@@ -66,21 +85,21 @@ def run_smo_command(config_path, seeds, out_dir, force=False) -> list[Path]:
             )
         )
 
-    jobs = [(cfg, s) for s, _, _ in names]
-    workers = _max_workers(len(seeds))
-    written = []
-    if workers == 1 or len(seeds) == 1:
-        traces = [_run_one_seed(j) for j in jobs]
-    else:
-        # Worker processes: one run is a GIL-heavy loop, so threads do not scale.
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(_run_one_seed, jobs))
-    for (seed, csv_path, json_path), trace in zip(names, traces):
-        trace.to_csv(csv_path)
-        trace.write_summary(json_path)
+    jobs = [(cfg, s) for s in seeds]
+    written, raised = [], []
+    for i, outcome in _finished_seeds(jobs, _max_workers(len(seeds))):
+        seed, csv_path, json_path = names[i]
+        if isinstance(outcome, Exception):
+            print(f"seed {seed}: raised {type(outcome).__name__}: {outcome}", file=sys.stderr)
+            raised.append(seed)
+            continue
+        outcome.to_csv(csv_path)
+        outcome.write_summary(json_path)
         written.extend([csv_path, json_path])
-        if trace.incomplete:
-            print(f"seed {seed}: incomplete run ({trace.failure})", file=sys.stderr)
+        if outcome.incomplete:
+            print(f"seed {seed}: incomplete run ({outcome.failure})", file=sys.stderr)
+    if raised:
+        raise RuntimeError(f"seeds {raised} raised; the traces of the other seeds are written")
     return written
 
 
@@ -352,6 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="deup",
         description="Epistemic-uncertainty-driven sequential model optimization toolkit",
     )
+    parser.add_argument(
+        "--log-level", type=str.upper, default="WARNING", choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+        help="lowest level of library log messages printed to stderr",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run-smo", help="run one config across seeds, writing traces")
@@ -382,33 +405,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dispatch(args) -> int:
+    if args.command == "run-smo":
+        written = run_smo_command(args.config, args.seeds, args.out, args.force)
+        missing = [p for p in written if not Path(p).exists()]
+        return 1 if missing else 0
+    if args.command == "demo-fig1":
+        summary = demo_fig1(args.out, args.seed, args.force)
+        print(
+            f"spearman(deup_eu)={summary['spearman_deup_eu']:.3f} "
+            f"spearman(gp2_var)={summary['spearman_gp2_variance']:.3f}"
+        )
+        return 0
+    if args.command == "check-theory":
+        return 0 if check_theory_command(args.out, args.seed, args.force) else 1
+    if args.command == "fit-uncertainty":
+        fit_uncertainty_command(args.config, args.out, args.force)
+        return 0
+    if args.command == "report":
+        path = report_command(args.traces, args.out, args.force)
+        print(f"wrote {path}")
+        return 0
+    return 2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    logger = logging.getLogger("deup")  # library warnings, e.g. elevated GP jitter, to stderr
+    handler, old_level = logging.StreamHandler(), logger.level
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger.addHandler(handler)
+    logger.setLevel(args.log_level)
     try:
-        if args.command == "run-smo":
-            written = run_smo_command(args.config, args.seeds, args.out, args.force)
-            missing = [p for p in written if not Path(p).exists()]
-            return 1 if missing else 0
-        if args.command == "demo-fig1":
-            summary = demo_fig1(args.out, args.seed, args.force)
-            print(
-                f"spearman(deup_eu)={summary['spearman_deup_eu']:.3f} "
-                f"spearman(gp2_var)={summary['spearman_gp2_variance']:.3f}"
-            )
-            return 0
-        if args.command == "check-theory":
-            return 0 if check_theory_command(args.out, args.seed, args.force) else 1
-        if args.command == "fit-uncertainty":
-            fit_uncertainty_command(args.config, args.out, args.force)
-            return 0
-        if args.command == "report":
-            path = report_command(args.traces, args.out, args.force)
-            print(f"wrote {path}")
-            return 0
-        return 2
+        with one_blas_thread():
+            return _dispatch(args)
     except Exception as exc:  # CLI boundary: report and signal failure
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(old_level)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,15 @@
-"""Shared data model: datasets, named RNG streams, experiment configuration."""
+"""Shared data model: datasets, named RNG streams, experiment configuration,
+and the scoped one-BLAS-thread limiter."""
 
 from __future__ import annotations
 
 import configparser
+import contextlib
+import ctypes
 import enum
+import functools
 import hashlib
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -423,3 +428,44 @@ def load_config(path) -> ExperimentConfig:
     )
     cfg.validate()
     return cfg
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS loaded in this process;
+    numpy and scipy wheels each bundle one, under their own symbol names."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line}
+    except OSError:  # no procfs: leave the BLAS alone
+        return ()
+    names = [f"{p}_{{}}_num_threads{s}" for p in ("openblas", "scipy_openblas") for s in ("", "64_")]
+    controls = []
+    for lib in map(ctypes.CDLL, sorted(paths)):
+        for name in (n for n in names if hasattr(lib, n.format("get"))):
+            get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            controls.append((get, put))
+            break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body on one thread of each loaded OpenBLAS; restore the counts after.
+
+    The SMO loop's matrices are too small for BLAS threads to help, and a fixed
+    count keeps reruns bitwise equal across hosts. An explicit
+    OPENBLAS_NUM_THREADS or OMP_NUM_THREADS wins: the counts are then left alone.
+    """
+    explicit = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    controls = () if explicit else _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), n in zip(controls, saved):
+            put(n)

@@ -7,7 +7,6 @@ original target units.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -439,97 +438,3 @@ class Learner:
         if self.kind == "mlp":
             return mlp_fit(d, self.hyperparameters, rng)
         raise ValueError(f"unknown learner kind {self.kind!r}")
-
-
-def ensemble_variance(
-    learner: Learner, d: Dataset, x, m: int, rng: RngStream, member_seeds=None
-) -> float:
-    """Empirical variance at x of m MLP fits differing only by seed."""
-    if m < 2:
-        raise ValueError(f"ensemble needs m >= 2 members, got {m}")
-    if learner.kind != "mlp":
-        raise ValueError("ensemble variance is defined for MLP learners")
-    preds = []
-    for i in range(m):
-        if member_seeds is not None:
-            stream = RngStream(int(member_seeds[i]), rng.label)
-        else:
-            stream = rng.child(f"member-{i}")
-        preds.append(learner.fit(d, stream).predict(x))
-    preds = np.array(preds)
-    if np.ptp(preds) == 0.0:  # identical members: exactly no diversity
-        return 0.0
-    return float(np.var(preds))
-
-
-# --- Predictor serialization ----------------------------------------------
-
-
-def save_predictor(pred, path) -> None:
-    """Structured-text dump of all predictor fields (exact float round-trip)."""
-    if isinstance(pred, GPPredictor):
-        payload = {
-            "type": "gp",
-            "kernel": pred.kernel,
-            "lengthscale": pred.lengthscale,
-            "signal_variance": pred.signal_variance,
-            "noise_variance": pred.noise_variance,
-            "training_inputs": pred.training_inputs.tolist(),
-            "alpha": pred.alpha.tolist(),
-            "chol_factor": pred.chol_factor.tolist(),
-            "y_mean": pred.y_mean,
-            "y_std": pred.y_std,
-            "jitter": pred.jitter,
-            "log_marginal_likelihood": pred.log_marginal_likelihood,
-            "fit_meta": pred.fit_meta,
-        }
-    elif isinstance(pred, MLPPredictor):
-        payload = {
-            "type": "mlp",
-            "layer_sizes": pred.layer_sizes,
-            "weights": [W.tolist() for W in pred.weights],
-            "biases": [b.tolist() for b in pred.biases],
-            "activation": pred.activation,
-            "x_mean": pred.x_mean.tolist(),
-            "x_std": pred.x_std.tolist(),
-            "y_mean": pred.y_mean,
-            "y_std": pred.y_std,
-            "fit_meta": pred.fit_meta,
-        }
-    else:
-        raise TypeError(f"cannot serialize {type(pred).__name__}")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-
-
-def load_predictor(path):
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload["type"] == "gp":
-        return GPPredictor(
-            kernel=payload["kernel"],
-            lengthscale=payload["lengthscale"],
-            signal_variance=payload["signal_variance"],
-            noise_variance=payload["noise_variance"],
-            training_inputs=np.array(payload["training_inputs"]),
-            alpha=np.array(payload["alpha"]),
-            chol_factor=np.array(payload["chol_factor"]),
-            y_mean=payload["y_mean"],
-            y_std=payload["y_std"],
-            jitter=payload["jitter"],
-            log_marginal_likelihood=payload["log_marginal_likelihood"],
-            fit_meta=payload["fit_meta"],
-        )
-    if payload["type"] == "mlp":
-        return MLPPredictor(
-            layer_sizes=payload["layer_sizes"],
-            weights=[np.array(W) for W in payload["weights"]],
-            biases=[np.array(b) for b in payload["biases"]],
-            activation=payload["activation"],
-            x_mean=np.array(payload["x_mean"]),
-            x_std=np.array(payload["x_std"]),
-            y_mean=payload["y_mean"],
-            y_std=payload["y_std"],
-            fit_meta=payload["fit_meta"],
-        )
-    raise ValueError(f"unknown predictor type {payload['type']!r}")

@@ -23,8 +23,8 @@ from .core import (
     AleatoricMode,
     Dataset,
     ExperimentConfig,
-    NumericsError,
     RngStream,
+    one_blas_thread,
 )
 from .models import Learner, gp_fit
 
@@ -143,12 +143,15 @@ def build_aleatoric(cfg, oracle, d_init, rng) -> est.AleatoricEstimator:
     return est.estimate_aleatoric_from_replicates(groups, regressor, rng.child("aleatoric-fit"))
 
 
+@one_blas_thread()
 def run_smo(cfg: ExperimentConfig) -> RunTrace:
-    """Run one optimization and return its trace.
+    """Run one optimization, on one BLAS thread (`core.one_blas_thread`), and
+    return its trace.
 
     The budget counts every oracle call including the n_init initial points,
-    so exactly budget - n_init acquisition records are produced. Model-fit
-    failures flag the trace incomplete instead of raising.
+    so exactly budget - n_init acquisition records are produced. An exception
+    in a model fit or a step flags the trace incomplete and names the failure
+    instead of raising, so the records before it are kept.
     """
     cfg.validate()
     oracle = make_oracle(cfg.oracle_name, cfg.dimension, noise=cfg.hp("oracle.noise"))
@@ -220,9 +223,9 @@ def run_smo(cfg: ExperimentConfig) -> RunTrace:
                     ms=(time.perf_counter() - t0) * 1e3,
                 )
             )
-    except NumericsError as exc:
+    except Exception as exc:  # keep the partial trace; it names the failure
         trace.incomplete = True
-        trace.failure = str(exc)
+        trace.failure = f"{type(exc).__name__}: {exc}"
     return trace
 
 

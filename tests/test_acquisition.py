@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from deup.acquisition import (
     AcquisitionContext,
@@ -57,6 +58,37 @@ class TestExpectedImprovement:
         a = expected_improvement(1.3, 0.8, best=2.0, xi=0.05)
         b = expected_improvement(1.3 + 7.0, 0.8, best=9.0, xi=0.05)
         assert abs(a - b) < 1e-12
+
+
+def reference_expected_improvement(mean, variance, best, xi=0.0):
+    """EI through `scipy.stats.norm`, which `expected_improvement` must match bit for bit."""
+    improve = np.asarray(mean, dtype=np.float64) - best - xi
+    sigma = np.sqrt(np.maximum(np.asarray(variance, dtype=np.float64), 0.0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        z = np.where(sigma > 0, improve / np.where(sigma > 0, sigma, 1.0), 0.0)
+        ei = np.where(sigma > 0, improve * norm.cdf(z) + sigma * norm.pdf(z), np.maximum(improve, 0.0))
+    return np.maximum(ei, 0.0)
+
+
+class TestExpectedImprovementMatchesScipyStats:
+    def test_bitwise_on_extreme_grid(self):
+        # Every z scale from 1e-300 to overflow, both signs, and sigma == 0 rows.
+        edges = np.array([0.0, 1e-300, 1e-150, 1e-8, 0.5, 1.0, 3.0, 37.0, 40.0, 1e8, 1e150, 1e300, np.inf])
+        means = np.concatenate([-edges, edges])
+        variances = np.array([0.0, 1e-300, 1e-16, 1.0, 1e16, 1e300])
+        m, v = (a.ravel() for a in np.meshgrid(means, variances))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = expected_improvement(m, v, best=0.0)
+        assert got.tobytes() == reference_expected_improvement(m, v, 0.0).tobytes()
+
+    def test_bitwise_on_random_z(self):
+        gen = np.random.default_rng(0)
+        mean = gen.standard_normal(200_000) * 10.0 ** gen.uniform(-300, 300, 200_000)
+        variance = 10.0 ** gen.uniform(-300, 300, 200_000)
+        variance[::7] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = expected_improvement(mean, variance, best=0.3, xi=0.01)
+        assert got.tobytes() == reference_expected_improvement(mean, variance, 0.3, 0.01).tobytes()
 
 
 class TestUcb:

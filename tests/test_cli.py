@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import re
 
 import numpy as np
@@ -59,6 +60,61 @@ class TestRunSmoCommand:
         bad = tmp_path / "bad.cfg"
         bad.write_text("[oracle]\nname = synth1d\nbogus = 1\n")
         assert main(["run-smo", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+
+
+REAL_RUN_SMO = deup.cli.run_smo
+
+
+def failing_seed_one(cfg):
+    if cfg.seed == 1:
+        raise RuntimeError("injected failure")
+    return REAL_RUN_SMO(cfg)
+
+
+def trace_rows_without_ms(path):
+    with open(path, newline="") as fh:
+        return [row[:-1] for row in csv.reader(fh)]
+
+
+class TestRunSmoSeeds:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failing_seed_keeps_the_other_seeds_files(self, tmp_path, monkeypatch, capsys, workers):
+        # Worker processes see the patched module only when they are forked.
+        if workers != "1" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the injected failure reaches workers only through fork")
+        monkeypatch.setenv("DEUP_THREADS", workers)
+        monkeypatch.setattr(deup.cli, "run_smo", failing_seed_one)
+        out = tmp_path / "out"
+        rc = main(["run-smo", "--config", str(write_cfg(tmp_path)), "--seeds", "1,0", "--out", str(out)])
+        assert rc == 1
+        assert "seed 1: raised RuntimeError: injected failure" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "synth1d_random_seed0_summary.json",
+            "synth1d_random_seed0_trace.csv",
+        ]
+
+    def test_two_workers_match_a_serial_run(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, mode="ei")
+        monkeypatch.setenv("DEUP_THREADS", "2")
+        assert main(["run-smo", "--config", str(cfg), "--seeds", "0,1", "--out", str(tmp_path / "par")]) == 0
+        monkeypatch.setenv("DEUP_THREADS", "1")
+        assert main(["run-smo", "--config", str(cfg), "--seeds", "0,1", "--out", str(tmp_path / "ser")]) == 0
+        for seed in (0, 1):
+            name = f"synth1d_ei_seed{seed}_trace.csv"
+            assert trace_rows_without_ms(tmp_path / "par" / name) == trace_rows_without_ms(tmp_path / "ser" / name)
+            summary = f"synth1d_ei_seed{seed}_summary.json"
+            assert (tmp_path / "par" / summary).read_text() == (tmp_path / "ser" / summary).read_text()
+
+
+class TestLogLevel:
+    @pytest.mark.parametrize("level, printed", [("warning", True), ("error", False)])
+    def test_elevated_jitter_warning_reaches_stderr(self, tmp_path, monkeypatch, capsys, level, printed):
+        real_chol = deup.models._chol_with_jitter
+        monkeypatch.setattr(deup.models, "_chol_with_jitter", lambda K, base: real_chol(K, 1e3 * base))
+        cfg = write_cfg(tmp_path, mode="ei")
+        assert main(["--log-level", level, "run-smo", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        err = capsys.readouterr().err
+        assert ("WARNING deup.models: GP fit used elevated jitter" in err) == printed
 
 
 class TestDemoFig1:

@@ -8,18 +8,13 @@ from deup import models
 from deup.core import Dataset, NumericsError, RngStream
 from deup.models import (
     JITTER_MAX,
-    GPPredictor,
-    Learner,
     _chol_with_jitter,
     _kernel_from_sq_dists,
     _log_marginal_likelihood,
     _pairwise_sq_dists,
-    ensemble_variance,
     gp_fit,
-    load_predictor,
     loss_and_gradients,
     mlp_fit,
-    save_predictor,
 )
 
 
@@ -393,67 +388,3 @@ class TestMLP:
         y = np.sin(3 * X[:, 0])
         mlp = mlp_fit(Dataset.from_arrays(X, y), None, RngStream(1, "mlp"))
         assert mlp.fit_meta["final_mse"] < 0.05
-
-
-class TestEnsembleVariance:
-    def test_identical_seeds_zero_variance(self):
-        gen = np.random.default_rng(0)
-        d = Dataset.from_arrays(gen.uniform(-1, 1, size=(6, 1)), gen.normal(size=6))
-        learner = Learner("mlp", {"epochs": 30})
-        v = ensemble_variance(
-            learner, d, np.array([0.3]), 3, RngStream(0, "ens"), member_seeds=[7, 7, 7]
-        )
-        assert v == 0.0
-
-    def test_finite_nonnegative(self):
-        gen = np.random.default_rng(1)
-        d = Dataset.from_arrays(gen.uniform(-1, 1, size=(4, 1)), gen.normal(size=4))
-        v = ensemble_variance(Learner("mlp", {"epochs": 30}), d, np.array([0.1]), 2, RngStream(3, "ens"))
-        assert np.isfinite(v) and v >= 0
-
-    def test_extrapolation_variance_exceeds_interpolation(self):
-        # Members disagree more far outside the data than inside it.
-        learner = Learner("mlp", {"epochs": 150})
-        wins = 0
-        trials = 50
-        for trial in range(trials):
-            gen = np.random.default_rng(100 + trial)
-            X = gen.uniform(-1, 1, size=(6, 1))
-            y = np.sin(2 * X[:, 0]) + 0.1 * gen.normal(size=6)
-            d = Dataset.from_arrays(X, y)
-            rng = RngStream(trial, "ens")
-            v_in = ensemble_variance(learner, d, np.array([0.0]), 5, rng)
-            v_out = ensemble_variance(learner, d, np.array([8.0]), 5, rng)
-            if v_out > v_in:
-                wins += 1
-        assert wins >= 0.9 * trials
-
-    def test_m_below_two_rejected(self):
-        d = Dataset.from_arrays([[0.0], [1.0]], [0.0, 1.0])
-        with pytest.raises(ValueError):
-            ensemble_variance(Learner("mlp"), d, np.array([0.0]), 1, RngStream(0, "ens"))
-
-
-class TestPredictorSerialization:
-    def test_gp_round_trip(self, tmp_path):
-        gen = np.random.default_rng(0)
-        X = gen.normal(size=(8, 2))
-        y = gen.normal(size=8)
-        gp = gp_fit(Dataset.from_arrays(X, y), None, RngStream(0, "fit"))
-        path = tmp_path / "gp.json"
-        save_predictor(gp, path)
-        loaded = load_predictor(path)
-        assert isinstance(loaded, GPPredictor)
-        q = gen.normal(size=(5, 2))
-        np.testing.assert_allclose(loaded.predict_batch(q)[0], gp.predict_batch(q)[0], atol=1e-12)
-        np.testing.assert_allclose(loaded.predict_batch(q)[1], gp.predict_batch(q)[1], atol=1e-12)
-
-    def test_mlp_round_trip(self, tmp_path):
-        gen = np.random.default_rng(1)
-        d = Dataset.from_arrays(gen.normal(size=(6, 1)), gen.normal(size=6))
-        mlp = mlp_fit(d, {"epochs": 20}, RngStream(0, "mlp"))
-        path = tmp_path / "mlp.json"
-        save_predictor(mlp, path)
-        loaded = load_predictor(path)
-        q = gen.normal(size=(4, 1))
-        np.testing.assert_allclose(loaded.predict_batch(q), mlp.predict_batch(q), atol=1e-12)

@@ -3,7 +3,7 @@ import pytest
 
 import deup.estimator
 import deup.smo
-from deup.core import Acquisition, AleatoricMode, ExperimentConfig, Feature
+from deup.core import Acquisition, AleatoricMode, ExperimentConfig, Feature, NumericsError
 from deup.smo import best_so_far, read_trace, run_smo
 
 FAST_HP = {
@@ -128,9 +128,9 @@ class TestRunSmo:
         trace = run_smo(cfg)
         assert len(trace.records) == 4
 
-    def test_fit_failure_yields_incomplete_trace(self, monkeypatch):
+    @pytest.mark.parametrize("error", [NumericsError, ValueError])
+    def test_fit_failure_yields_incomplete_trace(self, error, monkeypatch):
         import deup.smo as smo_mod
-        from deup.core import NumericsError
 
         calls = {"n": 0}
         real_fit = smo_mod.gp_fit
@@ -138,13 +138,13 @@ class TestRunSmo:
         def flaky_fit(d, cfg, rng):
             calls["n"] += 1
             if calls["n"] > 2:
-                raise NumericsError("synthetic factorization failure")
+                raise error("synthetic factorization failure")
             return real_fit(d, cfg, rng)
 
         monkeypatch.setattr(smo_mod, "gp_fit", flaky_fit)
         trace = run_smo(config(Acquisition.EI, budget=12))
         assert trace.incomplete
-        assert "factorization" in trace.failure
+        assert trace.failure == f"{error.__name__}: synthetic factorization failure"
         assert 0 < len(trace.records) < 6
 
     def test_replicates_aleatoric_mode(self):
