@@ -53,13 +53,12 @@ def _run_one_seed(args):
 
 
 def _finished_seeds(jobs, workers):
-    """Yield (job index, trace or the exception it raised) as each seed finishes."""
+    """Yield (job index, trace) as each seed finishes. run_smo records its own
+    failures in the trace; a worker process can still fail (BrokenProcessPool),
+    and then its exception is yielded in place of the trace."""
     if workers == 1:
         for i, job in enumerate(jobs):
-            try:
-                yield i, _run_one_seed(job)
-            except Exception as exc:  # the other seeds still run
-                yield i, exc
+            yield i, _run_one_seed(job)
         return
     # Worker processes: one run is a GIL-heavy loop, so threads do not scale.
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -69,8 +68,9 @@ def _finished_seeds(jobs, workers):
 
 
 def run_smo_command(config_path, seeds, out_dir, force=False) -> list[Path]:
-    """Write each seed's trace CSV and summary JSON as soon as it finishes. A seed
-    that raises is reported on stderr; the command raises once all are done."""
+    """Write each seed's trace CSV and summary JSON as soon as it finishes, so a
+    raise keeps the seeds already written. A failed worker process is reported
+    on stderr; the command raises once the other seeds are done."""
     cfg = load_config(config_path)
     out = Path(out_dir)
     seeds = list(seeds) if seeds else [cfg.seed]
@@ -371,10 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="deup",
         description="Epistemic-uncertainty-driven sequential model optimization toolkit",
     )
-    parser.add_argument(
-        "--log-level", type=str.upper, default="WARNING", choices=("DEBUG", "INFO", "WARNING", "ERROR"),
-        help="lowest level of library log messages printed to stderr",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run-smo", help="run one config across seeds, writing traces")
@@ -432,10 +428,10 @@ def _dispatch(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logger = logging.getLogger("deup")  # library warnings, e.g. elevated GP jitter, to stderr
-    handler, old_level = logging.StreamHandler(), logger.level
+    handler = logging.StreamHandler()
+    handler.setLevel(logging.WARNING)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
     logger.addHandler(handler)
-    logger.setLevel(args.log_level)
     try:
         with one_blas_thread():
             return _dispatch(args)
@@ -444,7 +440,6 @@ def main(argv=None) -> int:
         return 1
     finally:
         logger.removeHandler(handler)
-        logger.setLevel(old_level)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ import ctypes
 import enum
 import functools
 import hashlib
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -439,9 +438,17 @@ def _openblas_thread_controls() -> tuple:
             paths = {line.split(None, 5)[5].strip() for line in fh if "openblas" in line}
     except OSError:  # no procfs: leave the BLAS alone
         return ()
+    return _thread_controls(sorted(paths))
+
+
+def _thread_controls(paths) -> tuple:
     names = [f"{p}_{{}}_num_threads{s}" for p in ("openblas", "scipy_openblas") for s in ("", "64_")]
     controls = []
-    for lib in map(ctypes.CDLL, sorted(paths)):
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # e.g. "... (deleted)" after a reinstall: leave that copy alone
+            continue
         for name in (n for n in names if hasattr(lib, n.format("get"))):
             get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
             get.argtypes, get.restype = [], ctypes.c_int
@@ -456,11 +463,9 @@ def one_blas_thread():
     """Run the body on one thread of each loaded OpenBLAS; restore the counts after.
 
     The SMO loop's matrices are too small for BLAS threads to help, and a fixed
-    count keeps reruns bitwise equal across hosts. An explicit
-    OPENBLAS_NUM_THREADS or OMP_NUM_THREADS wins: the counts are then left alone.
+    count keeps reruns bitwise equal across hosts.
     """
-    explicit = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
-    controls = () if explicit else _openblas_thread_controls()
+    controls = _openblas_thread_controls()
     saved = [get() for get, _ in controls]
     for _, put in controls:
         put(1)
