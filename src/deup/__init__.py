@@ -27,7 +27,6 @@ from .acquisition import (
     BoxDomain,
     argmax_acquisition,
     expected_improvement,
-    score,
     ucb,
 )
 from .benchmarks import Oracle, ackley, levi13, make_oracle, synth1d
@@ -70,7 +69,6 @@ __all__ = [
     "mc_total_uncertainty",
     "mlp_fit",
     "run_smo",
-    "score",
     "split_dataset",
     "synth1d",
     "ucb",

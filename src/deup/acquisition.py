@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .core import HYPERPARAMETERS, Acquisition
+from .core import HYPERPARAMETERS, Acquisition, RngStream
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,6 @@ class AcquisitionContext:
 
 def score_batch(spec: AcquisitionSpec, X: np.ndarray, ctx: AcquisitionContext) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
     kind = spec.kind
     if kind is Acquisition.RANDOM:
         if ctx.gen is None:
@@ -110,10 +108,6 @@ def score_batch(spec: AcquisitionSpec, X: np.ndarray, ctx: AcquisitionContext) -
     if kind in (Acquisition.EI, Acquisition.DEUP_EI):
         return expected_improvement(mean, var, ctx.best, spec.xi)
     return ucb(mean, var, spec.beta)
-
-
-def score(spec: AcquisitionSpec, x, ctx: AcquisitionContext) -> float:
-    return float(score_batch(spec, np.asarray(x, dtype=np.float64)[None, :], ctx)[0])
 
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -166,7 +160,7 @@ def _refine_coordinate(spec, ctx, X, j, lo, hi, iters):
 
 
 def argmax_acquisition(
-    spec: AcquisitionSpec, domain: BoxDomain, ctx: AcquisitionContext, rng
+    spec: AcquisitionSpec, domain: BoxDomain, ctx: AcquisitionContext, rng: RngStream
 ) -> np.ndarray:
     """Maximize the acquisition over the box.
 
@@ -177,7 +171,7 @@ def argmax_acquisition(
     point ever evaluated, clipped to the domain, so it is never worse than the
     best raw candidate.
     """
-    gen = rng.generator() if hasattr(rng, "generator") else rng
+    gen = rng.generator()
     if spec.kind is Acquisition.RANDOM:
         return domain.sample(gen, 1)[0]
 

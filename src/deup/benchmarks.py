@@ -74,22 +74,16 @@ class Oracle:
 
     def true_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
         return np.asarray(self.f(X), dtype=np.float64)
 
-    def true_value(self, x) -> float:
-        return float(self.true_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
-
-    def sample(self, x, rng, replicates: int = 1) -> np.ndarray:
+    def sample(self, x, gen: np.random.Generator, replicates: int = 1) -> np.ndarray:
         """replicates independent draws f(x) + sigma(x) * N(0, 1) at one point."""
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         if not self.domain.contains(x):
             raise ValueError(f"query {x} outside domain of oracle {self.name}")
         if replicates < 1:
             raise ValueError("replicates must be >= 1")
-        gen = rng.generator() if hasattr(rng, "generator") else rng
-        fx = self.true_value(x)
+        fx = self.true_batch(x[None, :])[0]
         sigma = float(np.asarray(self.noise_fn(x[None, :]))[0])
         return fx + sigma * gen.standard_normal(replicates)
 
@@ -105,7 +99,7 @@ def _const_noise(sigma: float):
     sigma = float(sigma)
     if sigma < 0:
         raise ValueError("noise sigma must be nonnegative")
-    return lambda X: np.full(len(np.atleast_2d(X)), sigma)
+    return lambda X: np.full(len(X), sigma)
 
 
 def make_oracle(name: str, dimension: int | None = None, noise=0.0, noise_fn=None) -> Oracle:

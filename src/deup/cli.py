@@ -125,6 +125,7 @@ def fig1_truth(x):
     return np.sin(2.0 * np.pi * x) + 1.5 * np.exp(-20.0 * (x - 1.0) ** 2)
 
 
+@one_blas_thread()
 def demo_fig1(out_dir, seed: int = 0, force: bool = False) -> dict:
     """Recalibration demo on a 1-D ground truth with an unexplored gap.
 
@@ -243,6 +244,7 @@ def check_theory_command(out_dir, seed: int = 1, force: bool = False) -> bool:
 # --- fit-uncertainty --------------------------------------------------------
 
 
+@one_blas_thread()
 def fit_uncertainty_command(config_path, out_dir, force: bool = False) -> dict:
     """Fixed-training-set fit: train/held-out draw, error dataset export, EU grid."""
     cfg = load_config(config_path)
@@ -433,8 +435,7 @@ def main(argv=None) -> int:
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
     logger.addHandler(handler)
     try:
-        with one_blas_thread():
-            return _dispatch(args)
+        return _dispatch(args)
     except Exception as exc:  # CLI boundary: report and signal failure
         print(f"error: {exc}", file=sys.stderr)
         return 1

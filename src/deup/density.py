@@ -33,9 +33,8 @@ class KdePredictor:
     bandwidth: float
 
     def log_density_batch(self, X: np.ndarray) -> np.ndarray:
+        """Log mixture density at each row of X, finite for any finite X by log-sum-exp."""
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
         n, d = self.points.shape
         if X.shape[1] != d:
             raise ValueError(f"query dimension {X.shape[1]} != KDE dimension {d}")
@@ -43,10 +42,6 @@ class KdePredictor:
         sq = np.einsum("ijk,ijk->ij", diff, diff)
         log_norm = np.log(n) + d * np.log(self.bandwidth * np.sqrt(2.0 * np.pi))
         return logsumexp(-0.5 * sq / self.bandwidth**2, axis=1) - log_norm
-
-    def log_density(self, x) -> float:
-        """Log mixture density at x, finite for any finite x by log-sum-exp."""
-        return float(self.log_density_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
 def kde_fit(d: Dataset, bandwidth: float | None = None) -> KdePredictor:

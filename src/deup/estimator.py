@@ -82,8 +82,6 @@ def build_features_batch(
     if context.dataset_fingerprint != d.fingerprint():
         raise StaleFeaturesError("feature context is stale: dataset changed since fit")
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[None, :]
     cols = []
     for feat in layout:
         if feat is Feature.X:
@@ -105,7 +103,7 @@ class ConstantModel:
     value: float
 
     def predict_mean_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.full(len(np.atleast_2d(X)), self.value)
+        return np.full(len(X), self.value)
 
 
 @dataclass
@@ -121,20 +119,14 @@ class ErrorPredictor:
     """
 
     model: object  # GPPredictor, MLPPredictor, or ConstantModel
-    layout: tuple
     feature_lows: np.ndarray | None = None
     feature_highs: np.ndarray | None = None
 
     def predict_log_error_batch(self, F: np.ndarray) -> np.ndarray:
         F = np.asarray(F, dtype=np.float64)
-        if F.ndim == 1:
-            F = F[None, :]
         if self.feature_lows is not None:
             F = np.clip(F, self.feature_lows, self.feature_highs)
         return self.model.predict_mean_batch(F)
-
-    def predict_error_batch(self, F: np.ndarray) -> np.ndarray:
-        return np.exp(self.predict_log_error_batch(F))
 
 
 def fit_error_predictor(d_u: Dataset, layout: tuple, rng: RngStream, cfg: dict | None = None) -> ErrorPredictor:
@@ -152,7 +144,7 @@ def fit_error_predictor(d_u: Dataset, layout: tuple, rng: RngStream, cfg: dict |
         choice = "mlp" if Feature.X in layout else "gp"
     if len(d_u) < 2:
         value = float(d_u[0].y) if len(d_u) == 1 else float(np.log(LOG_TARGET_EPS))
-        return ErrorPredictor(model=ConstantModel(value), layout=layout)
+        return ErrorPredictor(model=ConstantModel(value))
     if choice == "gp":
         model = gp_fit(d_u, {**ERROR_GP_DEFAULTS, **cfg}, rng)
     elif choice == "mlp":
@@ -162,7 +154,6 @@ def fit_error_predictor(d_u: Dataset, layout: tuple, rng: RngStream, cfg: dict |
     F = d_u.inputs()
     return ErrorPredictor(
         model=model,
-        layout=layout,
         feature_lows=F.min(axis=0),
         feature_highs=F.max(axis=0),
     )
@@ -177,8 +168,6 @@ class AleatoricEstimator:
 
     def values(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
         return np.maximum(np.asarray(self.fn(X), dtype=np.float64), 0.0)
 
 
@@ -236,12 +225,9 @@ class UncertaintyModel:
 
     def _epistemic(self, X: np.ndarray, variance: np.ndarray | None) -> np.ndarray:
         F = build_features_batch(self.dataset, X, self.context, self.layout, variance)
-        u = self.error.predict_error_batch(F)
+        u = np.exp(self.error.predict_log_error_batch(F))
         a = self.aleatoric.values(X)
         return np.maximum(u - a, 0.0)
-
-    def epistemic(self, x) -> float:
-        return float(self.epistemic_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
 
 
 @dataclass(frozen=True)

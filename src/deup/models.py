@@ -95,7 +95,6 @@ class GPPredictor:
     y_std: float
     jitter: float
     log_marginal_likelihood: float
-    fit_meta: dict = field(default_factory=dict)
 
     @property
     def _signal_z(self) -> float:
@@ -108,8 +107,6 @@ class GPPredictor:
     def _cross_kernel(self, X: np.ndarray) -> np.ndarray:
         """Kernel between the training inputs and each row of X (standardized units)."""
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
         if X.shape[1] != self.training_inputs.shape[1]:
             raise ValueError(
                 f"query dimension {X.shape[1]} != training dimension "
@@ -128,10 +125,6 @@ class GPPredictor:
         mean = self.y_mean + self.y_std * mean_z
         var = self.y_std**2 * var_z
         return mean, var
-
-    def predict(self, x):
-        mean, var = self.predict_batch(np.asarray(x, dtype=np.float64)[None, :])
-        return float(mean[0]), float(var[0])
 
     def predict_mean_batch(self, X: np.ndarray) -> np.ndarray:
         """Posterior mean at each row of X, without the triangular solve for the variance."""
@@ -175,7 +168,7 @@ def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
     z = (y - y_mean) / y_std
 
     sq = _pairwise_sq_dists(X, X)
-    input_range = float(np.max(np.ptp(X, axis=0))) if n > 1 else 1.0
+    input_range = float(np.max(np.ptp(X, axis=0)))
     if input_range <= 0.0:
         input_range = 1.0
 
@@ -189,7 +182,7 @@ def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
     fixed_noise_z = None if fixed_noise is None else max(float(fixed_noise) / y_std**2, 0.0)
 
     # Off-diagonal median distance is a robust lengthscale init.
-    off = np.sqrt(sq[~np.eye(n, dtype=bool)]) if n > 1 else np.array([input_range])
+    off = np.sqrt(sq[~np.eye(n, dtype=bool)])
     med = float(np.median(off[off > 0])) if np.any(off > 0) else input_range
     med = float(np.clip(med, np.exp(ls_bounds[0]), np.exp(ls_bounds[1])))
 
@@ -279,7 +272,6 @@ def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
         y_std=y_std,
         jitter=jitter,
         log_marginal_likelihood=best_val,
-        fit_meta={"n": n, "restarts": n_restarts},
     )
 
 
@@ -322,10 +314,8 @@ def loss_and_gradients(weights, biases, X, y):
 
 @dataclass
 class MLPPredictor:
-    layer_sizes: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activation: str
     x_mean: np.ndarray
     x_std: np.ndarray
     y_mean: float
@@ -334,16 +324,11 @@ class MLPPredictor:
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
         h = (X - self.x_mean) / self.x_std
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
             pre = h @ W + b
             h = pre if i == len(self.weights) - 1 else np.maximum(pre, 0.0)
         return self.y_mean + self.y_std * h[:, 0]
-
-    def predict(self, x) -> float:
-        return float(self.predict_batch(np.asarray(x, dtype=np.float64)[None, :])[0])
 
     def predict_mean_batch(self, X: np.ndarray) -> np.ndarray:
         return self.predict_batch(X)
@@ -413,10 +398,8 @@ def mlp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> MLPPredictor:
 
     final_loss, _, _ = loss_and_gradients(weights, biases, Xz, z)
     return MLPPredictor(
-        layer_sizes=layer_sizes,
         weights=weights,
         biases=biases,
-        activation="relu",
         x_mean=x_mean,
         x_std=x_std,
         y_mean=y_mean,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimator as est
-from .acquisition import AcquisitionContext, AcquisitionSpec, argmax_acquisition, score
+from .acquisition import AcquisitionContext, AcquisitionSpec, argmax_acquisition, score_batch
 from .benchmarks import make_oracle
 from .core import (
     Acquisition,
@@ -137,7 +137,7 @@ def build_aleatoric(cfg, oracle, d_init, rng) -> est.AleatoricEstimator:
     k = int(cfg.hp("deup.replicates_k"))
     groups = []
     for i, ex in enumerate(d_init):
-        ys = oracle.sample(ex.x, rng.child(f"replicates-{i}"), replicates=k)
+        ys = oracle.sample(ex.x, rng.child(f"replicates-{i}").generator(), replicates=k)
         groups.append((ex.x, ys))
     regressor = Learner("gp", cfg.section("gp"))
     return est.estimate_aleatoric_from_replicates(groups, regressor, rng.child("aleatoric-fit"))
@@ -198,7 +198,7 @@ def run_smo(cfg: ExperimentConfig) -> RunTrace:
             if model is None:
                 acq_value = eu = float("nan")
             else:
-                acq_value = score(spec, x, ctx)
+                acq_value = float(score_batch(spec, x[None], ctx)[0])
                 eu = float(model.predict_batch(x[None])[1][0])
 
             y = float(oracle.sample(x, oracle_gen, 1)[0])

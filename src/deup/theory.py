@@ -37,7 +37,7 @@ def mc_total_uncertainty(f_hat_value: float, f_star: float, sigma: float, n: int
     """
     if n < 1000:
         raise ValueError(f"need n >= 1000 draws, got {n}")
-    gen = rng.generator() if hasattr(rng, "generator") else rng
+    gen = rng.generator()
     y = f_star + sigma * gen.standard_normal(n)
     sq = (f_hat_value - y) ** 2
     return float(np.mean(sq)), float(np.std(sq, ddof=1) / np.sqrt(n))
@@ -88,7 +88,7 @@ def check_nll_decomposition(pair: GaussianPair, n: int, rng: RngStream) -> NllDe
     """Estimate cross-entropy CE(P||Q) by sampling and compare CE - H(P) to KL(P||Q)."""
     if n < 10**4:
         raise ValueError(f"need n >= 10^4 draws, got {n}")
-    gen = rng.generator() if hasattr(rng, "generator") else rng
+    gen = rng.generator()
     y = pair.p_mean + pair.p_std * gen.standard_normal(n)
     nll = 0.5 * np.log(2.0 * np.pi * pair.q_std**2) + (y - pair.q_mean) ** 2 / (
         2.0 * pair.q_std**2

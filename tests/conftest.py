@@ -3,10 +3,6 @@ import pytest
 import deup.smo
 
 
-def pytest_configure(config):
-    config.addinivalue_line("markers", "incomplete_ok: the test expects run_smo to record a failure")
-
-
 @pytest.fixture(autouse=True)
 def complete_runs(request, monkeypatch):
     """Fail a test whose run_smo call records a failure in its trace.

@@ -8,7 +8,6 @@ from deup.acquisition import (
     BoxDomain,
     argmax_acquisition,
     expected_improvement,
-    score,
     score_batch,
     ucb,
 )
@@ -110,7 +109,7 @@ class TestScore:
         best = float(np.max(d.targets()))
         x_best = d.inputs()[int(np.argmax(d.targets()))]
         spec = AcquisitionSpec(Acquisition.EI)
-        val = score(spec, x_best, AcquisitionContext(best=best, model=gp))
+        (val,) = score_batch(spec, x_best[None], AcquisitionContext(best=best, model=gp))
         assert val <= 1e-6
 
     def test_deup_ucb_reduces_to_mean_when_eu_zero(self):
@@ -123,8 +122,8 @@ class TestScore:
         )
         x = d.inputs()[3]
         spec = AcquisitionSpec(Acquisition.DEUP_UCB, beta=2.0)
-        val = score(spec, x, AcquisitionContext(best=0.0, model=model))
-        eu = model.epistemic(x)
+        (val,) = score_batch(spec, x[None], AcquisitionContext(best=0.0, model=model))
+        (eu,) = model.epistemic_batch(x[None])
         mean = model.predict_mean_batch(x[None, :])[0]
         assert abs(val - (mean + 2.0 * np.sqrt(eu))) < 1e-12
         if eu == 0.0:
@@ -140,9 +139,9 @@ class TestScore:
         x = np.array([0.42])
         spec = AcquisitionSpec(Acquisition.DEUP_EI, xi=0.01)
         best = 0.5
-        val = score(spec, x, AcquisitionContext(best=best, model=model))
+        (val,) = score_batch(spec, x[None], AcquisitionContext(best=best, model=model))
         direct = expected_improvement(
-            model.predict_mean_batch(x[None, :])[0], model.epistemic(x), best, 0.01
+            model.predict_mean_batch(x[None, :])[0], model.epistemic_batch(x[None])[0], best, 0.01
         )
         assert abs(val - direct) < 1e-12
 
@@ -168,7 +167,7 @@ class TestScore:
     def test_missing_context_rejected(self):
         for kind in (Acquisition.EI, Acquisition.UCB, Acquisition.DEUP_EI, Acquisition.DEUP_UCB):
             with pytest.raises(ValueError, match="needs a model"):
-                score(AcquisitionSpec(kind), np.array([0.0]), AcquisitionContext(best=0.0))
+                score_batch(AcquisitionSpec(kind), np.array([[0.0]]), AcquisitionContext(best=0.0))
 
     def test_random_scores_are_uniform_draws(self):
         spec = AcquisitionSpec(Acquisition.RANDOM)
@@ -177,7 +176,7 @@ class TestScore:
         assert np.all((0 <= vals) & (vals <= 1))
         assert len(np.unique(vals)) == 100
         with pytest.raises(ValueError):
-            score(spec, np.array([0.0]), AcquisitionContext())
+            score_batch(spec, np.array([[0.0]]), AcquisitionContext())
 
 
 class TestArgmax:
@@ -215,7 +214,7 @@ class TestArgmax:
         x = argmax_acquisition(spec, domain, ctx, rng)
         cands = domain.sample(rng.generator(), spec.n_candidates)
         raw_best = float(np.max(score_batch(spec, cands, ctx)))
-        assert score(spec, x, ctx) >= raw_best - 1e-12
+        assert score_batch(spec, x[None], ctx)[0] >= raw_best - 1e-12
 
     def test_stays_inside_domain_property(self):
         gen = np.random.default_rng(9)

@@ -80,25 +80,25 @@ class TestOracle:
     def test_zero_noise_samples_bitwise_equal(self):
         o = make_oracle("synth1d")
         x = np.array([0.3])
-        ys = o.sample(x, RngStream(0, "oracle"), replicates=4)
-        assert np.all(ys == o.true_value(x))
+        ys = o.sample(x, RngStream(0, "oracle").generator(), replicates=4)
+        assert np.all(ys == o.true_batch(x[None])[0])
 
     def test_constant_noise_variance(self):
         o = make_oracle("synth1d", noise=0.5)
-        ys = o.sample(np.array([0.5]), RngStream(1, "oracle"), replicates=100_000)
+        ys = o.sample(np.array([0.5]), RngStream(1, "oracle").generator(), replicates=100_000)
         assert 0.2375 <= np.var(ys, ddof=1) <= 0.2625
 
     def test_out_of_domain_rejected(self):
         o = make_oracle("levi13")
         with pytest.raises(ValueError):
-            o.sample(np.array([11.0, 0.0]), RngStream(0, "oracle"))
+            o.sample(np.array([11.0, 0.0]), RngStream(0, "oracle").generator())
 
     def test_replicates_feed_aleatoric_estimator(self):
         o = make_oracle("synth1d", noise=0.3)
         rng = RngStream(3, "oracle")
         groups = []
         for i, x in enumerate(np.linspace(0.1, 0.9, 8)):
-            groups.append((np.array([x]), o.sample(np.array([x]), rng.child(str(i)), replicates=5)))
+            groups.append((np.array([x]), o.sample(np.array([x]), rng.child(str(i)).generator(), replicates=5)))
         est = estimate_aleatoric_from_replicates(groups, Learner("gp"), RngStream(0, "fit"))
         assert est.values(np.array([[0.5]]))[0] >= 0.0
 

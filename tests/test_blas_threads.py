@@ -2,7 +2,9 @@ import dataclasses
 
 import pytest
 
+import deup.cli
 import deup.smo
+from deup.cli import demo_fig1
 from deup.core import Acquisition, ExperimentConfig, _openblas_thread_controls, _thread_controls
 from deup.smo import run_smo
 
@@ -34,10 +36,10 @@ def controls():
         put(n)
 
 
-def spy_counts_in_fits(monkeypatch, controls, fail_at=None):
-    """Record every copy's thread count at each gp_fit that run_smo makes."""
+def spy_counts_in_fits(monkeypatch, controls, fail_at=None, module=deup.smo):
+    """Record every copy's thread count at each gp_fit that `module` makes."""
     seen = []
-    real_fit = deup.smo.gp_fit
+    real_fit = module.gp_fit
 
     def fit(*args):
         seen.append(counts(controls))
@@ -45,7 +47,7 @@ def spy_counts_in_fits(monkeypatch, controls, fail_at=None):
             raise KeyboardInterrupt("interrupted mid-run")
         return real_fit(*args)
 
-    monkeypatch.setattr(deup.smo, "gp_fit", fit)
+    monkeypatch.setattr(module, "gp_fit", fit)
     return seen
 
 
@@ -61,6 +63,14 @@ def test_run_smo_fits_on_one_thread_per_copy(controls, monkeypatch):
     trace = run_smo(CONFIG)
     assert not trace.incomplete
     assert len(seen) == 3
+    assert all(c == [1] * len(controls) for c in seen)
+    assert counts(controls) == [2] * len(controls)
+
+
+def test_demo_fig1_called_directly_fits_on_one_thread_per_copy(controls, monkeypatch, tmp_path):
+    seen = spy_counts_in_fits(monkeypatch, controls, module=deup.cli)
+    demo_fig1(tmp_path)
+    assert len(seen) == 7  # GP #1, five acquisition refits, GP #2
     assert all(c == [1] * len(controls) for c in seen)
     assert counts(controls) == [2] * len(controls)
 

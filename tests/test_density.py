@@ -13,7 +13,8 @@ class TestKdeFit:
     def test_single_point_unit_bandwidth_closed_form(self):
         k = kde_fit(dataset_1d([0.0]), bandwidth=1.0)
         expected = -np.log(np.sqrt(2 * np.pi))
-        assert abs(k.log_density(np.array([0.0])) - expected) < 1e-12
+        (val,) = k.log_density_batch(np.array([[0.0]]))
+        assert abs(val - expected) < 1e-12
 
     def test_density_integrates_to_one(self):
         gen = np.random.default_rng(0)
@@ -45,13 +46,12 @@ class TestKdeFit:
 class TestKdeLogDensity:
     def test_midpoint_lower_than_modes_for_small_bandwidth(self):
         k = kde_fit(dataset_1d([-1.0, 1.0]), bandwidth=0.5)
-        at_mode = k.log_density(np.array([1.0]))
-        at_mid = k.log_density(np.array([0.0]))
+        at_mode, at_mid = k.log_density_batch(np.array([[1.0], [0.0]]))
         assert at_mid < at_mode
 
     def test_far_query_stays_finite(self):
         k = kde_fit(dataset_1d([0.0, 0.5]), bandwidth=0.1)
-        val = k.log_density(np.array([0.5 + 50 * 0.1 * 100]))
+        (val,) = k.log_density_batch(np.array([[0.5 + 50 * 0.1 * 100]]))
         assert np.isfinite(val)
 
     def test_matches_direct_summation(self):
@@ -70,12 +70,12 @@ class TestKdeLogDensity:
                 ]
             )
             assert direct > 0
-            assert abs(k.log_density(x) - np.log(direct)) < 1e-10
+            assert abs(k.log_density_batch(x[None])[0] - np.log(direct)) < 1e-10
 
     def test_dimension_mismatch(self):
         k = kde_fit(dataset_1d([0.0]))
         with pytest.raises(ValueError):
-            k.log_density(np.array([0.0, 1.0]))
+            k.log_density_batch(np.array([[0.0, 1.0]]))
 
     def test_finite_everywhere_property(self):
         gen = np.random.default_rng(9)
@@ -94,4 +94,4 @@ class TestKdeLogDensity:
             after = kde_fit(
                 Dataset.from_arrays(np.array(pts + [x]), np.zeros(7)), h
             )
-            assert after.log_density(x) >= before.log_density(x) - 1e-12
+            assert after.log_density_batch(x[None])[0] >= before.log_density_batch(x[None])[0] - 1e-12

@@ -62,7 +62,7 @@ class TestBuildFeatures:
         ctx = fit_feature_context(d, layout, RngStream(0, "feat"), variance_source=gp)
         x = np.array([0.45])
         row = build_features_batch(d, x[None, :], ctx, layout)[0]
-        _, var = gp.predict(x)
+        _, (var,) = gp.predict_batch(x[None])
         assert abs(row[0] - np.log(var)) < 1e-12
 
     def test_stale_context_rejected(self):
@@ -248,8 +248,8 @@ class TestEpistemicQuery:
         )
         x = np.array([0.9])
         F = build_features_batch(train, x[None, :], model.context, model.layout)
-        u_val = model.error.predict_error_batch(F)[0]
-        assert model.epistemic(x) == u_val
+        u_val = np.exp(model.error.predict_log_error_batch(F))[0]
+        assert model.epistemic_batch(x[None])[0] == u_val
 
     def test_clamped_at_zero_when_aleatoric_dominates(self):
         train = make_1d_dataset(8)
@@ -261,7 +261,7 @@ class TestEpistemicQuery:
             RngStream(0, "deup"),
             aleatoric=AleatoricEstimator(lambda X: np.full(len(X), 1e12)),
         )
-        assert model.epistemic(np.array([0.9])) == 0.0
+        assert model.epistemic_batch(np.array([[0.9]]))[0] == 0.0
 
     def test_near_zero_at_training_points_of_interpolator(self):
         # Noiseless linear truth: the GP interpolates and pretrained u sees
@@ -273,7 +273,7 @@ class TestEpistemicQuery:
         model = deup_fixed_train(
             train, oos, DeupFit(Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,)), RngStream(2, "deup")
         )
-        assert model.epistemic(X[3]) <= 1e-4
+        assert model.epistemic_batch(X[3:4])[0] <= 1e-4
 
 
 class TestUncertaintyModelPredictBatch:

@@ -62,7 +62,7 @@ class TestGPFit:
         y = np.array([0.0, 2.0])
         gp = gp_fit(Dataset.from_arrays(X, y), {"noise_variance": 1e-8}, RngStream(0, "fit"))
         for xi, yi in zip(X, y):
-            mean, _ = gp.predict(xi)
+            (mean,), _ = gp.predict_batch(xi[None])
             assert abs(mean - yi) < 1e-6
 
     def test_training_variance_bounded_by_noise(self):
@@ -71,7 +71,7 @@ class TestGPFit:
         y = np.sin(X[:, 0]) + 0.5 * X[:, 1]
         gp = gp_fit(Dataset.from_arrays(X, y), None, RngStream(1, "fit"))
         for xi in X:
-            _, var = gp.predict(xi)
+            _, (var,) = gp.predict_batch(xi[None])
             assert var <= gp.noise_variance + 1e-5
 
     def test_deterministic_refit(self):
@@ -91,7 +91,7 @@ class TestGPFit:
         # regularizes the singular kernel (fit averages the duplicates) or raises.
         try:
             gp = gp_fit(Dataset.from_arrays(X, y), cfg, RngStream(0, "fit"))
-            mean, var = gp.predict(np.array([0.0]))
+            (mean,), (var,) = gp.predict_batch(np.array([[0.0]]))
             assert 0.0 <= mean <= 1.0 and var >= 0.0
         except NumericsError:
             pass
@@ -118,7 +118,7 @@ class TestGPPosterior:
         y = np.array([0.5, -0.3, 1.2])
         gp = fit_fixed(X, y, lengthscale=0.8, signal=1.3, noise=0.05)
         for xq in [np.array([-0.5]), np.array([0.7]), np.array([3.0])]:
-            mean, var = gp.predict(xq)
+            (mean,), (var,) = gp.predict_batch(xq[None])
             mean_ref, var_ref = dense_gp_reference(
                 X, y, xq, "rbf", 0.8, 1.3, 0.05, gp.jitter
             )
@@ -146,7 +146,7 @@ class TestGPPosterior:
                 noise = float(gen.uniform(1e-4, 0.1))
                 gp = fit_fixed(X, y, ls, sig, noise, kernel)
                 xq = gen.uniform(-3, 3, size=d)
-                mean, var = gp.predict(xq)
+                (mean,), (var,) = gp.predict_batch(xq[None])
                 mean_ref, var_ref = dense_gp_reference(X, y, xq, kernel, ls, sig, noise, gp.jitter)
                 assert abs(mean - mean_ref) < 1e-8
                 assert abs(var - var_ref) < 1e-8
@@ -155,7 +155,7 @@ class TestGPPosterior:
         X = np.array([[0.0], [0.5]])
         y = np.array([1.0, 2.0])
         gp = fit_fixed(X, y, lengthscale=0.3, signal=2.0, noise=0.1)
-        _, var = gp.predict(np.array([50.0]))  # > 10 lengthscales away
+        _, (var,) = gp.predict_batch(np.array([[50.0]]))  # > 10 lengthscales away
         assert abs(var - (gp.signal_variance + gp.noise_variance)) < 0.01 * (
             gp.signal_variance + gp.noise_variance
         )
@@ -164,7 +164,7 @@ class TestGPPosterior:
         X = np.linspace(0, 1, 6)[:, None]
         y = np.sin(6.0 * X[:, 0])
         gp = gp_fit(Dataset.from_arrays(X, y), {"noise_variance": 0.0}, RngStream(0, "fit"))
-        mean, var = gp.predict(X[2])
+        (mean,), (var,) = gp.predict_batch(X[2:3])
         assert abs(mean - y[2]) < 1e-5
         assert var <= 1e-5
 
@@ -180,7 +180,7 @@ class TestGPPosterior:
     def test_dimension_mismatch(self):
         gp = fit_fixed(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
-            gp.predict(np.array([0.0, 1.0]))
+            gp.predict_batch(np.array([[0.0, 1.0]]))
 
 
 def reference_chol_with_jitter(K, base_jitter):

@@ -107,7 +107,10 @@ class TestRunSmo:
 
         monkeypatch.setattr(deup.smo, "argmax_acquisition", spy)
         trace = run_smo(config(kind, budget=10))
-        expected = [model.epistemic(x) if kind.uses_error_model else model.predict(x)[1] for model, x in steps]
+        expected = [
+            model.epistemic_batch(x[None])[0] if kind.uses_error_model else model.predict_batch(x[None])[1][0]
+            for model, x in steps
+        ]
         assert [r.epistemic for r in trace.records] == expected
 
     def test_epistemic_recorded_for_deup(self):
