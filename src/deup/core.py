@@ -327,8 +327,17 @@ class ExperimentConfig:
         for key, allowed in _CHOICES.items():
             if key in HYPERPARAMETERS and self.hp(key) not in allowed:
                 raise ConfigError(f"key '{key}': expected one of {', '.join(allowed)}, got {self.hp(key)!r}")
-        if self.hp("smo.n_candidates") < 1:
-            raise ConfigError(f"key 'smo.n_candidates': must be >= 1, got {self.hp('smo.n_candidates')}")
+        bandwidth = self.hp("kde.bandwidth")  # None: Silverman's rule
+        for key, ok, rule in (
+            ("smo.n_candidates", self.hp("smo.n_candidates") >= 1, ">= 1"),
+            ("smo.n_refine", self.hp("smo.n_refine") >= 1, ">= 1"),
+            ("smo.beta", self.hp("smo.beta") > 0, "> 0"),
+            ("smo.xi", self.hp("smo.xi") >= 0, ">= 0"),
+            ("gp.noise_floor", 0 < self.hp("gp.noise_floor") <= 1, "in (0, 1]"),
+            ("kde.bandwidth", bandwidth is None or bandwidth > 0, "> 0"),
+        ):
+            if not ok:
+                raise ConfigError(f"key '{key}': must be {rule}, got {self.hp(key)}")
         folds = self.hp("deup.cv_folds")  # read only by a DEUP run's CV pretraining
         if self.acquisition.uses_error_model and self.hp("deup.n_pretrain") != 0 and not 2 <= folds <= self.n_init:
             raise ConfigError(f"key 'deup.cv_folds': must be in [2, n_init={self.n_init}], got {folds}")

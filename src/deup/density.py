@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import Dataset
 
@@ -25,6 +24,17 @@ def silverman_bandwidth(X: np.ndarray) -> float:
     return 1.06 * sigma * n ** (-1.0 / (d + 4))
 
 
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) with the bits of `scipy.special.logsumexp`, without its
+    array-API overhead. The m terms equal to the row max stay out of the sum:
+    log1p(s / m) + log(m) + max, s the sum of exp(a - max) over the other terms."""
+    a_max = a.max(axis=1, keepdims=True)
+    is_max = a == a_max
+    m = is_max.sum(axis=1, keepdims=True, dtype=np.float64)
+    s = np.exp(a - a_max, out=np.zeros_like(a), where=~is_max).sum(axis=1, keepdims=True)
+    return (np.log1p(s / m) + np.log(m) + a_max)[:, 0]
+
+
 @dataclass
 class KdePredictor:
     """Isotropic Gaussian mixture with one component per training point."""
@@ -41,7 +51,7 @@ class KdePredictor:
         diff = X[:, None, :] - self.points[None, :, :]
         sq = np.einsum("ijk,ijk->ij", diff, diff)
         log_norm = np.log(n) + d * np.log(self.bandwidth * np.sqrt(2.0 * np.pi))
-        return logsumexp(-0.5 * sq / self.bandwidth**2, axis=1) - log_norm
+        return _logsumexp_rows(-0.5 * sq / self.bandwidth**2) - log_norm
 
 
 def kde_fit(d: Dataset, bandwidth: float | None = None) -> KdePredictor:

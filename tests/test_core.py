@@ -221,6 +221,12 @@ class TestExperimentConfig:
             ("deup.cv_folds", 9),
             ("deup.cv_folds", 1),
             ("smo.n_candidates", 0),
+            ("smo.n_refine", 0),
+            ("smo.beta", 0.0),
+            ("smo.xi", -0.01),
+            ("kde.bandwidth", 0.0),
+            ("gp.noise_floor", 0.0),
+            ("gp.noise_floor", 2.0),
         ],
     )
     def test_validate_rejects_choice_values_outside_the_lower_case_names(self, key, value):

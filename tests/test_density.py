@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from deup.core import Dataset
-from deup.density import kde_fit, silverman_bandwidth
+from deup.density import _logsumexp_rows, kde_fit, silverman_bandwidth
 
 
 def dataset_1d(values):
@@ -95,3 +96,29 @@ class TestKdeLogDensity:
                 Dataset.from_arrays(np.array(pts + [x]), np.zeros(7)), h
             )
             assert after.log_density_batch(x[None])[0] >= before.log_density_batch(x[None])[0] - 1e-12
+
+
+class TestLogSumExpRows:
+    """The KDE's own log-sum-exp must keep `scipy.special.logsumexp`'s bits."""
+
+    def test_random_blocks_with_ties_match_scipy_bitwise(self):
+        gen = np.random.default_rng(21)
+        for _ in range(300):
+            rows, n = int(gen.integers(1, 8)), int(gen.integers(1, 150))
+            a = -gen.exponential(scale=10 ** gen.uniform(-3, 3), size=(rows, n))
+            a[:, : int(gen.integers(1, n + 1))] = a[:, :1]  # the row max may repeat
+            if gen.random() < 0.3:
+                a = np.round(a, 1)  # many ties, also below the max
+            assert _logsumexp_rows(a).tobytes() == logsumexp(a, axis=1).tobytes()
+
+    @pytest.mark.parametrize("points", [[[0.3]], [[0.0], [0.0], [1.0]], [[0.5, -1.0]]])
+    def test_log_density_of_one_point_and_duplicate_kdes_matches_scipy_bitwise(self, points):
+        pts = np.array(points)
+        k = kde_fit(Dataset.from_arrays(pts, np.zeros(len(pts))), bandwidth=0.4)
+        Q = np.vstack([pts, np.random.default_rng(2).uniform(-3, 3, size=(20, pts.shape[1]))])
+        diff = Q[:, None, :] - pts[None, :, :]
+        sq = np.einsum("ijk,ijk->ij", diff, diff)
+        n, d = pts.shape
+        log_norm = np.log(n) + d * np.log(0.4 * np.sqrt(2.0 * np.pi))
+        expected = logsumexp(-0.5 * sq / 0.4**2, axis=1) - log_norm
+        assert k.log_density_batch(Q).tobytes() == expected.tobytes()

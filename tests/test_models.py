@@ -8,10 +8,12 @@ from deup import models
 from deup.core import Dataset, NumericsError, RngStream
 from deup.models import (
     JITTER_MAX,
+    UNIT_KERNEL_CACHE,
     _chol_with_jitter,
     _kernel_from_sq_dists,
     _log_marginal_likelihood,
     _pairwise_sq_dists,
+    _SearchKernel,
     gp_fit,
     loss_and_gradients,
     mlp_fit,
@@ -177,6 +179,20 @@ class TestGPPosterior:
         _, var = gp.predict_batch(queries)
         assert np.all(var >= 0)
 
+    @pytest.mark.parametrize("kernel", ["rbf", "matern52"])
+    def test_predict_batch_has_the_bits_of_the_solve_triangular_formula(self, kernel):
+        gen = np.random.default_rng(8)
+        X = gen.uniform(-2, 2, size=(30, 2))
+        gp = fit_fixed(X, gen.normal(size=30), 0.7, 1.4, 1e-3, kernel)
+        Q = gen.uniform(-3, 3, size=(64, 2))
+        Ks = reference_kernel(_pairwise_sq_dists(X, Q), kernel, gp.lengthscale, gp._signal_z)
+        v = solve_triangular(gp.chol_factor, Ks, lower=True)
+        prior = gp._signal_z + gp._noise_z
+        var_z = np.clip(prior - np.einsum("ij,ij->j", v, v), 0.0, prior)
+        mean, var = gp.predict_batch(Q)
+        assert mean.tobytes() == (gp.y_mean + gp.y_std * (Ks.T @ gp.alpha)).tobytes()
+        assert var.tobytes() == (gp.y_std**2 * var_z).tobytes()
+
     def test_dimension_mismatch(self):
         gp = fit_fixed(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
@@ -194,10 +210,18 @@ def reference_chol_with_jitter(K, base_jitter):
     raise NumericsError("ladder exhausted")
 
 
+def reference_kernel(sq, kernel, lengthscale, signal):
+    """The kernel matrix as one expression per kernel; every build in `models` must have its bits."""
+    if kernel == "rbf":
+        return signal * np.exp(-0.5 * sq / lengthscale**2)
+    a = np.sqrt(5.0) * np.sqrt(np.maximum(sq, 0.0)) / lengthscale
+    return signal * (1.0 + a + a * a / 3.0) * np.exp(-a)
+
+
 def reference_log_marginal_likelihood(sq, z, kernel, log_ls, log_sig, log_noise, base_jitter):
     """The checked scipy likelihood that `_log_marginal_likelihood` must reproduce bit for bit."""
     n = len(z)
-    K = _kernel_from_sq_dists(sq, kernel, np.exp(log_ls), np.exp(log_sig))
+    K = reference_kernel(sq, kernel, np.exp(log_ls), np.exp(log_sig))
     K[np.diag_indices_from(K)] += np.exp(log_noise)
     try:
         L, _ = reference_chol_with_jitter(K, base_jitter)
@@ -224,22 +248,48 @@ class TestLeanLikelihood:
             sq = _pairwise_sq_dists(X, X)
             z = gen.normal(size=n)
             theta = (gen.uniform(-4.0, 2.0), gen.uniform(np.log(1e-3), np.log(1e3)), gen.uniform(np.log(1e-6), 0.0))
-            lean = _log_marginal_likelihood(sq, z, kernel, *theta, 1e-8)
+            lean = _log_marginal_likelihood(_SearchKernel(sq, kernel), z, *theta, 1e-8)
             ref = reference_log_marginal_likelihood(sq, z, kernel, *theta, 1e-8)
             assert lean.hex() == ref.hex(), (n, theta)
 
     @pytest.mark.parametrize("log_sig, jitter", [(np.log(1e9), 1e-7), (np.log(1e16), None)])
     def test_escalated_and_exhausted_ladders_match_reference(self, log_sig, jitter):
         sq, z = duplicated_grid()
-        args = (sq, z, "rbf", np.log(0.5), log_sig, np.log(1e-300), 1e-8)
+        theta = (np.log(0.5), log_sig, np.log(1e-300), 1e-8)
+        lean = _log_marginal_likelihood(_SearchKernel(sq, "rbf"), z, *theta)
         K = _kernel_from_sq_dists(sq, "rbf", 0.5, np.exp(log_sig))
         if jitter is None:
             with pytest.raises(NumericsError):
                 _chol_with_jitter(K, 1e-8)
-            assert _log_marginal_likelihood(*args) == -np.inf
+            assert lean == -np.inf
         else:
             assert _chol_with_jitter(K, 1e-8)[1] == jitter
-        assert _log_marginal_likelihood(*args).hex() == reference_log_marginal_likelihood(*args).hex()
+        assert lean.hex() == reference_log_marginal_likelihood(sq, z, "rbf", *theta).hex()
+
+    @pytest.mark.parametrize("kernel", ["rbf", "matern52"])
+    def test_kernel_builds_match_reference_bitwise(self, kernel):
+        gen = np.random.default_rng(4)
+        X = gen.uniform(-1.0, 1.0, size=(40, 2))
+        sq = _pairwise_sq_dists(X, X)
+        search = _SearchKernel(sq, kernel)
+        for log_ls, log_sig in gen.uniform(-3.0, 3.0, size=(10, 2)):
+            ref = reference_kernel(sq, kernel, np.exp(log_ls), np.exp(log_sig))
+            assert _kernel_from_sq_dists(sq, kernel, np.exp(log_ls), np.exp(log_sig)).tobytes() == ref.tobytes()
+            # Twice: the second build of an RBF lengthscale reuses its cached unit kernel.
+            for _ in range(2):
+                K = search(log_ls, log_sig)
+                assert K.tobytes() == ref.tobytes()
+                K[:] = 0.0  # each build is fresh: writing to it leaves the cache alone
+
+    def test_unit_kernel_cache_stays_bounded(self):
+        X = np.linspace(0.0, 1.0, 30)[:, None]
+        search = _SearchKernel(_pairwise_sq_dists(X, X), "rbf")
+        for log_ls in np.linspace(-3.0, 1.0, 10):
+            search(log_ls, 0.0)
+            search(log_ls, 1.0)
+        info = search.unit.cache_info()
+        assert (info.maxsize, info.currsize) == (UNIT_KERNEL_CACHE, UNIT_KERNEL_CACHE)
+        assert (info.hits, info.misses) == (10, 10)
 
     @pytest.mark.parametrize("log_sig", [0.0, np.log(1e9)])
     def test_factor_has_scipy_bytes_and_order(self, log_sig):
@@ -264,6 +314,9 @@ def golden_case(name):
     if name == "fixed_noise":
         X = gen.uniform(0.0, 1.0, size=(10, 1))
         return Dataset.from_arrays(X, np.exp(X[:, 0]) + 0.1 * gen.normal(size=10)), {"noise_variance": 0.01}
+    if name == "rbf_n120":  # the error GP's regime: 1-D, many rows, where the unit-kernel cache hits most
+        X = gen.uniform(0.0, 1.0, size=(120, 1))
+        return Dataset.from_arrays(X, np.sin(8 * X[:, 0]) + 0.3 * gen.normal(size=120)), None
     # Duplicate inputs, zero noise and a huge signal: the fit escalates jitter.
     X = np.repeat(np.linspace(0.0, 1.0, 5), 2)[:, None]
     y = np.cos(4 * X[:, 0]) + 0.05 * gen.normal(size=10)
@@ -299,6 +352,14 @@ GOLDEN_FITS = {
         "0x1.5798ee2308c3ap-27",
         "62064ae74dd9395c835b2147b53c309e60d3d5d0e6d09e9daddf2ee997384873",
     ),
+    "rbf_n120": (
+        "0x1.7b3bfa6f409c7p-3",
+        "0x1.30cde1d9c5829p-1",
+        "0x1.280257cbe8901p-4",
+        "-0x1.03fc4f37cd955p+6",
+        "0x1.5798ee2308c3ap-27",
+        "f8f56b76ffdba85023034edb9d7a32b500c5abbcefccc9ccbcd308eb89f3ed0a",
+    ),
     "duplicates": (
         "0x1.0000000000000p-1",
         "0x1.2a05f20000002p+33",
@@ -324,9 +385,9 @@ class TestLogMarginalLikelihoodSearch:
     def test_evaluates_each_theta_once(self, monkeypatch):
         thetas = []
 
-        def spy(sq, z, kernel, log_ls, log_sig, log_noise, base_jitter):
+        def spy(kernel, z, log_ls, log_sig, log_noise, base_jitter):
             thetas.append((log_ls, log_sig, log_noise))
-            return _log_marginal_likelihood(sq, z, kernel, log_ls, log_sig, log_noise, base_jitter)
+            return _log_marginal_likelihood(kernel, z, log_ls, log_sig, log_noise, base_jitter)
 
         monkeypatch.setattr(models, "_log_marginal_likelihood", spy)
         gen = np.random.default_rng(2)
@@ -334,6 +395,23 @@ class TestLogMarginalLikelihoodSearch:
         gp_fit(Dataset.from_arrays(X, np.sin(6 * X[:, 0])), None, RngStream(0, "fit"))
         assert len(thetas) > 100
         assert len(set(thetas)) == len(thetas)
+
+    @pytest.mark.parametrize("name", ["rbf", "matern52", "fixed_noise", "rbf_n120"])
+    def test_every_evaluation_matches_reference_bitwise(self, name, monkeypatch):
+        calls = []
+
+        def spy(kernel, z, *theta):
+            lean = _log_marginal_likelihood(kernel, z, *theta)
+            calls.append((lean.hex(), reference_log_marginal_likelihood(kernel.sq, z, kernel.kernel, *theta).hex()))
+            if kernel.kernel == "rbf":
+                assert kernel.unit.cache_info().currsize <= UNIT_KERNEL_CACHE
+            return lean
+
+        monkeypatch.setattr(models, "_log_marginal_likelihood", spy)
+        d, cfg = golden_case(name)
+        gp_fit(d, cfg, RngStream(3, "fit"))
+        assert len(calls) > 100
+        assert all(lean == ref for lean, ref in calls)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_FITS))
     def test_pinned_fits(self, name):

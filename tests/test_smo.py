@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,46 @@ class TestRunSmo:
         )
         trace = run_smo(cfg)
         assert len(trace.records) == 3
+
+
+def trace_bytes(trace) -> bytes:
+    """Every trace value but the `ms` column as raw float64 bytes, laid out as perfbench's `fingerprint`."""
+    rows = [np.asarray(trace.init_X, dtype=np.float64).tobytes(), np.asarray(trace.init_y).tobytes()]
+    for r in trace.records:
+        rows.append(np.array([r.step, r.y, r.best, r.acq_value, r.epistemic], dtype=np.float64).tobytes())
+        rows.append(np.asarray(r.x, dtype=np.float64).tobytes())
+    return b"".join(rows)
+
+
+# sha256 of `trace_bytes` for short DEUP-EI runs with default settings (seed 0,
+# budget 12). The rerun tests compare a commit with itself; these pins fail on
+# any drift in the GP search, the posterior, the KDE or the error MLP. Like
+# `GOLDEN_FITS` in test_models.py they are host-pinned: generated on x86-64
+# with numpy 2.4 and scipy 1.17's bundled OpenBLAS, at one BLAS thread. A
+# change that moves trajectories on purpose must regenerate them.
+PINNED_TRACES = {
+    "synth1d": (1, ("log_variance",), "ce3179174dca58870bf98ef0ef4acbc388376576509d78bc729bf61c0c02739f"),
+    "levi13": (
+        2,
+        ("x", "seen_bit", "log_density", "log_variance"),  # x in the layout: the error model is the MLP
+        "a024e1ea170ff675d6b544fac4af8c6d9c3aab05e89ffb8c6eab29e34420b332",
+    ),
+}
+
+
+@pytest.mark.parametrize("oracle", sorted(PINNED_TRACES))
+def test_pinned_trace_bytes(oracle):
+    dimension, features, digest = PINNED_TRACES[oracle]
+    cfg = ExperimentConfig(
+        oracle_name=oracle,
+        dimension=dimension,
+        n_init=6,
+        budget=12,
+        acquisition=Acquisition.DEUP_EI,
+        feature_set=frozenset(Feature(f) for f in features),
+        seed=0,
+    )
+    assert hashlib.sha256(trace_bytes(run_smo(cfg))).hexdigest() == digest
 
 
 class TestBestSoFar:
