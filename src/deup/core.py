@@ -335,6 +335,17 @@ class ExperimentConfig:
             ("smo.xi", self.hp("smo.xi") >= 0, ">= 0"),
             ("gp.noise_floor", 0 < self.hp("gp.noise_floor") <= 1, "in (0, 1]"),
             ("kde.bandwidth", bandwidth is None or bandwidth > 0, "> 0"),
+            ("oracle.noise", self.hp("oracle.noise") >= 0, ">= 0"),
+            ("mlp.epochs", self.hp("mlp.epochs") >= 1, ">= 1"),
+            ("mlp.batch_size", self.hp("mlp.batch_size") >= 1, ">= 1"),
+            ("mlp.hidden_units", self.hp("mlp.hidden_units") >= 1, ">= 1"),
+            ("mlp.hidden_layers", self.hp("mlp.hidden_layers") >= 0, ">= 0"),
+            ("mlp.learning_rate", self.hp("mlp.learning_rate") > 0, "> 0"),
+            (
+                "deup.replicates_k",
+                self.aleatoric_mode is not AleatoricMode.REPLICATES or self.hp("deup.replicates_k") >= 2,
+                ">= 2 with deup.aleatoric = replicates",
+            ),
         ):
             if not ok:
                 raise ConfigError(f"key '{key}': must be {rule}, got {self.hp(key)}")

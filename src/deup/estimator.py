@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import HYPERPARAMETERS, Dataset, Feature, RngStream, split_dataset
 from .density import KdePredictor, kde_fit
-from .models import Learner, gp_fit, mlp_fit
+from .models import Learner, MLPPredictor, gp_fit, mlp_fit
 
 logger = logging.getLogger(__name__)
 
@@ -129,14 +129,18 @@ class ErrorPredictor:
         return self.model.predict_mean_batch(F)
 
 
-def fit_error_predictor(d_u: Dataset, layout: tuple, rng: RngStream, cfg: dict | None = None) -> ErrorPredictor:
+def fit_error_predictor(
+    d_u: Dataset, layout: tuple, rng: RngStream, cfg: dict | None = None, previous=None
+) -> ErrorPredictor:
     """Fit u on the error dataset; GP unless the layout includes raw x.
 
     A GP error model overfits raw coordinates, so layouts containing x default
     to the MLP. `cfg` may force 'gp' or 'mlp' via key 'error_model' and carries
     the chosen model's hyperparameters. With fewer than two rows (pretraining
     disabled and nothing acquired yet) u degenerates to a constant at the
-    observed target or the log-eps floor.
+    observed target or the log-eps floor. `previous` is the regressor of the
+    u this fit replaces: an MLP u warm-starts from it when it is an MLP too;
+    every other fit starts from scratch.
     """
     cfg = dict(cfg or {})
     choice = cfg.pop("error_model", HYPERPARAMETERS["deup.error_model"])
@@ -148,7 +152,7 @@ def fit_error_predictor(d_u: Dataset, layout: tuple, rng: RngStream, cfg: dict |
     if choice == "gp":
         model = gp_fit(d_u, {**ERROR_GP_DEFAULTS, **cfg}, rng)
     elif choice == "mlp":
-        model = mlp_fit(d_u, cfg, rng)
+        model = mlp_fit(d_u, cfg, rng, init=previous if isinstance(previous, MLPPredictor) else None)
     else:
         raise ValueError(f"unknown error model {choice!r}")
     F = d_u.inputs()
@@ -259,8 +263,9 @@ class DeupFit:
         F = build_features_batch(d, X, context, self.layout)
         return F, log_error_target((y - main.predict_mean_batch(X)) ** 2)
 
-    def error(self, d_u: Dataset, rng: RngStream) -> ErrorPredictor:
-        return fit_error_predictor(d_u, self.layout, rng, self.error_cfg)
+    def error(self, d_u: Dataset, rng: RngStream, previous=None) -> ErrorPredictor:
+        """Fit u on d_u, warm-started from `previous` (see `fit_error_predictor`)."""
+        return fit_error_predictor(d_u, self.layout, rng, self.error_cfg, previous)
 
 
 def deup_fixed_train(
@@ -374,7 +379,9 @@ def deup_interactive_step(state: DeupState, x_acq, y_acq: float) -> DeupState:
     The acquired point contributes a pre-refit row (seen bit 0, error of the
     current f) and a post-refit row (seen bit 1, error of the refitted f);
     the main predictor, features and u are all refit on the grown datasets.
-    The input state is never mutated, so failures leave it usable.
+    An MLP u is refit from the weights of the u it replaces, on a quarter of
+    the from-scratch epochs. The input state is never mutated, so failures
+    leave it usable.
     """
     X = np.asarray(x_acq, dtype=np.float64).reshape(1, -1)
     y = np.array([float(y_acq)])
@@ -390,7 +397,7 @@ def deup_interactive_step(state: DeupState, x_acq, y_acq: float) -> DeupState:
     new_du = state.d_u.copy()
     for F, target in (pre, post):
         new_du.append_xy(F[0], target[0])
-    error = fit.error(new_du, state.rng.child(f"error-{t}"))
+    error = fit.error(new_du, state.rng.child(f"error-{t}"), old.error.model)
     model = replace(old, main=main, error=error, dataset=new_d, context=context, meta=dict(old.meta))
     return replace(state, d_u=new_du, model=model, step=t)
 

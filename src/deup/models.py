@@ -363,10 +363,13 @@ class MLPPredictor:
         return self.predict_batch(X)
 
 
-def mlp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> MLPPredictor:
+def mlp_fit(d: Dataset, cfg: dict | None, rng: RngStream, init: MLPPredictor | None = None) -> MLPPredictor:
     """Train a ReLU MLP with Adam on mean squared error.
 
     Full-batch below `batch_size` examples, shuffled mini-batches otherwise.
+    From scratch it runs `epochs` epochs. With `init`, training starts from
+    copies of init's weights (init is left unchanged) with fresh Adam moments
+    and standardization recomputed from d, and runs max(1, epochs // 4).
     Raises NumericsError with the epoch index if the loss goes non-finite.
     """
     cfg = {**MLP_DEFAULTS, **(cfg or {})}
@@ -388,7 +391,15 @@ def mlp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> MLPPredictor:
 
     layer_sizes = [dim] + [int(cfg["hidden_units"])] * int(cfg["hidden_layers"]) + [1]
     gen = rng.generator()
-    weights, biases = _init_params(layer_sizes, gen)
+    if init is None:
+        weights, biases = _init_params(layer_sizes, gen)
+        epochs = int(cfg["epochs"])
+    else:
+        if [W.shape[0] for W in init.weights] + [1] != layer_sizes:
+            raise ValueError(f"warm start: init layers do not match {layer_sizes}")
+        weights = [W.copy() for W in init.weights]
+        biases = [b.copy() for b in init.biases]
+        epochs = max(1, int(cfg["epochs"]) // 4)
 
     lr = float(cfg["learning_rate"])
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
@@ -401,7 +412,7 @@ def mlp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> MLPPredictor:
     full_batch = n < batch_size
     step = 0
     loss = np.nan
-    for epoch in range(int(cfg["epochs"])):
+    for epoch in range(epochs):
         if full_batch:
             batches = [(Xz, z)]
         else:
@@ -433,7 +444,7 @@ def mlp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> MLPPredictor:
         x_std=x_std,
         y_mean=y_mean,
         y_std=y_std,
-        fit_meta={"final_mse": final_loss * y_std**2, "epochs": int(cfg["epochs"])},
+        fit_meta={"final_mse": final_loss * y_std**2, "epochs": epochs},
     )
 
 

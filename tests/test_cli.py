@@ -196,9 +196,9 @@ def spy_fits(monkeypatch):
         for name in ("gp_fit", "mlp_fit"):
             fit = getattr(module, name)
 
-            def spy(d, cfg, rng, fit=fit, name=name):
+            def spy(d, cfg, rng, fit=fit, name=name, **kwargs):
                 calls[re.sub(r"-\d+$", "", rng.label.rsplit("/", 1)[-1])] = (name, dict(cfg or {}))
-                return fit(d, cfg, rng)
+                return fit(d, cfg, rng, **kwargs)
 
             monkeypatch.setattr(module, name, spy)
     return calls

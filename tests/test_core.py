@@ -8,6 +8,7 @@ from deup.core import (
     _SCHEMA,
     HYPERPARAMETERS,
     Acquisition,
+    AleatoricMode,
     ConfigError,
     Dataset,
     ExperimentConfig,
@@ -227,6 +228,13 @@ class TestExperimentConfig:
             ("kde.bandwidth", 0.0),
             ("gp.noise_floor", 0.0),
             ("gp.noise_floor", 2.0),
+            ("oracle.noise", -0.1),
+            ("mlp.epochs", 0),
+            ("mlp.batch_size", 0),
+            ("mlp.hidden_units", 0),
+            ("mlp.hidden_layers", -1),
+            ("mlp.learning_rate", 0.0),
+            ("mlp.learning_rate", -1.0),
         ],
     )
     def test_validate_rejects_choice_values_outside_the_lower_case_names(self, key, value):
@@ -234,6 +242,13 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(oracle_name="synth1d", dimension=1, n_init=4, hyperparameters={key: value})
         with pytest.raises(ConfigError, match=re.escape(key)):
             cfg.validate()
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_validate_rejects_fewer_than_two_replicates(self, k):
+        cfg = ExperimentConfig(oracle_name="synth1d", dimension=1, hyperparameters={"deup.replicates_k": k})
+        cfg.validate()  # zero aleatoric: replicates_k is not read
+        with pytest.raises(ConfigError, match=re.escape("deup.replicates_k")):
+            cfg.replace(aleatoric_mode=AleatoricMode.REPLICATES)
 
     def test_programmatic_defaults_match_loaded_defaults(self, tmp_path):
         path = tmp_path / "exp.cfg"

@@ -151,6 +151,11 @@ class TestPretrainCv:
         assert bits == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
 
 
+def mlp_params(model) -> list:
+    """Copies of an MLP's weights and biases; empty for any other model."""
+    return [p.copy() for p in model.weights + model.biases] if isinstance(model, MLPPredictor) else []
+
+
 class TestInteractiveStep:
     def setup_state(self, n_init=6, layout=(Feature.LOG_VARIANCE,), n_pretrain=None):
         d = make_1d_dataset(n_init)
@@ -189,13 +194,21 @@ class TestInteractiveStep:
             assert len(state.d_u) == n0 + 2 * t
             assert len(state.model.dataset) == 6 + t
 
-    def test_original_state_not_mutated(self):
-        state = self.setup_state()
+    @pytest.mark.parametrize("layout", [(Feature.LOG_VARIANCE,), FULL_LAYOUT], ids=["gp-error", "mlp-error"])
+    def test_original_state_not_mutated(self, layout):
+        state = self.setup_state(layout=layout)
         n_d, n_du = len(state.model.dataset), len(state.d_u)
+        u = state.model.error.model
+        params = mlp_params(u)
         new_state = deup_interactive_step(state, np.array([0.42]), 0.1)
         assert len(state.model.dataset) == n_d
         assert len(state.d_u) == n_du
         assert new_state.step == state.step + 1
+        # An MLP u's weights, which the refit starts from, are left as they were.
+        assert isinstance(u, MLPPredictor) == (Feature.X in layout)
+        for before, after in zip(params, mlp_params(u), strict=True):
+            np.testing.assert_array_equal(before, after)
+        assert new_state.model.error.model is not u
 
 
 class TestAleatoricEstimator:

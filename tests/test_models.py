@@ -466,3 +466,32 @@ class TestMLP:
         y = np.sin(3 * X[:, 0])
         mlp = mlp_fit(Dataset.from_arrays(X, y), None, RngStream(1, "mlp"))
         assert mlp.fit_meta["final_mse"] < 0.05
+
+    @pytest.mark.parametrize("epochs, warm_epochs", [(40, 10), (3, 1)])
+    def test_warm_start_runs_a_quarter_of_the_epochs_from_init(self, epochs, warm_epochs, monkeypatch):
+        gen = np.random.default_rng(3)
+        X = gen.uniform(-1, 1, size=(12, 2))
+        cfg = {"epochs": epochs, "hidden_units": 8}
+        prev = mlp_fit(Dataset.from_arrays(X[:10], np.sin(X[:10, 0])), cfg, RngStream(0, "mlp"))
+        before = [p.copy() for p in prev.weights + prev.biases]
+        starts = []
+        loss = models.loss_and_gradients
+
+        def spy(weights, biases, bx, bz):
+            starts.append([p.copy() for p in weights + biases])
+            return loss(weights, biases, bx, bz)
+
+        monkeypatch.setattr(models, "loss_and_gradients", spy)
+        warm = mlp_fit(Dataset.from_arrays(X, np.sin(X[:, 0])), cfg, RngStream(1, "mlp"), init=prev)
+        assert warm.fit_meta["epochs"] == warm_epochs
+        assert len(starts) == warm_epochs + 1  # full batch: one step per epoch, then the final loss
+        for p0, start, after in zip(before, starts[0], prev.weights + prev.biases, strict=True):
+            np.testing.assert_array_equal(start, p0)  # the first step starts from init's weights
+            np.testing.assert_array_equal(after, p0)  # and init is left unchanged
+        assert not np.array_equal(warm.weights[0], prev.weights[0])
+
+    def test_warm_start_rejects_other_layer_sizes(self):
+        d = Dataset.from_arrays(np.linspace(0, 1, 6)[:, None], np.linspace(0, 1, 6))
+        prev = mlp_fit(d, {"epochs": 2, "hidden_units": 8}, RngStream(0, "mlp"))
+        with pytest.raises(ValueError, match="warm start"):
+            mlp_fit(d, {"epochs": 2, "hidden_units": 16}, RngStream(0, "mlp"), init=prev)

@@ -74,14 +74,32 @@ class TestRunSmo:
         epochs = []
         mlp_fit = deup.estimator.mlp_fit
 
-        def spy(d, cfg, rng):
+        def spy(d, cfg, rng, init=None):
             epochs.append(cfg.get("epochs"))
-            return mlp_fit(d, cfg, rng)
+            return mlp_fit(d, cfg, rng, init=init)
 
         monkeypatch.setattr(deup.estimator, "mlp_fit", spy)
         cfg = config(Acquisition.DEUP_EI, budget=8, **{"mlp.epochs": 7})
         run_smo(cfg.replace(feature_set=frozenset({Feature.X, Feature.LOG_VARIANCE})))
         assert epochs and all(e == 7 for e in epochs)
+
+    def test_error_mlp_without_pretraining_fits_from_scratch_then_warm_starts(self, monkeypatch):
+        inits, fits = [], []
+        mlp_fit = deup.estimator.mlp_fit
+
+        def spy(d, cfg, rng, init=None):
+            inits.append(init)
+            fits.append(mlp_fit(d, cfg, rng, init=init))
+            return fits[-1]
+
+        monkeypatch.setattr(deup.estimator, "mlp_fit", spy)
+        cfg = config(Acquisition.DEUP_EI, budget=10, **{"mlp.epochs": 20, "deup.n_pretrain": 0})
+        trace = run_smo(cfg.replace(feature_set=frozenset({Feature.X, Feature.LOG_VARIANCE})))
+        assert len(trace.records) == 4 and not trace.incomplete
+        # u is a constant until D_u holds 2 rows; the first MLP fit (step 1) has
+        # no MLP to start from, every later one starts from the u it replaces.
+        assert len(inits) == 4 and inits[0] is None
+        assert all(init is fit for init, fit in zip(inits[1:], fits))
 
     def test_gp_keys_reach_side_variance_gp(self, monkeypatch):
         kernels = []
@@ -193,7 +211,7 @@ PINNED_TRACES = {
     "levi13": (
         2,
         ("x", "seen_bit", "log_density", "log_variance"),  # x in the layout: the error model is the MLP
-        "a024e1ea170ff675d6b544fac4af8c6d9c3aab05e89ffb8c6eab29e34420b332",
+        "c2ccb4f9fc2f7e7710465028003e364bf3ad6329e4b0353e8c6244ee8f28838e",
     ),
 }
 
