@@ -6,7 +6,6 @@ from .core import (
     Dataset,
     ExperimentConfig,
     Feature,
-    LabeledExample,
     RngStream,
     load_config,
     split_dataset,
@@ -43,7 +42,6 @@ __all__ = [
     "ExperimentConfig",
     "Feature",
     "GaussianPair",
-    "LabeledExample",
     "Learner",
     "Oracle",
     "RngStream",

@@ -49,6 +49,8 @@ class AcquisitionSpec:
     def __post_init__(self):
         if self.n_candidates < 1:
             raise ValueError("n_candidates must be >= 1")
+        if self.n_refine < 1:
+            raise ValueError("n_refine must be >= 1")
         if self.beta <= 0:
             raise ValueError("beta must be positive")
         if self.xi < 0:
@@ -92,16 +94,11 @@ class AcquisitionContext:
 
     best: float = -np.inf
     model: object | None = None
-    gen: np.random.Generator | None = None  # RANDOM scoring only
 
 
 def score_batch(spec: AcquisitionSpec, X: np.ndarray, ctx: AcquisitionContext) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     kind = spec.kind
-    if kind is Acquisition.RANDOM:
-        if ctx.gen is None:
-            raise ValueError("RANDOM scoring needs a generator in the context")
-        return ctx.gen.uniform(size=len(X))
     if ctx.model is None:
         raise ValueError(f"{kind.value} scoring needs a model in the context")
     mean, var = ctx.model.predict_batch(X)

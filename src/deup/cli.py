@@ -146,7 +146,7 @@ def demo_fig1(out_dir, seed: int = 0, force: bool = False) -> dict:
     xs = np.sort(
         np.concatenate([gen.uniform(lo, hi, per_region) for lo, hi in FIG1_REGIONS])
     )
-    train = Dataset.from_arrays(xs[:, None], fig1_truth(xs))
+    train = Dataset(xs[:, None], fig1_truth(xs))
 
     gp_cfg = {"noise_variance": 1e-8, "n_restarts": 8}
     gp1 = gp_fit(train, gp_cfg, root.child("gp1"))
@@ -160,16 +160,14 @@ def demo_fig1(out_dir, seed: int = 0, force: bool = False) -> dict:
         "n_restarts": 0,
     }
     candidates = np.linspace(0.0, 2.0, 1024)[:, None]
-    d_aug = train.copy()
+    d_aug = train
     gp_cur = gp1
-    acquired = Dataset()
     for _ in range(5):
         _, var = gp_cur.predict_batch(candidates)
         x_new = candidates[int(np.argmax(var))]
-        y_new = float(fig1_truth(x_new[0]))
-        acquired.append_xy(x_new, y_new)
-        d_aug.append_xy(x_new, y_new)
+        d_aug = d_aug.append(x_new[None], [float(fig1_truth(x_new[0]))])
         gp_cur = gp_fit(d_aug, fixed_cfg, root.child("gp-acquire"))
+    acquired = d_aug.take(np.arange(len(train), len(d_aug)))
 
     gp2 = gp_fit(d_aug, gp_cfg, root.child("gp2"))
 
@@ -259,7 +257,7 @@ def fit_uncertainty_command(config_path, out_dir, force: bool = False) -> dict:
     def draw(label, n):
         X = oracle.domain.sample(root.child(label).generator(), n)
         y = np.array([oracle.sample(x, oracle_gen, 1)[0] for x in X])
-        return Dataset.from_arrays(X, y)
+        return Dataset(X, y)
 
     train = draw("train", cfg.n_init)
     held_out = draw("oos", cfg.n_init)

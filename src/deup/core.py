@@ -58,101 +58,59 @@ class AleatoricMode(enum.Enum):
     KNOWN = "known"
 
 
-@dataclass(frozen=True)
-class LabeledExample:
-    """One (input, target) pair."""
-
-    x: np.ndarray
-    y: float
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64).reshape(-1)
-        x.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", float(self.y))
-        if not np.all(np.isfinite(x)):
-            raise ValidationError("example input has non-finite coordinates")
-        if not np.isfinite(self.y):
-            raise ValidationError("example target is not finite")
-
-
 class Dataset:
-    """Ordered, append-only collection of labeled examples.
+    """Immutable pair of read-only float64 arrays: inputs (n, d) and targets (n,).
 
-    Membership (`contains`) uses exact coordinate equality: acquired points are
-    appended verbatim, so bitwise comparison is safe. It is not suitable for
-    user-supplied near-duplicates.
+    The constructor copies its arguments and is the one place that checks
+    shape and finiteness; the unchecked LAPACK calls in `models` rely on it.
+    `append` and `take` return new datasets. Membership (`contains`) uses
+    exact coordinate equality: acquired points are appended verbatim, so
+    bitwise comparison is safe. It is not suitable for user-supplied
+    near-duplicates.
     """
 
-    def __init__(self, examples=()):
-        self._examples: list[LabeledExample] = []
-        self._keys: set[bytes] = set()
-        self._hasher = hashlib.sha256()
-        for ex in examples:
-            self.append(ex)
+    def __init__(self, X=np.empty((0, 0)), y=np.empty(0)):
+        X = np.array(X, dtype=np.float64)
+        y = np.array(y, dtype=np.float64)
+        if X.ndim != 2 or y.shape != (len(X),):
+            raise ValidationError(f"need inputs (n, d) and targets (n,), got {X.shape} and {y.shape}")
+        if not np.all(np.isfinite(X)):
+            raise ValidationError("example input has non-finite coordinates")
+        if not np.all(np.isfinite(y)):
+            raise ValidationError("example target is not finite")
+        X.setflags(write=False)
+        y.setflags(write=False)
+        self._X, self._y = X, y
 
-    @classmethod
-    def from_arrays(cls, X, y) -> "Dataset":
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[:, None]
-        y = np.asarray(y, dtype=np.float64).reshape(-1)
-        if len(X) != len(y):
-            raise ValidationError("X and y lengths differ")
-        d = cls()
-        for i in range(len(y)):
-            d.append(LabeledExample(X[i], y[i]))
-        return d
+    def append(self, X, y) -> "Dataset":
+        """A new dataset: these rows, then the rows of (X, y)."""
+        rows = Dataset(X, y)
+        if not len(self):
+            return rows
+        if rows._X.shape[1] != self._X.shape[1]:
+            raise ValidationError(f"dimension mismatch: got {rows._X.shape[1]}, dataset has {self._X.shape[1]}")
+        return Dataset(np.vstack([self._X, rows._X]), np.concatenate([self._y, rows._y]))
 
-    def append(self, example: LabeledExample) -> None:
-        if self._examples and example.x.shape != self._examples[0].x.shape:
-            raise ValidationError(
-                f"dimension mismatch: got {example.x.shape[0]}, dataset has {self.dimension}"
-            )
-        self._examples.append(example)
-        self._keys.add(example.x.tobytes())
-        self._hasher.update(example.x.tobytes())
-        self._hasher.update(np.float64(example.y).tobytes())
+    def take(self, idx) -> "Dataset":
+        """A new dataset of the rows at `idx`, in that order."""
+        return Dataset(self._X[idx], self._y[idx])
 
-    def append_xy(self, x, y) -> None:
-        self.append(LabeledExample(np.asarray(x, dtype=np.float64), y))
-
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        return x.tobytes() in self._keys
+    def contains(self, X: np.ndarray) -> np.ndarray:
+        """Per row of the (m, d) batch X: whether it equals a stored input bit for bit."""
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        if not len(self):
+            return np.zeros(len(X), dtype=bool)
+        rows, stored = X.view(np.uint64), self._X.view(np.uint64)
+        return (rows[:, None, :] == stored[None, :, :]).all(axis=2).any(axis=1)
 
     def inputs(self) -> np.ndarray:
-        if not self._examples:
-            return np.empty((0, 0))
-        return np.stack([ex.x for ex in self._examples])
+        return self._X
 
     def targets(self) -> np.ndarray:
-        return np.array([ex.y for ex in self._examples], dtype=np.float64)
-
-    @property
-    def dimension(self) -> int:
-        if not self._examples:
-            raise ValidationError("empty dataset has no dimension")
-        return self._examples[0].x.shape[0]
-
-    def fingerprint(self) -> bytes:
-        return self._hasher.digest()
-
-    def copy(self) -> "Dataset":
-        d = Dataset()
-        d._examples = list(self._examples)
-        d._keys = set(self._keys)
-        d._hasher = self._hasher.copy()
-        return d
+        return self._y
 
     def __len__(self):
-        return len(self._examples)
-
-    def __iter__(self):
-        return iter(self._examples)
-
-    def __getitem__(self, i):
-        return self._examples[i]
+        return len(self._y)
 
 
 @dataclass(frozen=True)
@@ -189,17 +147,7 @@ def split_dataset(d: Dataset, k: int, rng: RngStream) -> list[Dataset]:
         raise ValueError(f"k must be >= 2, got {k}")
     if k > len(d):
         raise ValueError(f"cannot split {len(d)} examples into {k} subsets")
-    order = rng.generator().permutation(len(d))
-    base, extra = divmod(len(d), k)
-    parts, start = [], 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        part = Dataset()
-        for j in order[start : start + size]:
-            part.append(d[int(j)])
-        parts.append(part)
-        start += size
-    return parts
+    return [d.take(idx) for idx in np.array_split(rng.generator().permutation(len(d)), k)]
 
 
 # Config schema: section -> {key: (type, default)}. `None` default means the

@@ -61,4 +61,4 @@ def kde_fit(d: Dataset, bandwidth: float | None = None) -> KdePredictor:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     X = d.inputs()
     h = float(bandwidth) if bandwidth is not None else silverman_bandwidth(X)
-    return KdePredictor(points=X.copy(), bandwidth=h)
+    return KdePredictor(points=X, bandwidth=h)

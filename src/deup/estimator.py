@@ -28,19 +28,16 @@ VARIANCE_LOG_FLOOR = 1e-25
 ERROR_GP_DEFAULTS = {"n_restarts": HYPERPARAMETERS["deup.error_gp_restarts"], "max_sweeps": 10}
 
 
-class StaleFeaturesError(RuntimeError):
-    """Feature context was fitted on a different dataset than the one queried."""
-
-
 def log_error_target(residual_sq) -> np.ndarray:
     return np.log(np.asarray(residual_sq, dtype=np.float64) + LOG_TARGET_EPS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureContext:
-    """Estimators backing the feature layout, pinned to one dataset state."""
+    """The dataset and layout features are built for, and the estimators fitted on it."""
 
-    dataset_fingerprint: bytes
+    dataset: Dataset
+    layout: tuple
     kde: KdePredictor | None = None
     variance_source: object | None = None  # exposes predict_batch -> (mean, var)
 
@@ -64,30 +61,22 @@ def fit_feature_context(
         variance_source = None
     elif variance_source is None:
         variance_source = gp_fit(d, gp_cfg, rng.child("variance-gp"))
-    return FeatureContext(
-        dataset_fingerprint=d.fingerprint(),
-        kde=kde,
-        variance_source=variance_source,
-    )
+    return FeatureContext(d, layout, kde, variance_source)
 
 
-def build_features_batch(
-    d: Dataset, X: np.ndarray, context: FeatureContext, layout: tuple, variance: np.ndarray | None = None
-) -> np.ndarray:
-    """Stationarizing feature rows for X under the context fitted on d.
+def build_features_batch(context: FeatureContext, X: np.ndarray, variance: np.ndarray | None = None) -> np.ndarray:
+    """Stationarizing feature rows for X, in the context's layout and against its dataset.
 
     `variance` is the variance source's posterior variance at X when the
     caller has already solved it; otherwise the source is queried here.
     """
-    if context.dataset_fingerprint != d.fingerprint():
-        raise StaleFeaturesError("feature context is stale: dataset changed since fit")
     X = np.asarray(X, dtype=np.float64)
     cols = []
-    for feat in layout:
+    for feat in context.layout:
         if feat is Feature.X:
             cols.append(X)
         elif feat is Feature.SEEN_BIT:
-            cols.append(np.array([[1.0 if d.contains(x) else 0.0] for x in X]))
+            cols.append(context.dataset.contains(X).astype(np.float64)[:, None])
         elif feat is Feature.LOG_DENSITY:
             cols.append(context.kde.log_density_batch(X)[:, None])
         elif feat is Feature.LOG_VARIANCE:
@@ -147,7 +136,7 @@ def fit_error_predictor(
     if choice == "auto":
         choice = "mlp" if Feature.X in layout else "gp"
     if len(d_u) < 2:
-        value = float(d_u[0].y) if len(d_u) == 1 else float(np.log(LOG_TARGET_EPS))
+        value = float(d_u.targets()[0]) if len(d_u) == 1 else float(np.log(LOG_TARGET_EPS))
         return ErrorPredictor(model=ConstantModel(value))
     if choice == "gp":
         model = gp_fit(d_u, {**ERROR_GP_DEFAULTS, **cfg}, rng)
@@ -193,7 +182,7 @@ def estimate_aleatoric_from_replicates(groups, regressor: Learner, rng: RngStrea
         targets.append(float(np.var(ys, ddof=1)))
     X = np.stack(inputs)
     t = np.array(targets)
-    model = regressor.fit(Dataset.from_arrays(X, t), rng)
+    model = regressor.fit(Dataset(X, t), rng)
     return AleatoricEstimator(model.predict_mean_batch, training_targets=t)
 
 
@@ -204,9 +193,7 @@ class UncertaintyModel:
     main: object
     error: ErrorPredictor
     aleatoric: AleatoricEstimator
-    dataset: Dataset
     context: FeatureContext
-    layout: tuple
     meta: dict = field(default_factory=dict)
 
     def predict_batch(self, X: np.ndarray):
@@ -228,7 +215,7 @@ class UncertaintyModel:
         return self._epistemic(X, None)
 
     def _epistemic(self, X: np.ndarray, variance: np.ndarray | None) -> np.ndarray:
-        F = build_features_batch(self.dataset, X, self.context, self.layout, variance)
+        F = build_features_batch(self.context, X, variance)
         u = np.exp(self.error.predict_log_error_batch(F))
         a = self.aleatoric.values(X)
         return np.maximum(u - a, 0.0)
@@ -258,10 +245,12 @@ class DeupFit:
         )
         return main, context
 
-    def error_rows(self, d: Dataset, main, context: FeatureContext, X: np.ndarray, y: np.ndarray):
-        """(features, log-error targets) of f = `main`, fitted on d with `context`, at rows (X, y)."""
-        F = build_features_batch(d, X, context, self.layout)
-        return F, log_error_target((y - main.predict_mean_batch(X)) ** 2)
+    def error_rows(self, main, context: FeatureContext, d: Dataset) -> Dataset:
+        """Error rows of f = `main`, fitted with `context`, at the rows of d: features
+        as inputs, log squared errors as targets."""
+        X = d.inputs()
+        targets = log_error_target((d.targets() - main.predict_mean_batch(X)) ** 2)
+        return Dataset(build_features_batch(context, X), targets)
 
     def error(self, d_u: Dataset, rng: RngStream, previous=None) -> ErrorPredictor:
         """Fit u on d_u, warm-started from `previous` (see `fit_error_predictor`)."""
@@ -290,19 +279,16 @@ def deup_fixed_train(
         meta["in_sample_only"] = True
         logger.warning("deup_fixed_train: no out-of-sample data; u sees in-sample errors only")
 
-    d_u = Dataset()
-    for part in (train, out_of_sample):
-        if len(part):
-            for f_row, t in zip(*fit.error_rows(train, main, context, part.inputs(), part.targets())):
-                d_u.append_xy(f_row, t)
+    d_u = fit.error_rows(main, context, train)
+    if len(out_of_sample):
+        held_out = fit.error_rows(main, context, out_of_sample)
+        d_u = d_u.append(held_out.inputs(), held_out.targets())
 
     return UncertaintyModel(
         main=main,
         error=fit.error(d_u, rng.child("error")),
         aleatoric=aleatoric or zero_aleatoric(),
-        dataset=train,
         context=context,
-        layout=fit.layout,
         meta={**meta, "n_error_rows": len(d_u), "error_dataset": d_u},
     )
 
@@ -318,18 +304,15 @@ def deup_pretrain_cv(d_init: Dataset, k: int, n_pretrain: int, fit: DeupFit, rng
         raise ValueError(f"cv needs k >= 2 folds, got {k}")
     d_u = Dataset()
     pass_idx = 0
-    X_all = d_init.inputs()
-    y_all = d_init.targets()
     while len(d_u) < n_pretrain:
         pass_idx += 1
-        folds = split_dataset(d_init, k, rng.child(f"split-{pass_idx}"))
-        d_tilde = Dataset()
-        for fold in folds[:-1]:
-            for ex in fold:
-                d_tilde.append(ex)
+        *train_folds, _ = split_dataset(d_init, k, rng.child(f"split-{pass_idx}"))
+        d_tilde = Dataset(
+            np.vstack([f.inputs() for f in train_folds]), np.concatenate([f.targets() for f in train_folds])
+        )
         main, context = fit.main(d_tilde, rng, (f"fit-{pass_idx}", f"features-{pass_idx}"))
-        for f_row, t in zip(*fit.error_rows(d_tilde, main, context, X_all, y_all)):
-            d_u.append_xy(f_row, t)
+        rows = fit.error_rows(main, context, d_init)
+        d_u = d_u.append(rows.inputs(), rows.targets())
     return d_u
 
 
@@ -365,9 +348,7 @@ def deup_init_state(
         main=main,
         error=fit.error(d_u, rng.child("error-0")),
         aleatoric=aleatoric or zero_aleatoric(),
-        dataset=d_init,
         context=context,
-        layout=fit.layout,
         meta={"pretrain_rows": len(d_u)},
     )
     return DeupState(fit=fit, d_u=d_u, model=model, rng=rng)
@@ -383,30 +364,25 @@ def deup_interactive_step(state: DeupState, x_acq, y_acq: float) -> DeupState:
     the from-scratch epochs. The input state is never mutated, so failures
     leave it usable.
     """
-    X = np.asarray(x_acq, dtype=np.float64).reshape(1, -1)
-    y = np.array([float(y_acq)])
+    X, y = np.reshape(x_acq, (1, -1)), [y_acq]
+    acquired = Dataset(X, y)
     fit, old = state.fit, state.model
-    pre = fit.error_rows(old.dataset, old.main, old.context, X, y)
+    pre = fit.error_rows(old.main, old.context, acquired)
 
-    new_d = old.dataset.copy()
-    new_d.append_xy(X[0], y[0])
     t = state.step + 1
-    main, context = fit.main(new_d, state.rng, (f"main-{t}", f"features-{t}"))
-    post = fit.error_rows(new_d, main, context, X, y)
+    main, context = fit.main(old.context.dataset.append(X, y), state.rng, (f"main-{t}", f"features-{t}"))
+    post = fit.error_rows(main, context, acquired)
 
-    new_du = state.d_u.copy()
-    for F, target in (pre, post):
-        new_du.append_xy(F[0], target[0])
+    new_du = state.d_u.append(pre.inputs(), pre.targets()).append(post.inputs(), post.targets())
     error = fit.error(new_du, state.rng.child(f"error-{t}"), old.error.model)
-    model = replace(old, main=main, error=error, dataset=new_d, context=context, meta=dict(old.meta))
+    model = replace(old, main=main, error=error, context=context, meta=dict(old.meta))
     return replace(state, d_u=new_du, model=model, step=t)
 
 
 def export_error_dataset(d_u: Dataset, path) -> None:
     """Write D_u as CSV with columns feature_0..feature_{k-1}, target_log_error."""
+    rows = np.column_stack([d_u.inputs(), d_u.targets()])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        width = d_u.dimension if len(d_u) else 0
-        writer.writerow([f"feature_{i}" for i in range(width)] + ["target_log_error"])
-        for ex in d_u:
-            writer.writerow([repr(float(v)) for v in ex.x] + [repr(ex.y)])
+        writer.writerow([f"feature_{i}" for i in range(rows.shape[1] - 1)] + ["target_log_error"])
+        writer.writerows([repr(float(v)) for v in row] for row in rows)

@@ -294,7 +294,7 @@ def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
         lengthscale=float(np.exp(log_ls)),
         signal_variance=float(np.exp(log_sig)) * y_std**2,
         noise_variance=float(np.exp(log_noise)) * y_std**2,
-        training_inputs=X.copy(),
+        training_inputs=X,
         alpha=alpha,
         chol_factor=L,
         y_mean=y_mean,
@@ -349,7 +349,6 @@ class MLPPredictor:
     x_std: np.ndarray
     y_mean: float
     y_std: float
-    fit_meta: dict = field(default_factory=dict)
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -436,16 +435,7 @@ def mlp_fit(d: Dataset, cfg: dict | None, rng: RngStream, init: MLPPredictor | N
                 v_b[i] = b2 * v_b[i] + (1 - b2) * grad_b[i] ** 2
                 biases[i] -= lr * (m_b[i] / c1) / (np.sqrt(v_b[i] / c2) + eps)
 
-    final_loss, _, _ = loss_and_gradients(weights, biases, Xz, z)
-    return MLPPredictor(
-        weights=weights,
-        biases=biases,
-        x_mean=x_mean,
-        x_std=x_std,
-        y_mean=y_mean,
-        y_std=y_std,
-        fit_meta={"final_mse": final_loss * y_std**2, "epochs": epochs},
-    )
+    return MLPPredictor(weights=weights, biases=biases, x_mean=x_mean, x_std=x_std, y_mean=y_mean, y_std=y_std)
 
 
 @dataclass(frozen=True)

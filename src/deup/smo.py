@@ -135,10 +135,10 @@ def build_aleatoric(cfg, oracle, d_init, rng) -> est.AleatoricEstimator:
     # REPLICATES: groups drawn at the init points, fit once; the extra draws
     # per point are not counted against the acquisition budget (see README).
     k = int(cfg.hp("deup.replicates_k"))
-    groups = []
-    for i, ex in enumerate(d_init):
-        ys = oracle.sample(ex.x, rng.child(f"replicates-{i}").generator(), replicates=k)
-        groups.append((ex.x, ys))
+    groups = [
+        (x, oracle.sample(x, rng.child(f"replicates-{i}").generator(), replicates=k))
+        for i, x in enumerate(d_init.inputs())
+    ]
     regressor = Learner("gp", cfg.section("gp"))
     return est.estimate_aleatoric_from_replicates(groups, regressor, rng.child("aleatoric-fit"))
 
@@ -164,7 +164,7 @@ def run_smo(cfg: ExperimentConfig) -> RunTrace:
 
     X_init = oracle.domain.sample(init_gen, cfg.n_init)
     y_init = np.array([oracle.sample(x, oracle_gen, 1)[0] for x in X_init])
-    d = Dataset.from_arrays(X_init, y_init)
+    d = Dataset(X_init, y_init)
 
     trace = RunTrace(config=cfg, init_X=X_init, init_y=y_init)
     spec = AcquisitionSpec(kind=cfg.acquisition, **cfg.section("smo"))
@@ -207,7 +207,7 @@ def run_smo(cfg: ExperimentConfig) -> RunTrace:
                 state = est.deup_interactive_step(state, x, y)
                 model = state.model
             else:
-                d.append_xy(x, y)
+                d = d.append(x[None], [y])
                 if model is not None:
                     model = gp_fit(d, gp_cfg, root.child(f"fit-{t}"))
 

@@ -186,7 +186,7 @@ def test_criterion_7_bookkeeping():
     """|D_u| = n0 + 2t, exact call budget, bitwise-identical reruns."""
     gen = np.random.default_rng(7)
     X = np.sort(gen.uniform(0, 1, size=6))[:, None]
-    d = Dataset.from_arrays(X, np.sin(6 * X[:, 0]))
+    d = Dataset(X, np.sin(6 * X[:, 0]))
     state = deup_init_state(
         d,
         DeupFit(Learner("gp", {"noise_variance": 0.0, "n_restarts": 4}), (Feature.LOG_VARIANCE,)),
@@ -235,7 +235,7 @@ def test_criterion_8_numeric_kernels():
             ls = float(gen.uniform(0.5, 2.0))
             sig = float(gen.uniform(0.5, 2.0))
             noise = float(gen.uniform(1e-4, 0.1))
-            d = Dataset.from_arrays(X, y)
+            d = Dataset(X, y)
             gp = gp_fit(
                 d,
                 {"lengthscale": ls, "signal_variance": sig, "noise_variance": noise,
@@ -268,7 +268,7 @@ def test_criterion_8_numeric_kernels():
         worst_grad = max(worst_grad, abs(fd - grad_w[li][idx]) / denom)
 
     pts = gen.normal(size=100)
-    k = kde_fit(Dataset.from_arrays(pts[:, None], np.zeros(100)))
+    k = kde_fit(Dataset(pts[:, None], np.zeros(100)))
     grid = np.linspace(pts.min() - 10 * k.bandwidth, pts.max() + 10 * k.bandwidth, 20001)
     integral = float(np.trapezoid(np.exp(k.log_density_batch(grid[:, None])), grid))
 

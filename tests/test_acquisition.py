@@ -18,7 +18,7 @@ from deup.models import GPPredictor, Learner, gp_fit
 
 def fit_1d_gp(fn=lambda x: np.sin(6 * x), n=8):
     X = np.linspace(0, 1, n)[:, None]
-    d = Dataset.from_arrays(X, fn(X[:, 0]))
+    d = Dataset(X, fn(X[:, 0]))
     return gp_fit(d, {"noise_variance": 0.0, "n_restarts": 4}, RngStream(0, "fit")), d
 
 
@@ -114,10 +114,9 @@ class TestScore:
 
     def test_deup_ucb_reduces_to_mean_when_eu_zero(self):
         gp, d = fit_1d_gp()
-        train = Dataset.from_arrays(d.inputs(), d.targets())
-        oos = Dataset.from_arrays(np.array([[0.31], [0.77]]), np.array([np.sin(6 * 0.31), np.sin(6 * 0.77)]))
+        oos = Dataset(np.array([[0.31], [0.77]]), np.array([np.sin(6 * 0.31), np.sin(6 * 0.77)]))
         model = deup_fixed_train(
-            train, oos, DeupFit(Learner("gp", {"noise_variance": 0.0, "n_restarts": 4}), (Feature.LOG_VARIANCE,)),
+            d, oos, DeupFit(Learner("gp", {"noise_variance": 0.0, "n_restarts": 4}), (Feature.LOG_VARIANCE,)),
             RngStream(0, "deup"),
         )
         x = d.inputs()[3]
@@ -131,7 +130,7 @@ class TestScore:
 
     def test_deup_ei_is_direct_substitution(self):
         gp, d = fit_1d_gp()
-        oos = Dataset.from_arrays(np.array([[0.11], [0.52]]), np.sin(6 * np.array([0.11, 0.52])))
+        oos = Dataset(np.array([[0.11], [0.52]]), np.sin(6 * np.array([0.11, 0.52])))
         model = deup_fixed_train(
             d, oos, DeupFit(Learner("gp", {"noise_variance": 0.0, "n_restarts": 4}), (Feature.LOG_VARIANCE,)),
             RngStream(0, "deup"),
@@ -147,7 +146,7 @@ class TestScore:
 
     def test_deup_score_solves_main_posterior_once(self, monkeypatch):
         _, d = fit_1d_gp()
-        oos = Dataset.from_arrays(np.array([[0.11], [0.52]]), np.sin(6 * np.array([0.11, 0.52])))
+        oos = Dataset(np.array([[0.11], [0.52]]), np.sin(6 * np.array([0.11, 0.52])))
         model = deup_fixed_train(
             d, oos, DeupFit(Learner("gp", {"noise_variance": 0.0, "n_restarts": 4}), (Feature.LOG_VARIANCE,)),
             RngStream(0, "deup"),
@@ -165,18 +164,18 @@ class TestScore:
         assert rows == [64]
 
     def test_missing_context_rejected(self):
-        for kind in (Acquisition.EI, Acquisition.UCB, Acquisition.DEUP_EI, Acquisition.DEUP_UCB):
+        for kind in Acquisition:
             with pytest.raises(ValueError, match="needs a model"):
                 score_batch(AcquisitionSpec(kind), np.array([[0.0]]), AcquisitionContext(best=0.0))
 
-    def test_random_scores_are_uniform_draws(self):
-        spec = AcquisitionSpec(Acquisition.RANDOM)
-        gen = np.random.default_rng(4)
-        vals = score_batch(spec, np.zeros((100, 1)), AcquisitionContext(gen=gen))
-        assert np.all((0 <= vals) & (vals <= 1))
-        assert len(np.unique(vals)) == 100
-        with pytest.raises(ValueError):
-            score_batch(spec, np.array([[0.0]]), AcquisitionContext())
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_candidates", 0), ("n_refine", 0), ("n_refine", -3), ("beta", 0.0), ("xi", -0.1)],
+)
+def test_spec_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError, match=field):
+        AcquisitionSpec(Acquisition.EI, **{field: value})
 
 
 class TestArgmax:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import multiprocessing
 import re
@@ -183,6 +184,27 @@ class TestFitUncertaintyCommand:
         summary = json.loads((out / "fit_summary.json").read_text())
         assert summary["error_rows"] == 12
         assert (out / "eu_grid.csv").exists()
+
+
+# sha256 of fit-uncertainty's outputs for a small levi13 config with all four
+# features (so u is the MLP and every feature column is exported). Host-pinned
+# like `PINNED_TRACES` in test_smo.py.
+PINNED_FIT_UNCERTAINTY = {
+    "error_dataset.csv": "d240b71127573975364f6032de395c391e36afd6465a053e137b726273a29f1d",
+    "eu_grid.csv": "ffab1d3ad2dfc848c63f88480fedb65223ab51c95eea9876d9e4b932e338cbd9",
+}
+
+
+def test_pinned_fit_uncertainty_outputs(tmp_path):
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(
+        "[oracle]\nname = levi13\n\n[smo]\nn_init = 8\n\n"
+        "[deup]\nfeatures = x,seen_bit,log_density,log_variance\n\n"
+        "[mlp]\nepochs = 100\nhidden_units = 32\n"
+    )
+    assert main(["fit-uncertainty", "--config", str(cfg), "--out", str(tmp_path / "fit")]) == 0
+    digests = {name: hashlib.sha256((tmp_path / "fit" / name).read_bytes()).hexdigest() for name in PINNED_FIT_UNCERTAINTY}
+    assert digests == PINNED_FIT_UNCERTAINTY
 
 
 MLP_KEYS = {"epochs": 7, "learning_rate": 0.01, "batch_size": 4, "hidden_layers": 1, "hidden_units": 8}

@@ -13,7 +13,6 @@ from deup.core import (
     Dataset,
     ExperimentConfig,
     Feature,
-    LabeledExample,
     RngStream,
     ValidationError,
     load_config,
@@ -25,45 +24,70 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def make_dataset(n, d=2, seed=0):
     gen = np.random.default_rng(seed)
-    return Dataset.from_arrays(gen.normal(size=(n, d)), gen.normal(size=n))
+    return Dataset(gen.normal(size=(n, d)), gen.normal(size=n))
 
 
 class TestDataset:
     def test_exact_membership(self):
         d = make_dataset(5)
-        assert d.contains(d[2].x)
-        assert not d.contains(d[2].x + 1e-8)
-        assert not d.contains(np.array([99.0, 99.0]))
+        x = d.inputs()[2]
+        batch = np.stack([x, x + 1e-8, [99.0, 99.0], d.inputs()[0], -x])
+        np.testing.assert_array_equal(d.contains(batch), [True, False, False, True, False])
+        assert d.contains(batch).tolist() == [any(np.array_equal(b, s) for s in d.inputs()) for b in batch]
+        assert not Dataset().contains(batch).any()
 
     def test_append_preserves_order(self):
         d = Dataset()
         for i in range(4):
-            d.append_xy([float(i)], float(i) * 2)
-        assert [ex.y for ex in d] == [0.0, 2.0, 4.0, 6.0]
-        assert d.dimension == 1
+            d = d.append([[float(i)]], [float(i) * 2])
+        assert d.targets().tolist() == [0.0, 2.0, 4.0, 6.0]
+        assert d.inputs().shape == (4, 1)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
-            LabeledExample(np.array([np.nan]), 0.0)
+            Dataset([[np.nan]], [0.0])
         with pytest.raises(ValidationError):
-            LabeledExample(np.array([0.0]), np.inf)
+            Dataset([[0.0]], [np.inf])
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValidationError):
+            Dataset([0.0, 1.0], [0.0, 1.0])
+        with pytest.raises(ValidationError):
+            Dataset([[0.0], [1.0]], [0.0])
 
     def test_dimension_mismatch(self):
         d = make_dataset(3, d=2)
         with pytest.raises(ValidationError):
-            d.append_xy([1.0], 0.0)
+            d.append([[1.0]], [0.0])
 
-    def test_fingerprint_changes_on_append(self):
+    def test_arrays_are_read_only(self):
         d = make_dataset(3)
-        before = d.fingerprint()
-        d.append_xy([9.0, 9.0], 1.0)
-        assert d.fingerprint() != before
+        with pytest.raises(ValueError):
+            d.inputs()[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            d.targets()[0] = 1.0
 
-    def test_copy_is_independent(self):
+    def test_constructor_copies(self):
+        X, y = np.zeros((2, 1)), np.zeros(2)
+        d = Dataset(X, y)
+        X[0, 0] = y[0] = 5.0
+        assert d.inputs()[0, 0] == d.targets()[0] == 0.0
+        assert X.flags.writeable
+
+    def test_append_leaves_original_unchanged(self):
         d = make_dataset(3)
-        c = d.copy()
-        c.append_xy([5.0, 5.0], 0.0)
-        assert len(d) == 3 and len(c) == 4
+        X, y = d.inputs(), d.targets()
+        grown = d.append([[5.0, 5.0]], [0.0])
+        assert len(d) == 3 and len(grown) == 4
+        assert d.inputs() is X and d.targets() is y
+        np.testing.assert_array_equal(grown.inputs()[:3], X)
+        assert not d.contains(np.array([[5.0, 5.0]]))[0]
+
+    def test_take_selects_rows_in_order(self):
+        d = make_dataset(5)
+        part = d.take([3, 0])
+        np.testing.assert_array_equal(part.inputs(), d.inputs()[[3, 0]])
+        np.testing.assert_array_equal(part.targets(), d.targets()[[3, 0]])
 
 
 class TestRngStream:
@@ -91,8 +115,8 @@ class TestSplitDataset:
         assert [len(p) for p in parts] == [3, 3]
         keys = set()
         for p in parts:
-            keys.update(ex.x.tobytes() for ex in p)
-        assert keys == {ex.x.tobytes() for ex in d}
+            keys.update(x.tobytes() for x in p.inputs())
+        assert keys == {x.tobytes() for x in d.inputs()}
 
     def test_remainder_to_first_subsets(self):
         parts = split_dataset(make_dataset(7), 2, RngStream(0, "split"))
@@ -115,7 +139,7 @@ class TestSplitDataset:
             sizes = [len(p) for p in parts]
             assert sum(sizes) == n
             assert max(sizes) - min(sizes) <= 1
-            seen = [ex.x.tobytes() for p in parts for ex in p]
+            seen = [x.tobytes() for p in parts for x in p.inputs()]
             assert len(seen) == len(set(seen)) == n
 
     def test_k_larger_than_dataset(self):

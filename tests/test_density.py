@@ -7,7 +7,7 @@ from deup.density import _logsumexp_rows, kde_fit, silverman_bandwidth
 
 
 def dataset_1d(values):
-    return Dataset.from_arrays(np.asarray(values, dtype=float)[:, None], np.zeros(len(values)))
+    return Dataset(np.asarray(values, dtype=float)[:, None], np.zeros(len(values)))
 
 
 class TestKdeFit:
@@ -58,7 +58,7 @@ class TestKdeLogDensity:
     def test_matches_direct_summation(self):
         gen = np.random.default_rng(5)
         pts = gen.uniform(-2, 2, size=(5, 3))
-        d = Dataset.from_arrays(pts, np.zeros(5))
+        d = Dataset(pts, np.zeros(5))
         k = kde_fit(d, bandwidth=0.7)
         for _ in range(20):
             x = gen.uniform(-2, 2, size=3)
@@ -81,7 +81,7 @@ class TestKdeLogDensity:
     def test_finite_everywhere_property(self):
         gen = np.random.default_rng(9)
         pts = gen.normal(size=(20, 2))
-        k = kde_fit(Dataset.from_arrays(pts, np.zeros(20)))
+        k = kde_fit(Dataset(pts, np.zeros(20)))
         queries = gen.uniform(-1e3, 1e3, size=(200, 2))
         assert np.all(np.isfinite(k.log_density_batch(queries)))
 
@@ -91,9 +91,9 @@ class TestKdeLogDensity:
             pts = list(gen.normal(size=(6, 1)))
             x = gen.normal(size=1)
             h = 0.8
-            before = kde_fit(Dataset.from_arrays(np.array(pts), np.zeros(6)), h)
+            before = kde_fit(Dataset(np.array(pts), np.zeros(6)), h)
             after = kde_fit(
-                Dataset.from_arrays(np.array(pts + [x]), np.zeros(7)), h
+                Dataset(np.array(pts + [x]), np.zeros(7)), h
             )
             assert after.log_density_batch(x[None])[0] >= before.log_density_batch(x[None])[0] - 1e-12
 
@@ -114,7 +114,7 @@ class TestLogSumExpRows:
     @pytest.mark.parametrize("points", [[[0.3]], [[0.0], [0.0], [1.0]], [[0.5, -1.0]]])
     def test_log_density_of_one_point_and_duplicate_kdes_matches_scipy_bitwise(self, points):
         pts = np.array(points)
-        k = kde_fit(Dataset.from_arrays(pts, np.zeros(len(pts))), bandwidth=0.4)
+        k = kde_fit(Dataset(pts, np.zeros(len(pts))), bandwidth=0.4)
         Q = np.vstack([pts, np.random.default_rng(2).uniform(-3, 3, size=(20, pts.shape[1]))])
         diff = Q[:, None, :] - pts[None, :, :]
         sq = np.einsum("ijk,ijk->ij", diff, diff)

@@ -8,7 +8,6 @@ from deup.estimator import (
     AleatoricEstimator,
     ConstantModel,
     DeupFit,
-    StaleFeaturesError,
     build_features_batch,
     deup_fixed_train,
     deup_init_state,
@@ -28,7 +27,7 @@ FULL_LAYOUT = (Feature.X, Feature.SEEN_BIT, Feature.LOG_DENSITY, Feature.LOG_VAR
 def make_1d_dataset(n, seed=0, fn=lambda x: np.sin(6 * x)):
     gen = np.random.default_rng(seed)
     X = np.sort(gen.uniform(0, 1, size=n))[:, None]
-    return Dataset.from_arrays(X, fn(X[:, 0]))
+    return Dataset(X, fn(X[:, 0]))
 
 
 class TestBuildFeatures:
@@ -38,13 +37,13 @@ class TestBuildFeatures:
         learner = Learner("gp", GP_NOISELESS)
         gp = learner.fit(d, RngStream(0, "fit"))
         ctx = fit_feature_context(d, FULL_LAYOUT, RngStream(0, "feat"), variance_source=gp)
-        before = build_features_batch(d, x_new[None, :], ctx, FULL_LAYOUT)[0]
+        before = build_features_batch(ctx, x_new[None, :])[0]
         assert before[1] == 0.0
 
-        d.append_xy(x_new, 0.5)
-        gp2 = learner.fit(d, RngStream(1, "fit"))
-        ctx2 = fit_feature_context(d, FULL_LAYOUT, RngStream(1, "feat"), variance_source=gp2)
-        after = build_features_batch(d, x_new[None, :], ctx2, FULL_LAYOUT)[0]
+        d2 = d.append(x_new[None, :], [0.5])
+        gp2 = learner.fit(d2, RngStream(1, "fit"))
+        ctx2 = fit_feature_context(d2, FULL_LAYOUT, RngStream(1, "feat"), variance_source=gp2)
+        after = build_features_batch(ctx2, x_new[None, :])[0]
         assert after[1] == 1.0
 
     def test_variance_only_layout_single_component(self):
@@ -52,7 +51,7 @@ class TestBuildFeatures:
         gp = Learner("gp", GP_NOISELESS).fit(d, RngStream(0, "fit"))
         layout = (Feature.LOG_VARIANCE,)
         ctx = fit_feature_context(d, layout, RngStream(0, "feat"), variance_source=gp)
-        row = build_features_batch(d, np.array([0.7])[None, :], ctx, layout)[0]
+        row = build_features_batch(ctx, np.array([0.7])[None, :])[0]
         assert row.shape == (1,)
 
     def test_log_variance_matches_direct_posterior_call(self):
@@ -61,23 +60,27 @@ class TestBuildFeatures:
         layout = (Feature.LOG_VARIANCE,)
         ctx = fit_feature_context(d, layout, RngStream(0, "feat"), variance_source=gp)
         x = np.array([0.45])
-        row = build_features_batch(d, x[None, :], ctx, layout)[0]
+        row = build_features_batch(ctx, x[None, :])[0]
         _, (var,) = gp.predict_batch(x[None])
         assert abs(row[0] - np.log(var)) < 1e-12
 
-    def test_stale_context_rejected(self):
+    def test_context_keeps_the_dataset_it_was_fitted_on(self):
         d = make_1d_dataset(6)
+        layout = (Feature.SEEN_BIT, Feature.LOG_VARIANCE)
         gp = Learner("gp", GP_NOISELESS).fit(d, RngStream(0, "fit"))
-        ctx = fit_feature_context(d, (Feature.LOG_VARIANCE,), RngStream(0, "feat"), variance_source=gp)
-        d.append_xy(np.array([0.9]), 0.0)
-        with pytest.raises(StaleFeaturesError):
-            build_features_batch(d, np.array([0.5])[None, :], ctx, (Feature.LOG_VARIANCE,))[0]
+        ctx = fit_feature_context(d, layout, RngStream(0, "feat"), variance_source=gp)
+        x = np.array([[0.9]])
+        before = build_features_batch(ctx, x)
+        d.append(x, [0.0])
+        assert ctx.dataset is d and ctx.layout == layout and len(d) == 6
+        np.testing.assert_array_equal(build_features_batch(ctx, x), before)
+        assert before[0, 0] == 0.0
 
 
 class TestFixedTrain:
     def test_interpolator_train_targets_hit_log_eps(self):
         X = np.linspace(0, 1, 8)[:, None]
-        train = Dataset.from_arrays(X, np.sin(6 * X[:, 0]))
+        train = Dataset(X, np.sin(6 * X[:, 0]))
         oos = make_1d_dataset(4, seed=1)
         model = deup_fixed_train(
             train, oos, DeupFit(Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,)), RngStream(0, "deup")
@@ -109,9 +112,9 @@ class TestFixedTrain:
         truth = lambda x: np.sin(4.0 * x) * np.exp(-0.5 * x)
         gen = np.random.default_rng(3)
         X_train = np.sort(gen.uniform(0.0, 1.0, size=10))[:, None]
-        train = Dataset.from_arrays(X_train, truth(X_train[:, 0]))
+        train = Dataset(X_train, truth(X_train[:, 0]))
         X_oos = np.sort(gen.uniform(0.0, 2.0, size=10))[:, None]
-        oos = Dataset.from_arrays(X_oos, truth(X_oos[:, 0]))
+        oos = Dataset(X_oos, truth(X_oos[:, 0]))
 
         model = deup_fixed_train(
             train,
@@ -146,7 +149,7 @@ class TestPretrainCv:
         d = make_1d_dataset(6)
         layout = (Feature.SEEN_BIT,)
         d_u = deup_pretrain_cv(d, 2, 1, DeupFit(Learner("gp", GP_NOISELESS), layout), RngStream(0, "cv"))
-        bits = sorted(ex.x[0] for ex in d_u)
+        bits = sorted(d_u.inputs()[:, 0])
         # K=2 folds over 6 points: 3 in-fold rows (bit 1), 3 held-out rows (bit 0)
         assert bits == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
 
@@ -175,15 +178,13 @@ class TestInteractiveStep:
     def test_appended_rows_flip_seen_bit(self):
         state = self.setup_state(layout=(Feature.SEEN_BIT, Feature.LOG_VARIANCE), n_pretrain=0)
         state = deup_interactive_step(state, np.array([0.77]), 0.3)
-        pre_row, post_row = state.d_u[-2], state.d_u[-1]
-        assert pre_row.x[0] == 0.0
-        assert post_row.x[0] == 1.0
+        assert state.d_u.inputs()[-2, 0] == 0.0  # pre-refit row
+        assert state.d_u.inputs()[-1, 0] == 1.0  # post-refit row
 
     def test_post_refit_row_is_near_log_eps_for_interpolator(self):
         state = self.setup_state(n_pretrain=0)
         state = deup_interactive_step(state, np.array([0.77]), 0.3)
-        post_row = state.d_u[-1]
-        assert post_row.y <= np.log(LOG_TARGET_EPS) + 3.0
+        assert state.d_u.targets()[-1] <= np.log(LOG_TARGET_EPS) + 3.0
 
     def test_bookkeeping_n0_plus_2t(self):
         state = self.setup_state()
@@ -192,16 +193,16 @@ class TestInteractiveStep:
         for t, xv in enumerate(xs, start=1):
             state = deup_interactive_step(state, np.array([xv]), float(np.sin(3 * xv)))
             assert len(state.d_u) == n0 + 2 * t
-            assert len(state.model.dataset) == 6 + t
+            assert len(state.model.context.dataset) == 6 + t
 
     @pytest.mark.parametrize("layout", [(Feature.LOG_VARIANCE,), FULL_LAYOUT], ids=["gp-error", "mlp-error"])
     def test_original_state_not_mutated(self, layout):
         state = self.setup_state(layout=layout)
-        n_d, n_du = len(state.model.dataset), len(state.d_u)
+        n_d, n_du = len(state.model.context.dataset), len(state.d_u)
         u = state.model.error.model
         params = mlp_params(u)
         new_state = deup_interactive_step(state, np.array([0.42]), 0.1)
-        assert len(state.model.dataset) == n_d
+        assert len(state.model.context.dataset) == n_d
         assert len(state.d_u) == n_du
         assert new_state.step == state.step + 1
         # An MLP u's weights, which the refit starts from, are left as they were.
@@ -260,7 +261,7 @@ class TestEpistemicQuery:
             train, oos, DeupFit(Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,)), RngStream(0, "deup")
         )
         x = np.array([0.9])
-        F = build_features_batch(train, x[None, :], model.context, model.layout)
+        F = build_features_batch(model.context, x[None, :])
         u_val = np.exp(model.error.predict_log_error_batch(F))[0]
         assert model.epistemic_batch(x[None])[0] == u_val
 
@@ -280,9 +281,9 @@ class TestEpistemicQuery:
         # Noiseless linear truth: the GP interpolates and pretrained u sees
         # only tiny errors, so EU at a training point is tiny.
         X = np.linspace(0, 1, 8)[:, None]
-        train = Dataset.from_arrays(X, 2.0 * X[:, 0] + 1.0)
+        train = Dataset(X, 2.0 * X[:, 0] + 1.0)
         oos_X = np.linspace(0.05, 0.95, 5)[:, None]
-        oos = Dataset.from_arrays(oos_X, 2.0 * oos_X[:, 0] + 1.0)
+        oos = Dataset(oos_X, 2.0 * oos_X[:, 0] + 1.0)
         model = deup_fixed_train(
             train, oos, DeupFit(Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,)), RngStream(2, "deup")
         )

@@ -47,7 +47,7 @@ def dense_gp_reference(X, y, x_query, kernel, lengthscale, signal_y, noise_y, ji
 
 
 def fit_fixed(X, y, lengthscale=1.0, signal=1.0, noise=1e-6, kernel="rbf"):
-    d = Dataset.from_arrays(X, y)
+    d = Dataset(X, y)
     cfg = {
         "lengthscale": lengthscale,
         "signal_variance": signal,
@@ -62,7 +62,7 @@ class TestGPFit:
     def test_interpolates_noiseless_line(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([0.0, 2.0])
-        gp = gp_fit(Dataset.from_arrays(X, y), {"noise_variance": 1e-8}, RngStream(0, "fit"))
+        gp = gp_fit(Dataset(X, y), {"noise_variance": 1e-8}, RngStream(0, "fit"))
         for xi, yi in zip(X, y):
             (mean,), _ = gp.predict_batch(xi[None])
             assert abs(mean - yi) < 1e-6
@@ -71,14 +71,14 @@ class TestGPFit:
         gen = np.random.default_rng(3)
         X = gen.uniform(-2, 2, size=(12, 2))
         y = np.sin(X[:, 0]) + 0.5 * X[:, 1]
-        gp = gp_fit(Dataset.from_arrays(X, y), None, RngStream(1, "fit"))
+        gp = gp_fit(Dataset(X, y), None, RngStream(1, "fit"))
         for xi in X:
             _, (var,) = gp.predict_batch(xi[None])
             assert var <= gp.noise_variance + 1e-5
 
     def test_deterministic_refit(self):
         gen = np.random.default_rng(5)
-        d = Dataset.from_arrays(gen.normal(size=(10, 1)), gen.normal(size=10))
+        d = Dataset(gen.normal(size=(10, 1)), gen.normal(size=10))
         a = gp_fit(d, None, RngStream(9, "fit"))
         b = gp_fit(d, None, RngStream(9, "fit"))
         assert a.lengthscale == b.lengthscale
@@ -92,7 +92,7 @@ class TestGPFit:
         # Conflicting targets at one x with no noise: the jitter ladder either
         # regularizes the singular kernel (fit averages the duplicates) or raises.
         try:
-            gp = gp_fit(Dataset.from_arrays(X, y), cfg, RngStream(0, "fit"))
+            gp = gp_fit(Dataset(X, y), cfg, RngStream(0, "fit"))
             (mean,), (var,) = gp.predict_batch(np.array([[0.0]]))
             assert 0.0 <= mean <= 1.0 and var >= 0.0
         except NumericsError:
@@ -111,7 +111,7 @@ class TestGPFit:
 
     def test_needs_two_examples(self):
         with pytest.raises(ValueError):
-            gp_fit(Dataset.from_arrays([[0.0]], [1.0]), None, RngStream(0, "fit"))
+            gp_fit(Dataset([[0.0]], [1.0]), None, RngStream(0, "fit"))
 
 
 class TestGPPosterior:
@@ -165,7 +165,7 @@ class TestGPPosterior:
     def test_interpolation_at_training_point(self):
         X = np.linspace(0, 1, 6)[:, None]
         y = np.sin(6.0 * X[:, 0])
-        gp = gp_fit(Dataset.from_arrays(X, y), {"noise_variance": 0.0}, RngStream(0, "fit"))
+        gp = gp_fit(Dataset(X, y), {"noise_variance": 0.0}, RngStream(0, "fit"))
         (mean,), (var,) = gp.predict_batch(X[2:3])
         assert abs(mean - y[2]) < 1e-5
         assert var <= 1e-5
@@ -174,7 +174,7 @@ class TestGPPosterior:
         gen = np.random.default_rng(23)
         X = gen.uniform(-5, 5, size=(20, 3))
         y = gen.normal(size=20)
-        gp = gp_fit(Dataset.from_arrays(X, y), None, RngStream(2, "fit"))
+        gp = gp_fit(Dataset(X, y), None, RngStream(2, "fit"))
         queries = gen.uniform(-10, 10, size=(500, 3))
         _, var = gp.predict_batch(queries)
         assert np.all(var >= 0)
@@ -307,21 +307,21 @@ def golden_case(name):
     gen = np.random.default_rng(11)
     if name == "rbf":
         X = gen.uniform(-2.0, 2.0, size=(12, 1))
-        return Dataset.from_arrays(X, np.sin(2 * X[:, 0]) + 0.1 * gen.normal(size=12)), None
+        return Dataset(X, np.sin(2 * X[:, 0]) + 0.1 * gen.normal(size=12)), None
     if name == "matern52":
         X = gen.uniform(0.0, 1.0, size=(15, 2))
-        return Dataset.from_arrays(X, X[:, 0] ** 2 - np.cos(3 * X[:, 1])), {"kernel": "matern52"}
+        return Dataset(X, X[:, 0] ** 2 - np.cos(3 * X[:, 1])), {"kernel": "matern52"}
     if name == "fixed_noise":
         X = gen.uniform(0.0, 1.0, size=(10, 1))
-        return Dataset.from_arrays(X, np.exp(X[:, 0]) + 0.1 * gen.normal(size=10)), {"noise_variance": 0.01}
+        return Dataset(X, np.exp(X[:, 0]) + 0.1 * gen.normal(size=10)), {"noise_variance": 0.01}
     if name == "rbf_n120":  # the error GP's regime: 1-D, many rows, where the unit-kernel cache hits most
         X = gen.uniform(0.0, 1.0, size=(120, 1))
-        return Dataset.from_arrays(X, np.sin(8 * X[:, 0]) + 0.3 * gen.normal(size=120)), None
+        return Dataset(X, np.sin(8 * X[:, 0]) + 0.3 * gen.normal(size=120)), None
     # Duplicate inputs, zero noise and a huge signal: the fit escalates jitter.
     X = np.repeat(np.linspace(0.0, 1.0, 5), 2)[:, None]
     y = np.cos(4 * X[:, 0]) + 0.05 * gen.normal(size=10)
     cfg = {"lengthscale": 0.5, "signal_variance": 1e10, "noise_variance": 0.0, "n_restarts": 0}
-    return Dataset.from_arrays(X, y), cfg
+    return Dataset(X, y), cfg
 
 
 # float.hex of lengthscale, signal and noise variance, log marginal likelihood,
@@ -377,7 +377,7 @@ class TestLogMarginalLikelihoodSearch:
         gen = np.random.default_rng(31)
         X = np.sort(gen.uniform(0, 4, size=25))[:, None]
         y = np.sin(2 * X[:, 0]) + 0.05 * gen.normal(size=25)
-        d = Dataset.from_arrays(X, y)
+        d = Dataset(X, y)
         fitted = gp_fit(d, None, RngStream(0, "fit"))
         fixed = fit_fixed(X, y, lengthscale=50.0, signal=1.0, noise=0.5)
         assert fitted.log_marginal_likelihood >= fixed.log_marginal_likelihood
@@ -392,7 +392,7 @@ class TestLogMarginalLikelihoodSearch:
         monkeypatch.setattr(models, "_log_marginal_likelihood", spy)
         gen = np.random.default_rng(2)
         X = gen.uniform(0.0, 1.0, size=(20, 1))
-        gp_fit(Dataset.from_arrays(X, np.sin(6 * X[:, 0])), None, RngStream(0, "fit"))
+        gp_fit(Dataset(X, np.sin(6 * X[:, 0])), None, RngStream(0, "fit"))
         assert len(thetas) > 100
         assert len(set(thetas)) == len(thetas)
 
@@ -426,8 +426,8 @@ class TestMLP:
     def test_constant_target_reaches_tiny_mse(self):
         X = np.random.default_rng(0).uniform(-1, 1, size=(20, 2))
         y = np.full(20, 3.7)
-        mlp = mlp_fit(Dataset.from_arrays(X, y), None, RngStream(0, "mlp"))
-        assert mlp.fit_meta["final_mse"] < 1e-4
+        mlp = mlp_fit(Dataset(X, y), None, RngStream(0, "mlp"))
+        assert np.mean((mlp.predict_mean_batch(X) - y) ** 2) < 1e-4
 
     def test_gradients_match_finite_differences(self):
         gen = np.random.default_rng(7)
@@ -454,7 +454,7 @@ class TestMLP:
 
     def test_same_seed_identical_weights(self):
         gen = np.random.default_rng(2)
-        d = Dataset.from_arrays(gen.normal(size=(10, 2)), gen.normal(size=10))
+        d = Dataset(gen.normal(size=(10, 2)), gen.normal(size=10))
         a = mlp_fit(d, {"epochs": 50}, RngStream(5, "mlp"))
         b = mlp_fit(d, {"epochs": 50}, RngStream(5, "mlp"))
         for wa, wb in zip(a.weights, b.weights):
@@ -464,15 +464,15 @@ class TestMLP:
         gen = np.random.default_rng(4)
         X = gen.uniform(-1, 1, size=(40, 1))
         y = np.sin(3 * X[:, 0])
-        mlp = mlp_fit(Dataset.from_arrays(X, y), None, RngStream(1, "mlp"))
-        assert mlp.fit_meta["final_mse"] < 0.05
+        mlp = mlp_fit(Dataset(X, y), None, RngStream(1, "mlp"))
+        assert np.mean((mlp.predict_mean_batch(X) - y) ** 2) < 0.05
 
     @pytest.mark.parametrize("epochs, warm_epochs", [(40, 10), (3, 1)])
     def test_warm_start_runs_a_quarter_of_the_epochs_from_init(self, epochs, warm_epochs, monkeypatch):
         gen = np.random.default_rng(3)
         X = gen.uniform(-1, 1, size=(12, 2))
         cfg = {"epochs": epochs, "hidden_units": 8}
-        prev = mlp_fit(Dataset.from_arrays(X[:10], np.sin(X[:10, 0])), cfg, RngStream(0, "mlp"))
+        prev = mlp_fit(Dataset(X[:10], np.sin(X[:10, 0])), cfg, RngStream(0, "mlp"))
         before = [p.copy() for p in prev.weights + prev.biases]
         starts = []
         loss = models.loss_and_gradients
@@ -482,16 +482,15 @@ class TestMLP:
             return loss(weights, biases, bx, bz)
 
         monkeypatch.setattr(models, "loss_and_gradients", spy)
-        warm = mlp_fit(Dataset.from_arrays(X, np.sin(X[:, 0])), cfg, RngStream(1, "mlp"), init=prev)
-        assert warm.fit_meta["epochs"] == warm_epochs
-        assert len(starts) == warm_epochs + 1  # full batch: one step per epoch, then the final loss
+        warm = mlp_fit(Dataset(X, np.sin(X[:, 0])), cfg, RngStream(1, "mlp"), init=prev)
+        assert len(starts) == warm_epochs  # full batch: one step per epoch
         for p0, start, after in zip(before, starts[0], prev.weights + prev.biases, strict=True):
             np.testing.assert_array_equal(start, p0)  # the first step starts from init's weights
             np.testing.assert_array_equal(after, p0)  # and init is left unchanged
         assert not np.array_equal(warm.weights[0], prev.weights[0])
 
     def test_warm_start_rejects_other_layer_sizes(self):
-        d = Dataset.from_arrays(np.linspace(0, 1, 6)[:, None], np.linspace(0, 1, 6))
+        d = Dataset(np.linspace(0, 1, 6)[:, None], np.linspace(0, 1, 6))
         prev = mlp_fit(d, {"epochs": 2, "hidden_units": 8}, RngStream(0, "mlp"))
         with pytest.raises(ValueError, match="warm start"):
             mlp_fit(d, {"epochs": 2, "hidden_units": 16}, RngStream(0, "mlp"), init=prev)

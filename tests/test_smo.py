@@ -231,6 +231,19 @@ def test_pinned_trace_bytes(oracle):
     assert hashlib.sha256(trace_bytes(run_smo(cfg))).hexdigest() == digest
 
 
+# sha256 of `trace_bytes` for a short EI run (synth1d, seed 0, budget 12, default
+# settings): it pins the plain-GP loop, whose dataset grows outside the estimator.
+# Host-pinned like `PINNED_TRACES`.
+PINNED_EI_TRACE = "298b885bd4ef9b8527ae24b1fd655e22bc776f5467520f8fe4416a3083c429e3"
+
+
+def test_pinned_ei_trace_bytes():
+    cfg = ExperimentConfig(
+        oracle_name="synth1d", dimension=1, n_init=6, budget=12, acquisition=Acquisition.EI, seed=0
+    )
+    assert hashlib.sha256(trace_bytes(run_smo(cfg))).hexdigest() == PINNED_EI_TRACE
+
+
 class TestBestSoFar:
     def test_running_max(self):
         trace = run_smo(config(Acquisition.RANDOM, budget=9, n_init=6))
