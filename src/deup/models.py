@@ -55,36 +55,6 @@ def _kernel_from_sq_dists(sq: np.ndarray, kernel: str, lengthscale: float, signa
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
-def _diagonal(K: np.ndarray) -> np.ndarray:
-    """Writable strided view of the diagonal of a C-contiguous square matrix."""
-    if not K.flags.c_contiguous:
-        raise ValueError("diagonal view needs a C-contiguous matrix")
-    return K.ravel()[:: len(K) + 1]
-
-
-def _chol_with_jitter(K: np.ndarray, base_jitter: float):
-    """Lower Cholesky factor of K + jitter*I, escalating jitter tenfold on failure.
-
-    Overwrites K's diagonal with diag(K) + jitter. The factor is Fortran-ordered
-    with a zeroed upper triangle, bit for bit what
-    `scipy.linalg.cholesky(K + jitter * I, lower=True)` returns.
-    """
-    diag = _diagonal(K)
-    d0 = diag.copy()
-    jitter = base_jitter
-    while jitter <= JITTER_MAX:
-        np.add(d0, jitter, out=diag)
-        L, info = _potrf(K, lower=1, clean=1)
-        if info == 0:
-            return L, jitter
-        if info < 0:
-            raise ValueError(f"dpotrf rejected argument {-info}")
-        jitter *= 10.0
-    raise NumericsError(
-        f"kernel matrix is not positive definite even with jitter {JITTER_MAX}"
-    )
-
-
 @dataclass
 class GPPredictor:
     """Exact zero-mean GP posterior over standardized targets.
@@ -143,40 +113,73 @@ class GPPredictor:
 
 
 class _SearchKernel:
-    """(log_ls, log_sig) -> kernel matrix over one fit's inputs, with the bits of
+    """One fit's kernel matrices over its inputs, written into one F-ordered
+    n x n buffer that the search factors in place, with the bits of
     `_kernel_from_sq_dists`. The RBF kernel's lengthscale-only part,
     exp(-0.5 * sq / ls**2), is kept for the last UNIT_KERNEL_CACHE lengthscales."""
 
     def __init__(self, sq: np.ndarray, kernel: str):
+        n = len(sq)
         self.sq, self.kernel = sq, kernel
+        self.buf = np.empty((n, n), order="F")
+        # sq, and so K, is exactly symmetric: writing K through the buffer's
+        # C-ordered transpose writes K, in memory order.
+        self._rows = self.buf.T
+        self.diag = self._rows.reshape(-1)[:: n + 1]
         if kernel == "rbf":
             neg_half_sq = -0.5 * sq
             self.unit = functools.lru_cache(UNIT_KERNEL_CACHE)(
                 lambda log_ls: np.exp(neg_half_sq / np.exp(log_ls) ** 2)
             )
 
-    def __call__(self, log_ls, log_sig) -> np.ndarray:
-        """A fresh, writable kernel matrix."""
+    def write(self, log_ls, signal, diag) -> np.ndarray:
+        """The buffer, holding the kernel matrix with `diag` on its diagonal.
+
+        Both kernels are exactly `signal` on the diagonal, so a caller adding
+        noise and jitter passes (signal + noise) + jitter."""
         if self.kernel == "rbf":
-            return np.exp(log_sig) * self.unit(log_ls)
-        return _kernel_from_sq_dists(self.sq, self.kernel, np.exp(log_ls), np.exp(log_sig))
+            np.multiply(signal, self.unit(log_ls), out=self._rows)
+        else:
+            self._rows[...] = _kernel_from_sq_dists(self.sq, self.kernel, np.exp(log_ls), signal)
+        self.diag.fill(diag)
+        return self.buf
 
 
-def _factor(kernel: _SearchKernel, log_ls, log_sig, log_noise, base_jitter):
-    """(L, jitter): the jitter-ladder Cholesky factor of K + noise * I."""
-    K = kernel(log_ls, log_sig)
-    diag = _diagonal(K)
-    diag += np.exp(log_noise)
-    return _chol_with_jitter(K, base_jitter)
+def _chol_with_jitter(kernel: _SearchKernel, log_ls, signal, noise, base_jitter, clean=0):
+    """(L, jitter): lower Cholesky factor of K + (noise + jitter) * I, escalating jitter tenfold on failure.
+
+    Each attempt writes the matrix into the kernel's buffer and factors it there,
+    so L is that buffer. With clean=0 its strict upper triangle keeps K; with
+    clean=1 it is zeroed, and L is bit for bit and in memory order what
+    `scipy.linalg.cholesky(K + (noise + jitter) * I, lower=True)` returns.
+    """
+    jitter = base_jitter
+    while jitter <= JITTER_MAX:
+        K = kernel.write(log_ls, signal, signal + noise + jitter)
+        # lower=1, clean, overwrite_a=1: f2py takes positional arguments faster than keywords.
+        L, info = _potrf(K, 1, clean, 1)
+        if info == 0:
+            return L, jitter
+        if info < 0:
+            raise ValueError(f"dpotrf rejected argument {-info}")
+        jitter *= 10.0
+    raise NumericsError(
+        f"kernel matrix is not positive definite even with jitter {JITTER_MAX}"
+    )
+
+
+_LOG_2PI = float(np.log(2 * np.pi))
 
 
 def _log_marginal_likelihood(kernel, z, log_ls, log_sig, log_noise, base_jitter):
     try:
-        L, _ = _factor(kernel, log_ls, log_sig, log_noise, base_jitter)
+        L, _ = _chol_with_jitter(kernel, log_ls, np.exp(log_sig), np.exp(log_noise), base_jitter)
     except NumericsError:
         return -np.inf
-    a, _ = _trtrs(L, z, lower=1)
-    return float(-0.5 * a @ a - np.log(L.diagonal()).sum() - 0.5 * len(z) * np.log(2 * np.pi))
+    a, _ = _trtrs(L, z, 1)  # lower=1
+    # L is the kernel's buffer, so kernel.diag now holds L's diagonal. -0.5 is a
+    # power of two, so scaling a . a gives the bits of (-0.5 * a) @ a.
+    return -0.5 * float(a.dot(a)) - float(np.log(kernel.diag).sum()) - 0.5 * len(z) * _LOG_2PI
 
 
 def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
@@ -206,10 +209,11 @@ def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
     if input_range <= 0.0:
         input_range = 1.0
 
-    ls_bounds = (np.log(1e-2 * input_range), np.log(1e2 * input_range))
-    sig_bounds = (np.log(1e-3), np.log(1e3))
+    # theta = (log lengthscale, log signal, log noise) as a tuple of Python floats.
+    ls_bounds = (float(np.log(1e-2 * input_range)), float(np.log(1e2 * input_range)))
+    sig_bounds = (float(np.log(1e-3)), float(np.log(1e3)))
     noise_floor = float(cfg["noise_floor"])
-    noise_bounds = (np.log(noise_floor), np.log(1.0))
+    noise_bounds = (float(np.log(noise_floor)), float(np.log(1.0)))
 
     kernel = str(cfg["kernel"]).lower()
     fixed_noise = cfg.get("noise_variance")
@@ -224,14 +228,13 @@ def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
     seen = {}  # the coordinate descent revisits points; evaluate each theta once
 
     def objective(theta):
-        key = theta.tobytes()
-        if key not in seen:
-            log_ls, log_sig, log_noise = theta
-            seen[key] = _log_marginal_likelihood(search_kernel, z, log_ls, log_sig, log_noise, JITTER_START)
-        return seen[key]
+        val = seen.get(theta)
+        if val is None:
+            val = seen[theta] = _log_marginal_likelihood(search_kernel, z, *theta, JITTER_START)
+        return val
 
     if fixed_noise_z is not None:
-        log_noise_fixed = np.log(max(fixed_noise_z, 1e-300))
+        log_noise_fixed = float(np.log(max(fixed_noise_z, 1e-300)))
     bounds = [ls_bounds, sig_bounds, noise_bounds]
     free = [0, 1] if fixed_noise_z is not None else [0, 1, 2]
 
@@ -240,33 +243,31 @@ def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
     gen = rng.generator()
 
     if n_restarts == 0 and "lengthscale" in cfg:
-        best_theta = np.array(
-            [
-                np.log(float(cfg["lengthscale"])),
-                np.log(float(cfg.get("signal_variance", y_std**2)) / y_std**2),
-                np.log(max(float(cfg.get("noise_variance", noise_floor)) / y_std**2, 1e-300)),
-            ]
+        best_theta = (
+            float(np.log(float(cfg["lengthscale"]))),
+            float(np.log(float(cfg.get("signal_variance", y_std**2)) / y_std**2)),
+            float(np.log(max(float(cfg.get("noise_variance", noise_floor)) / y_std**2, 1e-300))),
         )
         best_val = objective(best_theta)
     else:
-        starts = [np.array([np.log(med), 0.0, np.log(1e-4)])]
+        starts = [(float(np.log(med)), 0.0, float(np.log(1e-4)))]
         for _ in range(max(n_restarts - 1, 0)):
-            starts.append(np.array([gen.uniform(lo, hi) for lo, hi in bounds]))
+            starts.append(tuple(gen.uniform(lo, hi) for lo, hi in bounds))
         best_theta, best_val = None, -np.inf
-        for start in starts:
-            theta = start.copy()
+        for theta in starts:
             if fixed_noise_z is not None:
-                theta[2] = log_noise_fixed
+                theta = theta[:2] + (log_noise_fixed,)
             val = objective(theta)
             step = 1.0
             for _ in range(max_sweeps):
                 improved = False
                 for i in free:
+                    lo, hi = bounds[i]
                     for direction in (1.0, -1.0):
-                        cand = theta.copy()
-                        cand[i] = min(max(cand[i] + direction * step, bounds[i][0]), bounds[i][1])
-                        if cand[i] == theta[i]:
+                        x = min(max(theta[i] + direction * step, lo), hi)
+                        if x == theta[i]:
                             continue
+                        cand = theta[:i] + (x,) + theta[i + 1 :]
                         cand_val = objective(cand)
                         if cand_val > val:
                             theta, val = cand, cand_val
@@ -280,10 +281,9 @@ def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
         if best_theta is None:
             raise NumericsError("GP hyperparameter search failed at every restart")
 
+    # A fixed noise is already in best_theta on both paths.
     log_ls, log_sig, log_noise = best_theta
-    if fixed_noise_z is not None:
-        log_noise = log_noise_fixed
-    L, jitter = _factor(search_kernel, log_ls, log_sig, log_noise, JITTER_START)
+    L, jitter = _chol_with_jitter(search_kernel, log_ls, np.exp(log_sig), np.exp(log_noise), JITTER_START, clean=1)
     if jitter > JITTER_START:
         logger.warning("GP fit used elevated jitter %.1e (n=%d)", jitter, n)
     a, _ = _trtrs(L, z, lower=1)

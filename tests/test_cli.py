@@ -113,7 +113,11 @@ class TestRunSmoSeeds:
 class TestLibraryWarnings:
     def test_elevated_jitter_warning_reaches_stderr(self, tmp_path, monkeypatch, capsys):
         real_chol = deup.models._chol_with_jitter
-        monkeypatch.setattr(deup.models, "_chol_with_jitter", lambda K, base: real_chol(K, 1e3 * base))
+
+        def high_base(kernel, log_ls, signal, noise, base_jitter, clean=0):
+            return real_chol(kernel, log_ls, signal, noise, 1e3 * base_jitter, clean=clean)
+
+        monkeypatch.setattr(deup.models, "_chol_with_jitter", high_base)
         cfg = write_cfg(tmp_path, mode="ei")
         assert main(["run-smo", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert "WARNING deup.models: GP fit used elevated jitter" in capsys.readouterr().err

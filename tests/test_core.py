@@ -259,6 +259,10 @@ class TestExperimentConfig:
             ("mlp.hidden_layers", -1),
             ("mlp.learning_rate", 0.0),
             ("mlp.learning_rate", -1.0),
+            ("gp.n_restarts", -1),
+            ("gp.max_sweeps", 0),
+            ("deup.error_gp_restarts", -1),
+            ("deup.n_pretrain", -1),
         ],
     )
     def test_validate_rejects_choice_values_outside_the_lower_case_names(self, key, value):
@@ -266,6 +270,10 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(oracle_name="synth1d", dimension=1, n_init=4, hyperparameters={key: value})
         with pytest.raises(ConfigError, match=re.escape(key)):
             cfg.validate()
+
+    def test_validate_accepts_the_search_and_pretrain_boundaries(self):
+        edges = {"gp.n_restarts": 0, "gp.max_sweeps": 1, "deup.error_gp_restarts": 0, "deup.n_pretrain": 0}
+        ExperimentConfig(oracle_name="synth1d", dimension=1, n_init=4, hyperparameters=edges).validate()
 
     @pytest.mark.parametrize("k", [0, 1])
     def test_validate_rejects_fewer_than_two_replicates(self, k):

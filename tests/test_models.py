@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,15 +100,14 @@ class TestGPFit:
             pass
 
     def test_jitter_ladder_escalates_and_gives_up(self):
-        # Needs jitter above the base level but within the ladder.
-        K = np.array([[1.0, 1.0], [1.0, 1.0]]) - 1e-5 * np.eye(2)
-        _, jitter = _chol_with_jitter(K, 1e-8)
+        twin = _SearchKernel(np.zeros((2, 2)), "rbf")  # two equal inputs: the unit kernel is all ones
+        # [[1, 1], [1, 1]] - 1e-5 * I needs jitter above the base level but within the ladder.
+        _, jitter = _chol_with_jitter(twin, 0.0, 1.0, -1e-5, 1e-8)
         assert 1e-8 < jitter <= 1e-2
 
-        # Indefinite matrix: no jitter in the ladder can fix it.
-        bad = np.array([[1.0, 2.0], [2.0, 1.0]])
+        # Indefinite matrix [[1, 2], [2, 1]]: no jitter in the ladder can fix it.
         with pytest.raises(NumericsError):
-            _chol_with_jitter(bad, 1e-8)
+            _chol_with_jitter(twin, 0.0, 2.0, -1.0, 1e-8)
 
     def test_needs_two_examples(self):
         with pytest.raises(ValueError):
@@ -257,13 +257,13 @@ class TestLeanLikelihood:
         sq, z = duplicated_grid()
         theta = (np.log(0.5), log_sig, np.log(1e-300), 1e-8)
         lean = _log_marginal_likelihood(_SearchKernel(sq, "rbf"), z, *theta)
-        K = _kernel_from_sq_dists(sq, "rbf", 0.5, np.exp(log_sig))
+        ladder = (_SearchKernel(sq, "rbf"), np.log(0.5), np.exp(log_sig), 1e-300, 1e-8)
         if jitter is None:
             with pytest.raises(NumericsError):
-                _chol_with_jitter(K, 1e-8)
+                _chol_with_jitter(*ladder)
             assert lean == -np.inf
         else:
-            assert _chol_with_jitter(K, 1e-8)[1] == jitter
+            assert _chol_with_jitter(*ladder)[1] == jitter
         assert lean.hex() == reference_log_marginal_likelihood(sq, z, "rbf", *theta).hex()
 
     @pytest.mark.parametrize("kernel", ["rbf", "matern52"])
@@ -273,20 +273,23 @@ class TestLeanLikelihood:
         sq = _pairwise_sq_dists(X, X)
         search = _SearchKernel(sq, kernel)
         for log_ls, log_sig in gen.uniform(-3.0, 3.0, size=(10, 2)):
-            ref = reference_kernel(sq, kernel, np.exp(log_ls), np.exp(log_sig))
-            assert _kernel_from_sq_dists(sq, kernel, np.exp(log_ls), np.exp(log_sig)).tobytes() == ref.tobytes()
+            signal = np.exp(log_sig)
+            ref = reference_kernel(sq, kernel, np.exp(log_ls), signal)
+            assert _kernel_from_sq_dists(sq, kernel, np.exp(log_ls), signal).tobytes() == ref.tobytes()
             # Twice: the second build of an RBF lengthscale reuses its cached unit kernel.
             for _ in range(2):
-                K = search(log_ls, log_sig)
-                assert K.tobytes() == ref.tobytes()
-                K[:] = 0.0  # each build is fresh: writing to it leaves the cache alone
+                # The diagonal written is `signal`, so this also checks that the kernel's own diagonal is.
+                K = search.write(log_ls, signal, signal)
+                assert K is search.buf and K.flags.f_contiguous
+                assert K.tobytes(order="C") == ref.tobytes()
+                K[:] = 0.0  # the factor overwrites the buffer: that leaves the cache alone
 
     def test_unit_kernel_cache_stays_bounded(self):
         X = np.linspace(0.0, 1.0, 30)[:, None]
         search = _SearchKernel(_pairwise_sq_dists(X, X), "rbf")
         for log_ls in np.linspace(-3.0, 1.0, 10):
-            search(log_ls, 0.0)
-            search(log_ls, 1.0)
+            search.write(log_ls, 1.0, 1.0)
+            search.write(log_ls, np.e, np.e)
         info = search.unit.cache_info()
         assert (info.maxsize, info.currsize) == (UNIT_KERNEL_CACHE, UNIT_KERNEL_CACHE)
         assert (info.hits, info.misses) == (10, 10)
@@ -294,10 +297,11 @@ class TestLeanLikelihood:
     @pytest.mark.parametrize("log_sig", [0.0, np.log(1e9)])
     def test_factor_has_scipy_bytes_and_order(self, log_sig):
         sq, _ = duplicated_grid()
-        K = _kernel_from_sq_dists(sq, "matern52", 0.3, np.exp(log_sig))
+        K = reference_kernel(sq, "matern52", np.exp(np.log(0.3)), np.exp(log_sig))
         ref, ref_jitter = reference_chol_with_jitter(K, 1e-8)
-        L, jitter = _chol_with_jitter(K.copy(), 1e-8)
-        assert jitter == ref_jitter
+        search = _SearchKernel(sq, "matern52")
+        L, jitter = _chol_with_jitter(search, np.log(0.3), np.exp(log_sig), 0.0, 1e-8, clean=1)
+        assert jitter == ref_jitter and L is search.buf  # factored in place
         assert L.flags.f_contiguous == ref.flags.f_contiguous and L.flags.c_contiguous == ref.flags.c_contiguous
         assert L.tobytes(order="A") == ref.tobytes(order="A")
 
@@ -371,6 +375,29 @@ GOLDEN_FITS = {
 }
 
 
+# The search trajectory of a golden case: the number of likelihood evaluations
+# and sha256 of the thetas in the order evaluated, one line of float.hex per
+# theta. GOLDEN_FITS pins only where the search ends.
+GOLDEN_TRAJECTORIES = {
+    "rbf": (440, "07586c7621ad2271dd9d178e37999c5e579f4a0bc7c6b0220d5c167da8666c99"),
+    "rbf_n120": (441, "fef2b9e28d75b34d8e1e032087de3c64ec99c51711f1667b305ba237ba07ec17"),
+    "matern52": (462, "9ac3682435a5886464906d397a04cc9d03f7794ba17c71b0d4e397dc6c6265f2"),
+    "fixed_noise": (294, "4874c00d1749ee22725ea9336e7b2f49da22a75ba9c4b4a4364eed059ffd305d"),
+}
+
+
+def spy_on_thetas(monkeypatch) -> list:
+    """The (log_ls, log_sig, log_noise) of every likelihood evaluation, in order, once patched in."""
+    thetas = []
+
+    def spy(kernel, z, log_ls, log_sig, log_noise, base_jitter):
+        thetas.append((log_ls, log_sig, log_noise))
+        return _log_marginal_likelihood(kernel, z, log_ls, log_sig, log_noise, base_jitter)
+
+    monkeypatch.setattr(models, "_log_marginal_likelihood", spy)
+    return thetas
+
+
 class TestLogMarginalLikelihoodSearch:
     def test_search_improves_over_bad_start(self):
         # The fitted likelihood should be at least as good as any fixed guess.
@@ -383,18 +410,39 @@ class TestLogMarginalLikelihoodSearch:
         assert fitted.log_marginal_likelihood >= fixed.log_marginal_likelihood
 
     def test_evaluates_each_theta_once(self, monkeypatch):
-        thetas = []
-
-        def spy(kernel, z, log_ls, log_sig, log_noise, base_jitter):
-            thetas.append((log_ls, log_sig, log_noise))
-            return _log_marginal_likelihood(kernel, z, log_ls, log_sig, log_noise, base_jitter)
-
-        monkeypatch.setattr(models, "_log_marginal_likelihood", spy)
+        thetas = spy_on_thetas(monkeypatch)
         gen = np.random.default_rng(2)
         X = gen.uniform(0.0, 1.0, size=(20, 1))
         gp_fit(Dataset(X, np.sin(6 * X[:, 0])), None, RngStream(0, "fit"))
         assert len(thetas) > 100
         assert len(set(thetas)) == len(thetas)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TRAJECTORIES))
+    def test_pinned_trajectories(self, name, monkeypatch):
+        thetas = spy_on_thetas(monkeypatch)
+        d, cfg = golden_case(name)
+        gp_fit(d, cfg, RngStream(3, "fit"))
+        text = "\n".join(" ".join(float(v).hex() for v in theta) for theta in thetas)
+        assert (len(thetas), hashlib.sha256(text.encode()).hexdigest()) == GOLDEN_TRAJECTORIES[name]
+
+    def test_search_evaluations_allocate_less_than_one_kernel_matrix(self):
+        d, _ = golden_case("rbf_n120")
+        n = len(d)
+        X = d.inputs()
+        search = _SearchKernel(_pairwise_sq_dists(X, X), "rbf")
+        z = d.targets() - d.targets().mean()
+        lengthscales = np.log([0.05, 0.1, 0.2])  # no more than the cache keeps
+        thetas = [(ls, sig, noise) for ls in lengthscales for sig in (-1.0, 0.0, 1.0) for noise in np.log([1e-4, 1e-3, 1e-2])]
+        for log_ls in lengthscales:
+            search.unit(log_ls)
+        tracemalloc.start()
+        try:
+            for theta in thetas * 2:  # 54 evaluations
+                assert np.isfinite(_log_marginal_likelihood(search, z, *theta, 1e-8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8, peak
 
     @pytest.mark.parametrize("name", ["rbf", "matern52", "fixed_noise", "rbf_n120"])
     def test_every_evaluation_matches_reference_bitwise(self, name, monkeypatch):
