@@ -177,9 +177,8 @@ def _log_marginal_likelihood(kernel, z, log_ls, log_sig, log_noise, base_jitter)
     except NumericsError:
         return -np.inf
     a, _ = _trtrs(L, z, 1)  # lower=1
-    # L is the kernel's buffer, so kernel.diag now holds L's diagonal. -0.5 is a
-    # power of two, so scaling a . a gives the bits of (-0.5 * a) @ a.
-    return -0.5 * float(a.dot(a)) - float(np.log(kernel.diag).sum()) - 0.5 * len(z) * _LOG_2PI
+    # -0.5 is a power of two, so scaling a . a gives the bits of (-0.5 * a) @ a.
+    return -0.5 * float(a.dot(a)) - float(np.log(L.diagonal()).sum()) - 0.5 * len(z) * _LOG_2PI
 
 
 def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:

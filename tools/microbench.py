@@ -2,12 +2,11 @@
 
 Usage, from the root of a source checkout (no install needed):
 
-    python3 tools/microbench.py                    # default sizes and repeats
-    python3 tools/microbench.py --sizes 20,60 --repeats 9
+    python3 tools/microbench.py
 
 Each size fits one seeded 1-D dataset (noisy sine on [0, 1], the regime of
 the synth1d main and error GPs) with the default `[gp]` settings, on one
-BLAS thread. A fit is repeated `--repeats` times after one warm-up fit; every
+BLAS thread. A fit is repeated REPEATS times after one warm-up fit; every
 repeat is bitwise the same fit. An extra, untimed fit counts the
 log-likelihood evaluations of the search, so `eval_us` is the median fit
 time divided by that count. The only output is one JSON object on stdout.
@@ -15,7 +14,6 @@ time divided by that count. The only output is one JSON object on stdout.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
@@ -31,6 +29,9 @@ import numpy as np  # noqa: E402
 
 from deup import models  # noqa: E402
 from deup.core import Dataset, RngStream, one_blas_thread  # noqa: E402
+
+SIZES = (20, 60, 140, 280)
+REPEATS = 15
 
 
 def dataset(n: int) -> Dataset:
@@ -55,19 +56,19 @@ def count_evaluations(d: Dataset) -> int:
     return count
 
 
-def bench(n: int, repeats: int) -> dict:
+def bench(n: int) -> dict:
     d = dataset(n)
     models.gp_fit(d, None, RngStream(0, "fit"))  # warm-up
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         models.gp_fit(d, None, RngStream(0, "fit"))
         times.append(time.perf_counter() - t0)
-    q1, median, q3 = statistics.quantiles(times, n=4) if repeats > 1 else (times[0],) * 3
+    q1, median, q3 = statistics.quantiles(times, n=4)
     evals = count_evaluations(d)
     return {
         "n": n,
-        "repeats": repeats,
+        "repeats": REPEATS,
         "fit_ms_median": round(1e3 * median, 3),
         "fit_ms_q1": round(1e3 * q1, 3),
         "fit_ms_q3": round(1e3 * q3, 3),
@@ -76,15 +77,9 @@ def bench(n: int, repeats: int) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--sizes", default="20,60,140,280", help="comma-separated n")
-    ap.add_argument("--repeats", type=int, default=7, help="timed fits per size")
-    args = ap.parse_args(argv)
-    if args.repeats < 1:
-        ap.error("--repeats must be >= 1")
+def main() -> int:
     with one_blas_thread():
-        results = [bench(int(n), args.repeats) for n in args.sizes.split(",")]
+        results = [bench(n) for n in SIZES]
     env = {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__}
     print(json.dumps({"bench": "gp_fit", "blas_threads": 1, "environment": env, "results": results}))
     return 0
