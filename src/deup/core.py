@@ -276,6 +276,7 @@ class ExperimentConfig:
             if key in HYPERPARAMETERS and self.hp(key) not in allowed:
                 raise ConfigError(f"key '{key}': expected one of {', '.join(allowed)}, got {self.hp(key)!r}")
         bandwidth = self.hp("kde.bandwidth")  # None: Silverman's rule
+        noise_variance = self.hp("gp.noise_variance")  # None: searched
         n_pretrain = self.hp("deup.n_pretrain")  # None: 4 * n_init
         for key, ok, rule in (
             ("smo.n_candidates", self.hp("smo.n_candidates") >= 1, ">= 1"),
@@ -283,6 +284,7 @@ class ExperimentConfig:
             ("smo.beta", self.hp("smo.beta") > 0, "> 0"),
             ("smo.xi", self.hp("smo.xi") >= 0, ">= 0"),
             ("gp.noise_floor", 0 < self.hp("gp.noise_floor") <= 1, "in (0, 1]"),
+            ("gp.noise_variance", noise_variance is None or noise_variance >= 0, ">= 0"),
             ("gp.n_restarts", self.hp("gp.n_restarts") >= 0, ">= 0"),
             ("gp.max_sweeps", self.hp("gp.max_sweeps") >= 1, ">= 1"),
             ("deup.error_gp_restarts", self.hp("deup.error_gp_restarts") >= 0, ">= 0"),

@@ -171,14 +171,19 @@ def _chol_with_jitter(kernel: _SearchKernel, log_ls, signal, noise, base_jitter,
 _LOG_2PI = float(np.log(2 * np.pi))
 
 
+def _log_likelihood_from_factor(L, a) -> float:
+    """Log marginal likelihood from the lower factor L of the kernel matrix and a = L^-1 z."""
+    # -0.5 is a power of two, so scaling a . a gives the bits of (-0.5 * a) @ a.
+    return -0.5 * float(a.dot(a)) - float(np.log(L.diagonal()).sum()) - 0.5 * len(a) * _LOG_2PI
+
+
 def _log_marginal_likelihood(kernel, z, log_ls, log_sig, log_noise, base_jitter):
     try:
         L, _ = _chol_with_jitter(kernel, log_ls, np.exp(log_sig), np.exp(log_noise), base_jitter)
     except NumericsError:
         return -np.inf
     a, _ = _trtrs(L, z, 1)  # lower=1
-    # -0.5 is a power of two, so scaling a . a gives the bits of (-0.5 * a) @ a.
-    return -0.5 * float(a.dot(a)) - float(np.log(L.diagonal()).sum()) - 0.5 * len(z) * _LOG_2PI
+    return _log_likelihood_from_factor(L, a)
 
 
 def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
@@ -216,7 +221,6 @@ def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
 
     kernel = str(cfg["kernel"]).lower()
     fixed_noise = cfg.get("noise_variance")
-    fixed_noise_z = None if fixed_noise is None else max(float(fixed_noise) / y_std**2, 0.0)
 
     # Off-diagonal median distance is a robust lengthscale init.
     off = np.sqrt(sq[~np.eye(n, dtype=bool)])
@@ -232,10 +236,10 @@ def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
             val = seen[theta] = _log_marginal_likelihood(search_kernel, z, *theta, JITTER_START)
         return val
 
-    if fixed_noise_z is not None:
-        log_noise_fixed = float(np.log(max(fixed_noise_z, 1e-300)))
+    if fixed_noise is not None:
+        log_noise_fixed = float(np.log(max(float(fixed_noise) / y_std**2, 1e-300)))
     bounds = [ls_bounds, sig_bounds, noise_bounds]
-    free = [0, 1] if fixed_noise_z is not None else [0, 1, 2]
+    free = [0, 1] if fixed_noise is not None else [0, 1, 2]
 
     n_restarts = int(cfg["n_restarts"])
     max_sweeps = int(cfg["max_sweeps"])
@@ -247,14 +251,13 @@ def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
             float(np.log(float(cfg.get("signal_variance", y_std**2)) / y_std**2)),
             float(np.log(max(float(cfg.get("noise_variance", noise_floor)) / y_std**2, 1e-300))),
         )
-        best_val = objective(best_theta)
     else:
         starts = [(float(np.log(med)), 0.0, float(np.log(1e-4)))]
         for _ in range(max(n_restarts - 1, 0)):
             starts.append(tuple(gen.uniform(lo, hi) for lo, hi in bounds))
         best_theta, best_val = None, -np.inf
         for theta in starts:
-            if fixed_noise_z is not None:
+            if fixed_noise is not None:
                 theta = theta[:2] + (log_noise_fixed,)
             val = objective(theta)
             step = 1.0
@@ -280,7 +283,9 @@ def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
         if best_theta is None:
             raise NumericsError("GP hyperparameter search failed at every restart")
 
-    # A fixed noise is already in best_theta on both paths.
+    # A fixed noise is already in best_theta on both paths. After a search the
+    # final factor is the one it evaluated at best_theta with the upper
+    # triangle zeroed, so the likelihood taken from it has the search's bits.
     log_ls, log_sig, log_noise = best_theta
     L, jitter = _chol_with_jitter(search_kernel, log_ls, np.exp(log_sig), np.exp(log_noise), JITTER_START, clean=1)
     if jitter > JITTER_START:
@@ -299,7 +304,7 @@ def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
         y_mean=y_mean,
         y_std=y_std,
         jitter=jitter,
-        log_marginal_likelihood=best_val,
+        log_marginal_likelihood=_log_likelihood_from_factor(L, a),
     )
 
 

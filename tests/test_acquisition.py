@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -9,11 +12,14 @@ from deup.acquisition import (
     argmax_acquisition,
     expected_improvement,
     score_batch,
+    score_candidates,
     ucb,
 )
-from deup.core import Acquisition, Dataset, Feature, RngStream
-from deup.estimator import DeupFit, deup_fixed_train
+from deup.benchmarks import make_oracle
+from deup.core import Acquisition, Dataset, ExperimentConfig, Feature, RngStream, one_blas_thread
+from deup.estimator import DeupFit, deup_fixed_train, deup_init_state
 from deup.models import GPPredictor, Learner, gp_fit
+from deup.smo import deup_fit
 
 
 def fit_1d_gp(fn=lambda x: np.sin(6 * x), n=8):
@@ -231,3 +237,64 @@ class TestArgmax:
     def test_invalid_domain_rejected(self):
         with pytest.raises(ValueError):
             BoxDomain(np.array([1.0]), np.array([1.0]))
+
+
+# Dimension, feature layout and budget of the two benchmark workloads,
+# synth1d-deup and levi13-mlp.
+BENCH_LAYOUTS = {
+    "synth1d": (1, ("log_variance",), 56),
+    "levi13": (2, ("x", "seen_bit", "log_density", "log_variance"), 26),  # error model: the MLP
+}
+
+
+@functools.cache
+def bench_layout_search(oracle_name):
+    """(domain, context) of a DEUP-EI search on a benchmark layout, default settings,
+    with as many points as the workload's last step sees."""
+    dimension, features, n = BENCH_LAYOUTS[oracle_name]
+    cfg = ExperimentConfig(
+        oracle_name=oracle_name,
+        dimension=dimension,
+        n_init=n,
+        budget=n,
+        acquisition=Acquisition.DEUP_EI,
+        feature_set=frozenset(Feature(f) for f in features),
+    )
+    oracle = make_oracle(oracle_name, dimension)
+    gen = np.random.default_rng(0)
+    X = oracle.domain.sample(gen, n)
+    y = np.array([oracle.sample(x, gen, 1)[0] for x in X])
+    with one_blas_thread():
+        state = deup_init_state(Dataset(X, y), deup_fit(cfg), RngStream(0, "deup"))
+    return oracle.domain, AcquisitionContext(best=float(np.max(y)), model=state.model)
+
+
+class TestBlockScoring:
+    """Host-pinned like `PINNED_TRACES` in test_smo.py: one BLAS thread, as `run_smo` runs."""
+
+    @pytest.mark.parametrize("oracle_name", sorted(BENCH_LAYOUTS))
+    @pytest.mark.parametrize("m", [2048, 2000, 2050])  # blocks of 256 rows; the last of 256, 464 and 258
+    def test_blocks_keep_every_score_bit(self, oracle_name, m):
+        domain, ctx = bench_layout_search(oracle_name)
+        spec = AcquisitionSpec(Acquisition.DEUP_EI)
+        X = domain.sample(np.random.default_rng(1), m)
+        with one_blas_thread():
+            whole = score_batch(spec, X, ctx)
+            blocks = score_candidates(spec, X, ctx)
+        assert blocks.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("oracle_name", sorted(BENCH_LAYOUTS))
+    def test_search_memory_does_not_grow_with_candidates(self, oracle_name):
+        domain, ctx = bench_layout_search(oracle_name)
+        peaks = []
+        with one_blas_thread():
+            for m in (2048, 16384):
+                spec = AcquisitionSpec(Acquisition.DEUP_EI, n_candidates=m)
+                tracemalloc.start()
+                try:
+                    argmax_acquisition(spec, domain, ctx, RngStream(0, "acq"))
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                peaks.append(peak)
+        assert peaks[1] < 2 * peaks[0], peaks

@@ -252,6 +252,7 @@ class TestExperimentConfig:
             ("kde.bandwidth", 0.0),
             ("gp.noise_floor", 0.0),
             ("gp.noise_floor", 2.0),
+            ("gp.noise_variance", -0.01),
             ("oracle.noise", -0.1),
             ("mlp.epochs", 0),
             ("mlp.batch_size", 0),

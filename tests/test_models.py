@@ -470,6 +470,19 @@ class TestLogMarginalLikelihoodSearch:
         ))
         assert got + (hashlib.sha256(gp.alpha.tobytes()).hexdigest(),) == GOLDEN_FITS[name]
 
+    def test_fixed_fit_factors_its_kernel_once(self, monkeypatch):
+        calls = []
+        chol_with_jitter = models._chol_with_jitter
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return chol_with_jitter(*args, **kwargs)
+
+        monkeypatch.setattr(models, "_chol_with_jitter", spy)
+        d, cfg = golden_case("duplicates")  # fixed hyperparameters, escalated jitter
+        gp_fit(d, cfg, RngStream(3, "fit"))
+        assert calls == [{"clean": 1}]
+
 class TestMLP:
     def test_constant_target_reaches_tiny_mse(self):
         X = np.random.default_rng(0).uniform(-1, 1, size=(20, 2))

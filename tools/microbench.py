@@ -1,15 +1,27 @@
-"""Microbenchmark of the GP hyperparameter search: `gp_fit` at n = 20/60/140/280.
+"""Microbenchmarks: `gp_fit` at n = 20/60/140/280, and one candidate-scoring pass.
 
 Usage, from the root of a source checkout (no install needed):
 
     python3 tools/microbench.py
 
-Each size fits one seeded 1-D dataset (noisy sine on [0, 1], the regime of
-the synth1d main and error GPs) with the default `[gp]` settings, on one
-BLAS thread. A fit is repeated REPEATS times after one warm-up fit; every
-repeat is bitwise the same fit. An extra, untimed fit counts the
-log-likelihood evaluations of the search, so `eval_us` is the median fit
-time divided by that count. The only output is one JSON object on stdout.
+Everything runs on one BLAS thread, as `run_smo` does. The only output is
+one JSON object on stdout.
+
+gp_fit: each size fits one seeded 1-D dataset (noisy sine on [0, 1], the
+regime of the synth1d main and error GPs) with the default `[gp]` settings.
+A fit is repeated REPEATS times after one warm-up fit; every repeat is
+bitwise the same fit. An extra, untimed fit counts the log-likelihood
+evaluations of the search, so `eval_us` is the median fit time divided by
+that count.
+
+score_candidates: a DEUP-EI model on the layout of each benchmark workload
+(synth1d {log_variance}, levi13 {x, seen_bit, log_density, log_variance}),
+fitted on as many points as the workload's last step sees, scores 2048 and
+16384 uniform candidates in blocks of 128 to 1024 rows (`score_candidates`
+with that `SCORE_BLOCK`) and in one `score_batch` call over all of them
+(`block` null), as the candidate search did before it scored in blocks.
+`ms` is the median of REPEATS passes; `peak_kb` is the tracemalloc peak of
+one pass, output included.
 """
 
 from __future__ import annotations
@@ -20,6 +32,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,11 +40,21 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from deup import models  # noqa: E402
-from deup.core import Dataset, RngStream, one_blas_thread  # noqa: E402
+from deup import acquisition, models  # noqa: E402
+from deup.benchmarks import make_oracle  # noqa: E402
+from deup.core import Acquisition, Dataset, ExperimentConfig, Feature, RngStream, one_blas_thread  # noqa: E402
+from deup.estimator import deup_init_state  # noqa: E402
+from deup.smo import deup_fit  # noqa: E402
 
 SIZES = (20, 60, 140, 280)
 REPEATS = 15
+# Dimension, feature layout and budget of the benchmark workloads synth1d-deup and levi13-mlp.
+LAYOUTS = {
+    "synth1d": (1, ("log_variance",), 56),
+    "levi13": (2, ("x", "seen_bit", "log_density", "log_variance"), 26),
+}
+CANDIDATES = (2048, 16384)
+BLOCKS = (128, 256, 512, 1024, None)  # None: one call over all candidates
 
 
 def dataset(n: int) -> Dataset:
@@ -56,15 +79,20 @@ def count_evaluations(d: Dataset) -> int:
     return count
 
 
-def bench(n: int) -> dict:
-    d = dataset(n)
-    models.gp_fit(d, None, RngStream(0, "fit"))  # warm-up
+def timed(fn) -> tuple[float, float, float]:
+    """(q1, median, q3) in seconds of REPEATS calls of fn, after one warm-up call."""
+    fn()
     times = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        models.gp_fit(d, None, RngStream(0, "fit"))
+        fn()
         times.append(time.perf_counter() - t0)
-    q1, median, q3 = statistics.quantiles(times, n=4)
+    return tuple(statistics.quantiles(times, n=4))
+
+
+def bench(n: int) -> dict:
+    d = dataset(n)
+    q1, median, q3 = timed(lambda: models.gp_fit(d, None, RngStream(0, "fit")))
     evals = count_evaluations(d)
     return {
         "n": n,
@@ -77,11 +105,70 @@ def bench(n: int) -> dict:
     }
 
 
+def layout_search(name: str):
+    """(domain, DEUP-EI context) on a workload's layout, default settings."""
+    dimension, features, n = LAYOUTS[name]
+    cfg = ExperimentConfig(
+        oracle_name=name,
+        dimension=dimension,
+        n_init=n,
+        budget=n,
+        acquisition=Acquisition.DEUP_EI,
+        feature_set=frozenset(Feature(f) for f in features),
+    )
+    oracle = make_oracle(name, dimension)
+    gen = np.random.default_rng(0)
+    X = oracle.domain.sample(gen, n)
+    y = np.array([oracle.sample(x, gen, 1)[0] for x in X])
+    state = deup_init_state(Dataset(X, y), deup_fit(cfg), RngStream(0, "deup"))
+    return oracle.domain, acquisition.AcquisitionContext(best=float(np.max(y)), model=state.model)
+
+
+def scoring_pass(spec, X, ctx, block):
+    if block is None:
+        return acquisition.score_batch(spec, X, ctx)
+    acquisition.SCORE_BLOCK = block
+    return acquisition.score_candidates(spec, X, ctx)
+
+
+def bench_scoring(name: str) -> list[dict]:
+    domain, ctx = layout_search(name)
+    spec = acquisition.AcquisitionSpec(Acquisition.DEUP_EI)
+    default_block = acquisition.SCORE_BLOCK
+    results = []
+    try:
+        for m in CANDIDATES:
+            X = domain.sample(np.random.default_rng(1), m)
+            for block in BLOCKS:
+                q1, median, q3 = timed(lambda: scoring_pass(spec, X, ctx, block))
+                tracemalloc.start()
+                try:
+                    scoring_pass(spec, X, ctx, block)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                results.append(
+                    {
+                        "layout": name,
+                        "candidates": m,
+                        "block": block,
+                        "ms_median": round(1e3 * median, 3),
+                        "ms_q1": round(1e3 * q1, 3),
+                        "ms_q3": round(1e3 * q3, 3),
+                        "peak_kb": round(peak / 1024, 1),
+                    }
+                )
+    finally:
+        acquisition.SCORE_BLOCK = default_block
+    return results
+
+
 def main() -> int:
     with one_blas_thread():
-        results = [bench(n) for n in SIZES]
+        gp = [bench(n) for n in SIZES]
+        scoring = [row for name in LAYOUTS for row in bench_scoring(name)]
     env = {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__}
-    print(json.dumps({"bench": "gp_fit", "blas_threads": 1, "environment": env, "results": results}))
+    print(json.dumps({"blas_threads": 1, "repeats": REPEATS, "environment": env, "gp_fit": gp, "score_candidates": scoring}))
     return 0
 
 
