@@ -8,8 +8,6 @@ exist. Existing output files are never overwritten without --force.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import logging
 import os
 import sys
@@ -21,7 +19,7 @@ from scipy.stats import spearmanr
 
 from . import estimator as est
 from .benchmarks import make_oracle
-from .core import Dataset, Feature, RngStream, load_config, one_blas_thread
+from .core import Dataset, Feature, RngStream, load_config, one_blas_thread, write_csv, write_json
 from .models import Learner, gp_fit
 from .smo import build_aleatoric, deup_fit, read_trace, run_smo
 
@@ -74,6 +72,9 @@ def run_smo_command(config_path, seeds, out_dir, force=False) -> list[Path]:
     cfg = load_config(config_path)
     out = Path(out_dir)
     seeds = list(seeds) if seeds else [cfg.seed]
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise ValueError(f"seeds {repeated} repeated in --seeds; each seed runs once")
     names = []
     for s in seeds:
         stem = f"{cfg.oracle_name}_{cfg.acquisition.value}_seed{s}"
@@ -181,25 +182,8 @@ def demo_fig1(out_dir, seed: int = 0, force: bool = False) -> dict:
     deup_eu = model.epistemic_batch(grid)
     true_sq_error = (f_true - gp1_mean) ** 2
 
-    with open(grid_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FIG1_COLUMNS)
-        for i in range(len(grid)):
-            writer.writerow(
-                [
-                    repr(float(v))
-                    for v in (
-                        grid[i, 0],
-                        f_true[i],
-                        gp1_mean[i],
-                        np.sqrt(gp1_var[i]),
-                        gp2_mean[i],
-                        np.sqrt(gp2_var[i]),
-                        deup_eu[i],
-                        true_sq_error[i],
-                    )
-                ]
-            )
+    columns = (grid[:, 0], f_true, gp1_mean, np.sqrt(gp1_var), gp2_mean, np.sqrt(gp2_var), deup_eu, true_sq_error)
+    write_csv(grid_path, FIG1_COLUMNS, np.column_stack(columns))
 
     in_gap = (grid[:, 0] >= FIG1_GAP[0]) & (grid[:, 0] <= FIG1_GAP[1])
     rho_deup = float(spearmanr(deup_eu[in_gap], true_sq_error[in_gap]).statistic)
@@ -214,8 +198,7 @@ def demo_fig1(out_dir, seed: int = 0, force: bool = False) -> dict:
         "deup_beats_variance": rho_deup > rho_gp2,
         "grid_csv": str(grid_path),
     }
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
+    write_json(summary_path, summary)
     return summary
 
 
@@ -231,11 +214,7 @@ def check_theory_command(out_dir, seed: int = 1, force: bool = False) -> bool:
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}")
-    with open(report_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["check", "passed", "detail"])
-        for r in results:
-            writer.writerow([r.name, r.passed, r.detail])
+    write_csv(report_path, ["check", "passed", "detail"], ([r.name, r.passed, r.detail] for r in results))
     return all(r.passed for r in results)
 
 
@@ -291,71 +270,61 @@ def fit_uncertainty_command(config_path, out_dir, force: bool = False) -> dict:
         ]
         mesh = np.meshgrid(*axes, indexing="ij")
         G = np.stack([m.ravel() for m in mesh], axis=1)
-        eu = model.epistemic_batch(G)
-        mean = model.predict_mean_batch(G)
-        truth = oracle.true_batch(G)
-        with open(grid_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [f"x_{j}" for j in range(cfg.dimension)] + ["f_hat", "epistemic", "f_true"]
-            )
-            for i in range(len(G)):
-                writer.writerow(
-                    [repr(float(v)) for v in G[i]]
-                    + [repr(float(mean[i])), repr(float(eu[i])), repr(float(truth[i]))]
-                )
+        header = [f"x_{j}" for j in range(cfg.dimension)] + ["f_hat", "epistemic", "f_true"]
+        columns = [G, model.predict_mean_batch(G), model.epistemic_batch(G), oracle.true_batch(G)]
+        write_csv(grid_path, header, np.column_stack(columns))
         summary["outputs"].append(str(grid_path))
 
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
+    write_json(summary_path, summary)
     return summary
 
 
 # --- report -----------------------------------------------------------------
 
 
+def _settings(config: dict) -> dict:
+    """A trace summary's config as one flat dict, without the seed."""
+    return {**{k: v for k, v in config.items() if k not in ("seed", "hyperparameters")}, **config["hyperparameters"]}
+
+
 def report_command(traces_dir, out_path=None, force: bool = False) -> Path:
-    """Aggregate per-mode best-so-far curves (mean and standard error by step)."""
+    """Aggregate per-mode best-so-far curves (mean and standard error by step).
+    Refuses incomplete traces, mixed oracles, dimensions, n_init or budgets, and
+    traces of one mode whose configs differ in more than the seed."""
     traces_dir = Path(traces_dir)
     pairs = []
     for summary_path in sorted(traces_dir.glob("*_summary.json")):
         csv_path = Path(str(summary_path).replace("_summary.json", "_trace.csv"))
         if csv_path.exists():
-            pairs.append(read_trace(csv_path, summary_path))
+            trace = read_trace(csv_path, summary_path)
+            if trace.get("incomplete"):
+                raise ValueError(f"refusing to aggregate incomplete trace {csv_path}: {trace['failure']}")
+            pairs.append(trace)
     if not pairs:
         raise FileNotFoundError(f"no trace/summary pairs found in {traces_dir}")
 
-    oracles = {p["config"]["oracle_name"] for p in pairs}
-    if len(oracles) > 1:
-        raise ValueError(
-            f"refusing to aggregate traces from different oracles: {sorted(oracles)}"
-        )
-    shapes = {(p["config"]["n_init"], p["config"]["budget"]) for p in pairs}
-    if len(shapes) > 1:
-        raise ValueError(f"refusing to aggregate traces with mixed n_init/budget: {sorted(shapes)}")
-
-    out_path = Path(out_path) if out_path else traces_dir / "report.csv"
-    _ensure_writable(out_path, force)
+    for key, what in (("oracle_name", "oracles"), ("dimension", "dimensions"), ("n_init", "n_init"), ("budget", "budgets")):
+        values = {p["config"][key] for p in pairs}
+        if len(values) > 1:
+            raise ValueError(f"refusing to aggregate traces from different {what}: {sorted(values)}")
 
     by_mode: dict[str, list] = {}
     for p in pairs:
-        curve = [p["init_best"]] + p["best_by_step"]
-        by_mode.setdefault(p["config"]["acquisition"], []).append(curve)
+        by_mode.setdefault(p["config"]["acquisition"], []).append(p)
 
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "step", "mean_best", "stderr", "n_runs"])
-        for mode in sorted(by_mode):
-            curves = np.array(by_mode[mode])
-            mean = curves.mean(axis=0)
-            if len(curves) > 1:
-                se = curves.std(axis=0, ddof=1) / np.sqrt(len(curves))
-            else:
-                se = np.zeros(curves.shape[1])
-            for step in range(curves.shape[1]):
-                writer.writerow(
-                    [mode, step, repr(float(mean[step])), repr(float(se[step])), len(curves)]
-                )
+    rows = []
+    for mode in sorted(by_mode):
+        runs = by_mode[mode]
+        settings = [_settings(p["config"]) for p in runs]
+        differ = sorted(key for key in settings[0] if any(s[key] != settings[0][key] for s in settings))
+        if differ:
+            raise ValueError(f"refusing to aggregate {mode} traces whose configs differ in {differ}")
+        curves = np.array([[p["init_best"]] + p["best_by_step"] for p in runs])
+        mean = curves.mean(axis=0)
+        se = curves.std(axis=0, ddof=1) / np.sqrt(len(curves)) if len(curves) > 1 else np.zeros(curves.shape[1])
+        rows += ([mode, step, mean[step], se[step], len(curves)] for step in range(curves.shape[1]))
+    out_path = _ensure_writable(Path(out_path) if out_path else traces_dir / "report.csv", force)
+    write_csv(out_path, ["mode", "step", "mean_best", "stderr", "n_runs"], rows)
     return out_path
 
 

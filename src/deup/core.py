@@ -1,14 +1,17 @@
 """Shared data model: datasets, named RNG streams, experiment configuration,
-and the scoped one-BLAS-thread limiter."""
+the scoped one-BLAS-thread limiter, and the CSV and JSON writers of every
+output file."""
 
 from __future__ import annotations
 
 import configparser
 import contextlib
+import csv
 import ctypes
 import enum
 import functools
 import hashlib
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -449,3 +452,19 @@ def one_blas_thread():
     finally:
         for (_, put), n in zip(controls, saved):
             put(n)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write UTF-8 CSV: `header`, then `rows`. Floats, numpy ones included, are
+    written as repr(float(v)), so they read back bit for bit; every other cell is
+    left to the csv module."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row] for row in rows)
+
+
+def write_json(path, obj) -> None:
+    """Write `obj` as UTF-8 JSON, indented by 2."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)

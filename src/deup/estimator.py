@@ -8,13 +8,12 @@ track which side each row came from.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import HYPERPARAMETERS, Dataset, Feature, RngStream, split_dataset
+from .core import HYPERPARAMETERS, Dataset, Feature, RngStream, split_dataset, write_csv
 from .density import KdePredictor, kde_fit
 from .models import Learner, MLPPredictor, gp_fit, mlp_fit
 
@@ -382,7 +381,4 @@ def deup_interactive_step(state: DeupState, x_acq, y_acq: float) -> DeupState:
 def export_error_dataset(d_u: Dataset, path) -> None:
     """Write D_u as CSV with columns feature_0..feature_{k-1}, target_log_error."""
     rows = np.column_stack([d_u.inputs(), d_u.targets()])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"feature_{i}" for i in range(rows.shape[1] - 1)] + ["target_log_error"])
-        writer.writerows([repr(float(v)) for v in row] for row in rows)
+    write_csv(path, [f"feature_{i}" for i in range(rows.shape[1] - 1)] + ["target_log_error"], rows)

@@ -196,6 +196,10 @@ def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
     search. Cholesky failures escalate jitter from 1e-8 to 1e-2 before raising.
     """
     cfg = {**GP_DEFAULTS, **(cfg or {})}
+    for key, positive in (("lengthscale", True), ("signal_variance", True), ("noise_variance", False)):
+        value = cfg.get(key)
+        if value is not None and not (value > 0 if positive else value >= 0):
+            raise ValueError(f"gp_fit: {key} must be {'> 0' if positive else '>= 0'}, got {value}")
     X = d.inputs()
     y = d.targets()
     n = len(y)

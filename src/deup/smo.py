@@ -25,6 +25,8 @@ from .core import (
     ExperimentConfig,
     RngStream,
     one_blas_thread,
+    write_csv,
+    write_json,
 )
 from .models import Learner, gp_fit
 
@@ -73,17 +75,9 @@ class RunTrace:
 
     def to_csv(self, path) -> None:
         d = self.config.dimension
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["step"] + [f"x_{i}" for i in range(d)] + ["y", "best", "acq_value", "epistemic", "ms"]
-            )
-            for r in self.records:
-                writer.writerow(
-                    [r.step]
-                    + [repr(float(v)) for v in r.x]
-                    + [repr(r.y), repr(r.best), repr(r.acq_value), repr(r.epistemic), f"{r.ms:.3f}"]
-                )
+        header = ["step", *(f"x_{i}" for i in range(d)), "y", "best", "acq_value", "epistemic", "ms"]
+        rows = ([r.step, *r.x, r.y, r.best, r.acq_value, r.epistemic, f"{r.ms:.3f}"] for r in self.records)
+        write_csv(path, header, rows)
 
     def summary_dict(self) -> dict:
         return {
@@ -97,8 +91,7 @@ class RunTrace:
         }
 
     def write_summary(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.summary_dict(), fh, indent=2)
+        write_json(path, self.summary_dict())
 
 
 def best_so_far(trace: RunTrace) -> list[float]:

@@ -97,6 +97,13 @@ class TestRunSmoSeeds:
             "synth1d_random_seed0_trace.csv",
         ]
 
+    def test_repeated_seed_is_rejected_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["run-smo", "--config", str(write_cfg(tmp_path)), "--seeds", "0,1,0", "--out", str(out)])
+        assert rc == 1
+        assert "seeds [0] repeated" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_two_workers_match_a_serial_run(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, mode="ei")
         monkeypatch.setenv("DEUP_THREADS", "2")
@@ -209,6 +216,61 @@ def test_pinned_fit_uncertainty_outputs(tmp_path):
     assert main(["fit-uncertainty", "--config", str(cfg), "--out", str(tmp_path / "fit")]) == 0
     digests = {name: hashlib.sha256((tmp_path / "fit" / name).read_bytes()).hexdigest() for name in PINNED_FIT_UNCERTAINTY}
     assert digests == PINNED_FIT_UNCERTAINTY
+
+
+def output_digest(path, out_dir):
+    """sha256 of a written file, with `out_dir` (recorded in the JSON summaries)
+    read as "OUT" and each trace row's wall-clock `ms` field dropped."""
+    data = path.read_bytes().replace(str(out_dir).encode(), b"OUT")
+    if path.name.endswith("_trace.csv"):
+        data = re.sub(rb",[^,\r\n]*\r\n", b"\r\n", data)
+    return hashlib.sha256(data).hexdigest()
+
+
+# sha256 of every file the commands write, by command, from `output_digest`.
+# Generated before the outputs moved to `core.write_csv`/`core.write_json`, so
+# they pin every byte of the format. Host-pinned like `PINNED_TRACES`.
+PINNED_OUTPUTS = {
+    "run-smo": {
+        "synth1d_deup_ei_seed0_summary.json": "99c16d2a4ced36906ae119902ede6ad68a3417629c454aa98f468b71def5fa13",
+        "synth1d_deup_ei_seed0_trace.csv": "cf77063e57300092667ff97cf099297bc3f9a93f41a1e1828735738827af4532",
+        "synth1d_deup_ei_seed1_summary.json": "cbb0aabe9ae51fccbdc5b554da03f7a15d06820524febb7094ebf697ee5b8cb7",
+        "synth1d_deup_ei_seed1_trace.csv": "dfe307cacbcc073ec565084150511cbb7b8ad3b4d93e4d98a56a10427262a4f9",
+        "synth1d_random_seed0_summary.json": "b00c0d486b4f50432622bb5efa6ab92fcf02f96cf2ece9326e0241da9e10f163",
+        "synth1d_random_seed0_trace.csv": "efebfd660e3ac6a2c19027f874d57fe7a1a7ae5ae826bfefa903129e9f97db84",
+        "synth1d_random_seed1_summary.json": "d1244dc2f085d6b36070ee701479b10485d46d3563b7994f8dd2a740ca290cd5",
+        "synth1d_random_seed1_trace.csv": "63308a62595e5cc0ea0c4a46695b87fd11fcca873bb958f012633767d1b314e2",
+        "report.csv": "4b85ae7df318ab8b946f3c0e2fd856d18c86e17b95daacbce6cecf957c745ccf",
+    },
+    "demo-fig1": {
+        "fig1_grid_seed0.csv": "5645ae6afdf1e45d41d23266605de0fb7dd0bbb0481d19a0c4800c45ca6e5fd6",
+        "fig1_summary_seed0.json": "ce8cdc31cf7bd9302c5f5eab182526d69353f10ff531933b1a52848f39368c77",
+    },
+    "check-theory": {
+        "theory_report.csv": "e4e182ec045754893956a0db7676da8639990ac39f32e674332d5554c0af5854",
+    },
+    "fit-uncertainty": {
+        "error_dataset.csv": "f22e24323d4ceb0e29f87c44efb5781d73172741d1f9336495516dc7d01a2765",
+        "eu_grid.csv": "c0271cf3ddd5f54aeec5e7a0a1b65fadfc2bb18a6d2231518d698a473b9f86c5",
+        "fit_summary.json": "70ac486366a72608ee57fda5c4eb84ebb0a47e01254cddc8a7310465be1bd293",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_OUTPUTS))
+def test_pinned_outputs(tmp_path, command):
+    out = tmp_path / "out"
+    if command == "run-smo":
+        for mode in ("deup_ei", "random"):
+            cfg = write_cfg(tmp_path, mode=mode, name=f"{mode}.cfg")
+            assert main(["run-smo", "--config", str(cfg), "--seeds", "0,1", "--out", str(out)]) == 0
+        assert main(["report", "--traces", str(out)]) == 0
+    elif command == "fit-uncertainty":
+        assert main([command, "--config", str(write_cfg(tmp_path, mode="deup_ei")), "--out", str(out)]) == 0
+    else:
+        assert main([command, "--out", str(out)]) == 0
+    digests = {p.name: output_digest(p, out) for p in out.iterdir()}
+    assert digests == PINNED_OUTPUTS[command]
 
 
 MLP_KEYS = {"epochs": 7, "learning_rate": 0.01, "batch_size": 4, "hidden_layers": 1, "hidden_units": 8}
@@ -393,6 +455,45 @@ class TestReportCommand:
         assert main(["run-smo", "--config", str(other), "--out", str(out)]) == 0
         with pytest.raises(ValueError, match="different oracles"):
             report_command(out)
+
+    def test_refuses_mixed_dimensions(self, tmp_path):
+        out = tmp_path / "traces"
+        for seed, dimension in ((0, 2), (1, 3)):
+            cfg = tmp_path / f"ackley{dimension}.cfg"
+            cfg.write_text(
+                f"[oracle]\nname = ackley\ndimension = {dimension}\n\n"
+                f"[smo]\nn_init = 6\nbudget = 8\nacquisition = random\nseed = {seed}\n"
+            )
+            assert main(["run-smo", "--config", str(cfg), "--out", str(out)]) == 0
+        with pytest.raises(ValueError, match=r"different dimensions: \[2, 3\]"):
+            report_command(out)
+
+    def test_refuses_one_mode_with_different_configs(self, tmp_path):
+        out = self.make_traces(tmp_path, modes=("random",), seeds=(0,))
+        other = tmp_path / "other.cfg"
+        other.write_text(FAST_CFG.format(mode="random").replace("n_candidates = 128", "n_candidates = 64"))
+        assert main(["run-smo", "--config", str(other), "--seeds", "1", "--out", str(out)]) == 0
+        with pytest.raises(ValueError, match=r"random traces whose configs differ in \['smo.n_candidates'\]"):
+            report_command(out)
+
+    def test_refuses_incomplete_trace(self, tmp_path, monkeypatch, capsys):
+        real_fit = deup.smo.gp_fit
+
+        def fail_seed_one_at_step_two(d, cfg, rng):
+            if rng.seed == 1 and rng.label.endswith("/fit-2"):
+                raise RuntimeError("injected fit failure")
+            return real_fit(d, cfg, rng)
+
+        monkeypatch.setenv("DEUP_THREADS", "1")
+        monkeypatch.setattr(deup.smo, "gp_fit", fail_seed_one_at_step_two)
+        out = self.make_traces(tmp_path, modes=("ei",), seeds=(0, 1))
+        capsys.readouterr()
+        assert main(["report", "--traces", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "incomplete trace" in err
+        assert str(out / "synth1d_ei_seed1_trace.csv") in err
+        assert "RuntimeError: injected fit failure" in err
+        assert not (out / "report.csv").exists()
 
     def test_empty_dir_is_error(self, tmp_path):
         (tmp_path / "empty").mkdir()

@@ -109,6 +109,16 @@ class TestGPFit:
         with pytest.raises(NumericsError):
             _chol_with_jitter(twin, 0.0, 2.0, -1.0, 1e-8)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("noise_variance", -0.01), ("lengthscale", -0.3), ("lengthscale", 0.0), ("signal_variance", -1.0)],
+    )
+    def test_rejects_out_of_range_fixed_hyperparameters(self, key, value):
+        X = np.linspace(0.0, 3.0, 10)[:, None]
+        cfg = {"lengthscale": 0.5, "signal_variance": 1.0, "n_restarts": 0, key: value}
+        with pytest.raises(ValueError, match=key):
+            gp_fit(Dataset(X, np.sin(X[:, 0])), cfg, RngStream(0, "fit"))
+
     def test_needs_two_examples(self):
         with pytest.raises(ValueError):
             gp_fit(Dataset([[0.0]], [1.0]), None, RngStream(0, "fit"))
