@@ -85,26 +85,20 @@ def ucb(mean, variance, beta):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass
-class AcquisitionContext:
-    """Model scored against: a GP for EI/UCB, an UncertaintyModel for DEUP_*.
-
-    Either answers predict_batch(X) -> (mean, variance or epistemic uncertainty).
-    """
-
-    best: float = -np.inf
-    model: object | None = None
+def acquisition_value(spec: AcquisitionSpec, mean, spread, best: float) -> np.ndarray:
+    """EI or UCB of a model's (mean, variance or epistemic uncertainty) against `best`."""
+    if spec.kind in (Acquisition.EI, Acquisition.DEUP_EI):
+        return expected_improvement(mean, spread, best, spec.xi)
+    return ucb(mean, spread, spec.beta)
 
 
-def score_batch(spec: AcquisitionSpec, X: np.ndarray, ctx: AcquisitionContext) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    kind = spec.kind
-    if ctx.model is None:
-        raise ValueError(f"{kind.value} scoring needs a model in the context")
-    mean, var = ctx.model.predict_batch(X)
-    if kind in (Acquisition.EI, Acquisition.DEUP_EI):
-        return expected_improvement(mean, var, ctx.best, spec.xi)
-    return ucb(mean, var, spec.beta)
+def score_batch(spec: AcquisitionSpec, X: np.ndarray, model, best: float) -> np.ndarray:
+    """Acquisition values at the rows of X. `model` is a GP for EI/UCB and an
+    UncertaintyModel for DEUP_*; either answers predict_batch(X) -> (mean,
+    variance or epistemic uncertainty)."""
+    if model is None:
+        raise ValueError(f"{spec.kind.value} scoring needs a model")
+    return acquisition_value(spec, *model.predict_batch(np.asarray(X, dtype=np.float64)), best)
 
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -112,7 +106,7 @@ REFINE_EVALS = 200
 SCORE_BLOCK = 256
 
 
-def score_candidates(spec: AcquisitionSpec, X: np.ndarray, ctx: AcquisitionContext) -> np.ndarray:
+def score_candidates(spec: AcquisitionSpec, X: np.ndarray, model, best: float) -> np.ndarray:
     """`score_batch` over the rows of X, bit for bit, in blocks of SCORE_BLOCK rows.
 
     The last block also takes the remainder, so the memory of a call does not
@@ -125,10 +119,10 @@ def score_candidates(spec: AcquisitionSpec, X: np.ndarray, ctx: AcquisitionConte
     rows in 8 blocks of 250 change the last bits.
     """
     blocks = np.split(X, range(SCORE_BLOCK, len(X) - SCORE_BLOCK + 1, SCORE_BLOCK))
-    return np.concatenate([score_batch(spec, block, ctx) for block in blocks])
+    return np.concatenate([score_batch(spec, block, model, best) for block in blocks])
 
 
-def _refine_coordinate(spec, ctx, X, j, lo, hi, iters):
+def _refine_coordinate(spec, model, best, X, j, lo, hi, iters):
     """Golden-section maximization along coordinate j, in lockstep over rows of X.
 
     Every iteration scores one probe per row in a single batch call. Returns
@@ -143,7 +137,7 @@ def _refine_coordinate(spec, ctx, X, j, lo, hi, iters):
     def eval_at(col):
         probes = X.copy()
         probes[:, j] = col
-        return probes, score_batch(spec, probes, ctx)
+        return probes, score_batch(spec, probes, model, best)
 
     p1, f1 = eval_at(x1)
     p2, f2 = eval_at(x2)
@@ -174,7 +168,7 @@ def _refine_coordinate(spec, ctx, X, j, lo, hi, iters):
 
 
 def argmax_acquisition(
-    spec: AcquisitionSpec, domain: BoxDomain, ctx: AcquisitionContext, rng: RngStream
+    spec: AcquisitionSpec, domain: BoxDomain, model, best: float, rng: RngStream
 ) -> np.ndarray:
     """Maximize the acquisition over the box.
 
@@ -192,7 +186,7 @@ def argmax_acquisition(
         return domain.sample(gen, 1)[0]
 
     cands = domain.sample(gen, spec.n_candidates)
-    scores = score_candidates(spec, cands, ctx)
+    scores = score_candidates(spec, cands, model, best)
     order = np.argsort(scores)[::-1]
     best_idx = int(order[0])
     best_x, best_score = cands[best_idx].copy(), float(scores[best_idx])
@@ -202,7 +196,7 @@ def argmax_acquisition(
     top = cands[order[: spec.n_refine]].copy()
     for j in range(d):
         x, f = _refine_coordinate(
-            spec, ctx, top, j, float(domain.lower[j]), float(domain.upper[j]), iters
+            spec, model, best, top, j, float(domain.lower[j]), float(domain.upper[j]), iters
         )
         if f > best_score:
             best_score, best_x = f, x

@@ -88,13 +88,6 @@ class Oracle:
         return fx + sigma * gen.standard_normal(replicates)
 
 
-_FIXED_DIMENSION = {"levi13": 2, "synth1d": 1}
-
-
-def oracle_default_dimension(name: str):
-    return _FIXED_DIMENSION.get(name)
-
-
 def _const_noise(sigma: float):
     sigma = float(sigma)
     if sigma < 0:

@@ -38,7 +38,9 @@ def _ensure_writable(path: Path, force: bool) -> Path:
 def _max_workers(n_tasks: int) -> int:
     cap = os.environ.get("DEUP_THREADS")
     if cap:
-        return max(1, min(int(cap), n_tasks))
+        if not (cap.isdecimal() and int(cap) > 0):
+            raise ValueError(f"DEUP_THREADS must be a positive integer, got {cap!r}")
+        return min(int(cap), n_tasks)
     return max(1, min(os.cpu_count() or 1, n_tasks))
 
 
@@ -75,6 +77,7 @@ def run_smo_command(config_path, seeds, out_dir, force=False) -> list[Path]:
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
     if repeated:
         raise ValueError(f"seeds {repeated} repeated in --seeds; each seed runs once")
+    workers = _max_workers(len(seeds))
     names = []
     for s in seeds:
         stem = f"{cfg.oracle_name}_{cfg.acquisition.value}_seed{s}"
@@ -88,7 +91,7 @@ def run_smo_command(config_path, seeds, out_dir, force=False) -> list[Path]:
 
     jobs = [(cfg, s) for s in seeds]
     written, raised = [], []
-    for i, outcome in _finished_seeds(jobs, _max_workers(len(seeds))):
+    for i, outcome in _finished_seeds(jobs, workers):
         seed, csv_path, json_path = names[i]
         if isinstance(outcome, Exception):
             print(f"seed {seed}: raised {type(outcome).__name__}: {outcome}", file=sys.stderr)
@@ -173,13 +176,13 @@ def demo_fig1(out_dir, seed: int = 0, force: bool = False) -> dict:
     gp2 = gp_fit(d_aug, gp_cfg, root.child("gp2"))
 
     layout = (Feature.LOG_VARIANCE,)
-    model = est.deup_fixed_train(train, acquired, est.DeupFit(Learner("gp", gp_cfg), layout), root.child("deup"))
+    state = est.deup_fixed_train(train, acquired, est.DeupFit(Learner("gp", gp_cfg), layout), root.child("deup"))
 
     grid = np.linspace(0.0, 2.0, 401)[:, None]
     f_true = fig1_truth(grid[:, 0])
     gp1_mean, gp1_var = gp1.predict_batch(grid)
     gp2_mean, gp2_var = gp2.predict_batch(grid)
-    deup_eu = model.epistemic_batch(grid)
+    deup_eu = state.model.epistemic_batch(grid)
     true_sq_error = (f_true - gp1_mean) ** 2
 
     columns = (grid[:, 0], f_true, gp1_mean, np.sqrt(gp1_var), gp2_mean, np.sqrt(gp2_var), deup_eu, true_sq_error)
@@ -228,6 +231,7 @@ def fit_uncertainty_command(config_path, out_dir, force: bool = False) -> dict:
     out = Path(out_dir)
     du_path = _ensure_writable(out / "error_dataset.csv", force)
     summary_path = _ensure_writable(out / "fit_summary.json", force)
+    grid_path = _ensure_writable(out / "eu_grid.csv", force) if cfg.dimension <= 2 else None
 
     oracle = make_oracle(cfg.oracle_name, cfg.dimension, noise=cfg.hp("oracle.noise"))
     root = RngStream(cfg.seed, "fit-uncertainty")
@@ -241,14 +245,14 @@ def fit_uncertainty_command(config_path, out_dir, force: bool = False) -> dict:
     train = draw("train", cfg.n_init)
     held_out = draw("oos", cfg.n_init)
 
-    model = est.deup_fixed_train(
+    state = est.deup_fixed_train(
         train,
         held_out,
         deup_fit(cfg),
         root.child("deup"),
         aleatoric=build_aleatoric(cfg, oracle, train, root.child("aleatoric")),
     )
-    d_u = model.meta["error_dataset"]
+    model, d_u = state.model, state.d_u
     est.export_error_dataset(d_u, du_path)
 
     oos_mse = float(np.mean((held_out.targets() - model.predict_mean_batch(held_out.inputs())) ** 2))
@@ -261,8 +265,7 @@ def fit_uncertainty_command(config_path, out_dir, force: bool = False) -> dict:
         "outputs": [str(du_path), str(summary_path)],
     }
 
-    if cfg.dimension <= 2:
-        grid_path = _ensure_writable(out / "eu_grid.csv", force)
+    if grid_path:
         n_side = 201 if cfg.dimension == 1 else 41
         axes = [
             np.linspace(oracle.domain.lower[j], oracle.domain.upper[j], n_side)

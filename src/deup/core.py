@@ -262,6 +262,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.dimension < 1:
             raise ValidationError("dimension must be >= 1")
+        _oracle(self.oracle_name, self.dimension)
         if self.n_init < 2:
             raise ValidationError(f"n_init must be >= 2, got {self.n_init}")
         if self.budget < self.n_init:
@@ -356,6 +357,17 @@ def _parse_value(section: str, key: str, raw: str):
         ) from None
 
 
+def _oracle(name: str, dimension):
+    """`benchmarks.make_oracle(name, dimension)`, with its refusal as a ConfigError naming the key."""
+    from . import benchmarks  # deferred: benchmarks imports this module
+
+    try:
+        return benchmarks.make_oracle(name, dimension)
+    except ValueError as exc:
+        key = "oracle.name" if str(exc).startswith("unknown oracle") else "oracle.dimension"
+        raise ConfigError(f"key '{key}': {exc}") from None
+
+
 def load_config(path) -> ExperimentConfig:
     """Load and validate an experiment config from a key = value file.
 
@@ -384,13 +396,7 @@ def load_config(path) -> ExperimentConfig:
     oracle_name = values["oracle.name"].lower()
     dimension = values["oracle.dimension"]
     if dimension is None:
-        from . import benchmarks  # deferred: benchmarks imports this module
-
-        dimension = benchmarks.oracle_default_dimension(oracle_name)
-        if dimension is None:
-            raise ConfigError(
-                f"key 'oracle.dimension' is required for oracle '{oracle_name}'"
-            )
+        dimension = _oracle(oracle_name, None).dimension
 
     cfg = ExperimentConfig(
         oracle_name=oracle_name,

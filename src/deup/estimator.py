@@ -9,7 +9,7 @@ track which side each row came from.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -193,7 +193,6 @@ class UncertaintyModel:
     error: ErrorPredictor
     aleatoric: AleatoricEstimator
     context: FeatureContext
-    meta: dict = field(default_factory=dict)
 
     def predict_batch(self, X: np.ndarray):
         """(mean, epistemic) at each row of X, shaped like a GP's (mean, variance).
@@ -262,34 +261,31 @@ def deup_fixed_train(
     fit: DeupFit,
     rng: RngStream,
     aleatoric: AleatoricEstimator | None = None,
-) -> UncertaintyModel:
+) -> DeupState:
     """Fixed-training-set mode: fit f on train, then u on errors over train + held-out.
 
     Every pair in train and out_of_sample contributes one error row; rows from
-    train carry seen bit 1, held-out rows 0. With an empty out_of_sample the
-    model is flagged in-sample-only in its metadata.
+    train carry seen bit 1, held-out rows 0. Returns the state at step 0, whose
+    d_u holds those rows. An empty out_of_sample is logged as a warning.
     """
     if len(train) < 1:
         raise ValueError("train dataset is empty")
     main, context = fit.main(train, rng, ("main", "features"))
 
-    meta = {}
-    if len(out_of_sample) == 0:
-        meta["in_sample_only"] = True
-        logger.warning("deup_fixed_train: no out-of-sample data; u sees in-sample errors only")
-
     d_u = fit.error_rows(main, context, train)
     if len(out_of_sample):
         held_out = fit.error_rows(main, context, out_of_sample)
         d_u = d_u.append(held_out.inputs(), held_out.targets())
+    else:
+        logger.warning("deup_fixed_train: no out-of-sample data; u sees in-sample errors only")
 
-    return UncertaintyModel(
+    model = UncertaintyModel(
         main=main,
         error=fit.error(d_u, rng.child("error")),
         aleatoric=aleatoric or zero_aleatoric(),
         context=context,
-        meta={**meta, "n_error_rows": len(d_u), "error_dataset": d_u},
     )
+    return DeupState(fit=fit, d_u=d_u, model=model, rng=rng)
 
 
 def deup_pretrain_cv(d_init: Dataset, k: int, n_pretrain: int, fit: DeupFit, rng: RngStream) -> Dataset:
@@ -348,7 +344,6 @@ def deup_init_state(
         error=fit.error(d_u, rng.child("error-0")),
         aleatoric=aleatoric or zero_aleatoric(),
         context=context,
-        meta={"pretrain_rows": len(d_u)},
     )
     return DeupState(fit=fit, d_u=d_u, model=model, rng=rng)
 
@@ -374,7 +369,7 @@ def deup_interactive_step(state: DeupState, x_acq, y_acq: float) -> DeupState:
 
     new_du = state.d_u.append(pre.inputs(), pre.targets()).append(post.inputs(), post.targets())
     error = fit.error(new_du, state.rng.child(f"error-{t}"), old.error.model)
-    model = replace(old, main=main, error=error, context=context, meta=dict(old.meta))
+    model = replace(old, main=main, error=error, context=context)
     return replace(state, d_u=new_du, model=model, step=t)
 
 

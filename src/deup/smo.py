@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimator as est
-from .acquisition import AcquisitionContext, AcquisitionSpec, argmax_acquisition, score_batch
+from .acquisition import AcquisitionSpec, acquisition_value, argmax_acquisition
 from .benchmarks import make_oracle
 from .core import (
     Acquisition,
@@ -39,7 +39,7 @@ class StepRecord:
     best: float
     acq_value: float
     epistemic: float
-    ms: float = field(compare=False)
+    ms: float
 
     def __eq__(self, other):
         return (
@@ -58,8 +58,11 @@ class RunTrace:
     init_X: np.ndarray
     init_y: np.ndarray
     records: list = field(default_factory=list)
-    incomplete: bool = False
     failure: str | None = None
+
+    @property
+    def incomplete(self) -> bool:
+        return self.failure is not None
 
     @property
     def init_best(self) -> float:
@@ -79,8 +82,8 @@ class RunTrace:
         rows = ([r.step, *r.x, r.y, r.best, r.acq_value, r.epistemic, f"{r.ms:.3f}"] for r in self.records)
         write_csv(path, header, rows)
 
-    def summary_dict(self) -> dict:
-        return {
+    def write_summary(self, path) -> None:
+        summary = {
             "config": self.config.as_dict(),
             "init_best": self.init_best,
             "final_best": self.final_best,
@@ -89,9 +92,7 @@ class RunTrace:
             "incomplete": self.incomplete,
             "failure": self.failure,
         }
-
-    def write_summary(self, path) -> None:
-        write_json(path, self.summary_dict())
+        write_json(path, summary)
 
 
 def best_so_far(trace: RunTrace) -> list[float]:
@@ -186,13 +187,12 @@ def run_smo(cfg: ExperimentConfig) -> RunTrace:
 
         for t in range(1, n_steps + 1):
             t0 = time.perf_counter()
-            ctx = AcquisitionContext(best=best, model=model)
-            x = argmax_acquisition(spec, oracle.domain, ctx, root.child(f"acq-{t}"))
+            x = argmax_acquisition(spec, oracle.domain, model, best, root.child(f"acq-{t}"))
             if model is None:
                 acq_value = eu = float("nan")
             else:
-                acq_value = float(score_batch(spec, x[None], ctx)[0])
-                eu = float(model.predict_batch(x[None])[1][0])
+                mean, spread = model.predict_batch(x[None])
+                acq_value, eu = float(acquisition_value(spec, mean, spread, best)[0]), float(spread[0])
 
             y = float(oracle.sample(x, oracle_gen, 1)[0])
 
@@ -217,7 +217,6 @@ def run_smo(cfg: ExperimentConfig) -> RunTrace:
                 )
             )
     except Exception as exc:  # keep the partial trace; it names the failure
-        trace.incomplete = True
         trace.failure = f"{type(exc).__name__}: {exc}"
     return trace
 
@@ -226,11 +225,6 @@ def read_trace(csv_path, summary_path) -> dict:
     """Load one exported trace; returns summary dict plus per-step best values."""
     with open(summary_path, encoding="utf-8") as fh:
         summary = json.load(fh)
-    bests, ys = [], []
     with open(csv_path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            bests.append(float(row["best"]))
-            ys.append(float(row["y"]))
-    summary["best_by_step"] = bests
-    summary["y_by_step"] = ys
+        summary["best_by_step"] = [float(row["best"]) for row in csv.DictReader(fh)]
     return summary

@@ -6,7 +6,6 @@ import pytest
 from scipy.stats import norm
 
 from deup.acquisition import (
-    AcquisitionContext,
     AcquisitionSpec,
     BoxDomain,
     argmax_acquisition,
@@ -115,7 +114,7 @@ class TestScore:
         best = float(np.max(d.targets()))
         x_best = d.inputs()[int(np.argmax(d.targets()))]
         spec = AcquisitionSpec(Acquisition.EI)
-        (val,) = score_batch(spec, x_best[None], AcquisitionContext(best=best, model=gp))
+        (val,) = score_batch(spec, x_best[None], gp, best)
         assert val <= 1e-6
 
     def test_deup_ucb_reduces_to_mean_when_eu_zero(self):
@@ -124,10 +123,10 @@ class TestScore:
         model = deup_fixed_train(
             d, oos, DeupFit(Learner("gp", {"noise_variance": 0.0, "n_restarts": 4}), (Feature.LOG_VARIANCE,)),
             RngStream(0, "deup"),
-        )
+        ).model
         x = d.inputs()[3]
         spec = AcquisitionSpec(Acquisition.DEUP_UCB, beta=2.0)
-        (val,) = score_batch(spec, x[None], AcquisitionContext(best=0.0, model=model))
+        (val,) = score_batch(spec, x[None], model, 0.0)
         (eu,) = model.epistemic_batch(x[None])
         mean = model.predict_mean_batch(x[None, :])[0]
         assert abs(val - (mean + 2.0 * np.sqrt(eu))) < 1e-12
@@ -140,11 +139,11 @@ class TestScore:
         model = deup_fixed_train(
             d, oos, DeupFit(Learner("gp", {"noise_variance": 0.0, "n_restarts": 4}), (Feature.LOG_VARIANCE,)),
             RngStream(0, "deup"),
-        )
+        ).model
         x = np.array([0.42])
         spec = AcquisitionSpec(Acquisition.DEUP_EI, xi=0.01)
         best = 0.5
-        (val,) = score_batch(spec, x[None], AcquisitionContext(best=best, model=model))
+        (val,) = score_batch(spec, x[None], model, best)
         direct = expected_improvement(
             model.predict_mean_batch(x[None, :])[0], model.epistemic_batch(x[None])[0], best, 0.01
         )
@@ -156,7 +155,7 @@ class TestScore:
         model = deup_fixed_train(
             d, oos, DeupFit(Learner("gp", {"noise_variance": 0.0, "n_restarts": 4}), (Feature.LOG_VARIANCE,)),
             RngStream(0, "deup"),
-        )
+        ).model
         rows = []
         predict_batch = GPPredictor.predict_batch
 
@@ -166,13 +165,13 @@ class TestScore:
 
         monkeypatch.setattr(GPPredictor, "predict_batch", spy)
         X = np.linspace(0.0, 1.0, 64)[:, None]
-        score_batch(AcquisitionSpec(Acquisition.DEUP_EI), X, AcquisitionContext(best=0.0, model=model))
+        score_batch(AcquisitionSpec(Acquisition.DEUP_EI), X, model, 0.0)
         assert rows == [64]
 
     def test_missing_context_rejected(self):
         for kind in Acquisition:
             with pytest.raises(ValueError, match="needs a model"):
-                score_batch(AcquisitionSpec(kind), np.array([[0.0]]), AcquisitionContext(best=0.0))
+                score_batch(AcquisitionSpec(kind), np.array([[0.0]]), None, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -188,8 +187,8 @@ class TestArgmax:
     def test_random_mode_uniform_and_reproducible(self):
         domain = BoxDomain(np.array([-1.0, 0.0]), np.array([1.0, 4.0]))
         spec = AcquisitionSpec(Acquisition.RANDOM)
-        a = argmax_acquisition(spec, domain, AcquisitionContext(), RngStream(5, "acq"))
-        b = argmax_acquisition(spec, domain, AcquisitionContext(), RngStream(5, "acq"))
+        a = argmax_acquisition(spec, domain, None, -np.inf, RngStream(5, "acq"))
+        b = argmax_acquisition(spec, domain, None, -np.inf, RngStream(5, "acq"))
         np.testing.assert_array_equal(a, b)
         assert domain.contains(a)
 
@@ -202,7 +201,7 @@ class TestArgmax:
         domain = BoxDomain(np.array([0.0]), np.array([1.0]))
         spec = AcquisitionSpec(Acquisition.EI, xi=0.0, n_candidates=512, n_refine=3)
         best = float(np.max(d.targets())) - 0.05
-        x = argmax_acquisition(spec, domain, AcquisitionContext(best=best, model=gp), RngStream(0, "acq"))
+        x = argmax_acquisition(spec, domain, gp, best, RngStream(0, "acq"))
 
         grid = np.linspace(0, 1, 10_001)[:, None]
         mean, var = gp.predict_batch(grid)
@@ -214,12 +213,11 @@ class TestArgmax:
         gp, _ = fit_1d_gp()
         domain = BoxDomain(np.array([0.0]), np.array([1.0]))
         spec = AcquisitionSpec(Acquisition.UCB, n_candidates=64, n_refine=2)
-        ctx = AcquisitionContext(best=0.0, model=gp)
         rng = RngStream(3, "acq")
-        x = argmax_acquisition(spec, domain, ctx, rng)
+        x = argmax_acquisition(spec, domain, gp, 0.0, rng)
         cands = domain.sample(rng.generator(), spec.n_candidates)
-        raw_best = float(np.max(score_batch(spec, cands, ctx)))
-        assert score_batch(spec, x[None], ctx)[0] >= raw_best - 1e-12
+        raw_best = float(np.max(score_batch(spec, cands, gp, 0.0)))
+        assert score_batch(spec, x[None], gp, 0.0)[0] >= raw_best - 1e-12
 
     def test_stays_inside_domain_property(self):
         gen = np.random.default_rng(9)
@@ -230,7 +228,7 @@ class TestArgmax:
                 Acquisition.EI, n_candidates=int(gen.integers(4, 64)), n_refine=2
             )
             x = argmax_acquisition(
-                spec, domain, AcquisitionContext(best=0.5, model=gp), RngStream(trial, "acq")
+                spec, domain, gp, 0.5, RngStream(trial, "acq")
             )
             assert domain.contains(x)
 
@@ -249,7 +247,7 @@ BENCH_LAYOUTS = {
 
 @functools.cache
 def bench_layout_search(oracle_name):
-    """(domain, context) of a DEUP-EI search on a benchmark layout, default settings,
+    """(domain, model, best) of a DEUP-EI search on a benchmark layout, default settings,
     with as many points as the workload's last step sees."""
     dimension, features, n = BENCH_LAYOUTS[oracle_name]
     cfg = ExperimentConfig(
@@ -266,7 +264,7 @@ def bench_layout_search(oracle_name):
     y = np.array([oracle.sample(x, gen, 1)[0] for x in X])
     with one_blas_thread():
         state = deup_init_state(Dataset(X, y), deup_fit(cfg), RngStream(0, "deup"))
-    return oracle.domain, AcquisitionContext(best=float(np.max(y)), model=state.model)
+    return oracle.domain, state.model, float(np.max(y))
 
 
 class TestBlockScoring:
@@ -275,24 +273,24 @@ class TestBlockScoring:
     @pytest.mark.parametrize("oracle_name", sorted(BENCH_LAYOUTS))
     @pytest.mark.parametrize("m", [2048, 2000, 2050])  # blocks of 256 rows; the last of 256, 464 and 258
     def test_blocks_keep_every_score_bit(self, oracle_name, m):
-        domain, ctx = bench_layout_search(oracle_name)
+        domain, model, best = bench_layout_search(oracle_name)
         spec = AcquisitionSpec(Acquisition.DEUP_EI)
         X = domain.sample(np.random.default_rng(1), m)
         with one_blas_thread():
-            whole = score_batch(spec, X, ctx)
-            blocks = score_candidates(spec, X, ctx)
+            whole = score_batch(spec, X, model, best)
+            blocks = score_candidates(spec, X, model, best)
         assert blocks.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("oracle_name", sorted(BENCH_LAYOUTS))
     def test_search_memory_does_not_grow_with_candidates(self, oracle_name):
-        domain, ctx = bench_layout_search(oracle_name)
+        domain, model, best = bench_layout_search(oracle_name)
         peaks = []
         with one_blas_thread():
             for m in (2048, 16384):
                 spec = AcquisitionSpec(Acquisition.DEUP_EI, n_candidates=m)
                 tracemalloc.start()
                 try:
-                    argmax_acquisition(spec, domain, ctx, RngStream(0, "acq"))
+                    argmax_acquisition(spec, domain, model, best, RngStream(0, "acq"))
                     _, peak = tracemalloc.get_traced_memory()
                 finally:
                     tracemalloc.stop()

@@ -6,7 +6,6 @@ from deup.benchmarks import (
     ackley,
     levi13,
     make_oracle,
-    oracle_default_dimension,
     synth1d,
 )
 from deup.core import RngStream
@@ -119,9 +118,8 @@ class TestOracle:
         assert np.max(o3.true_batch(X)) <= o3.known_optimum[1] + 1e-9
 
     def test_registry_and_default_dimensions(self):
-        assert oracle_default_dimension("levi13") == 2
-        assert oracle_default_dimension("synth1d") == 1
-        assert oracle_default_dimension("ackley") is None
+        assert make_oracle("levi13").dimension == 2
+        assert make_oracle("synth1d").dimension == 1
         with pytest.raises(ValueError):
             make_oracle("rosenbrock")
         with pytest.raises(ValueError):

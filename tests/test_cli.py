@@ -104,6 +104,15 @@ class TestRunSmoSeeds:
         assert "seeds [0] repeated" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_worker_cap_is_rejected_before_any_output(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("DEUP_THREADS", value)
+        out = tmp_path / "out"
+        rc = main(["run-smo", "--config", str(write_cfg(tmp_path)), "--seeds", "0,1", "--out", str(out)])
+        assert rc == 1
+        assert f"DEUP_THREADS must be a positive integer, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_two_workers_match_a_serial_run(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, mode="ei")
         monkeypatch.setenv("DEUP_THREADS", "2")
@@ -195,6 +204,16 @@ class TestFitUncertaintyCommand:
         summary = json.loads((out / "fit_summary.json").read_text())
         assert summary["error_rows"] == 12
         assert (out / "eu_grid.csv").exists()
+
+    def test_existing_grid_stops_it_before_any_write(self, tmp_path, capsys):
+        out = tmp_path / "fit"
+        out.mkdir()
+        (out / "eu_grid.csv").write_text("kept\n")
+        rc = main(["fit-uncertainty", "--config", str(write_cfg(tmp_path, mode="deup_ei")), "--out", str(out)])
+        assert rc == 1
+        assert "eu_grid.csv exists; pass --force" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["eu_grid.csv"]
+        assert (out / "eu_grid.csv").read_text() == "kept\n"
 
 
 # sha256 of fit-uncertainty's outputs for a small levi13 config with all four

@@ -211,6 +211,22 @@ class TestLoadConfig:
         assert cfg.feature_set == frozenset({Feature.X, Feature.SEEN_BIT, Feature.LOG_DENSITY})
         assert cfg.layout() == (Feature.X, Feature.SEEN_BIT, Feature.LOG_DENSITY)
 
+    @pytest.mark.parametrize(
+        "oracle, key",
+        [
+            ("name = branin", "oracle.name"),
+            ("name = branin\ndimension = 2", "oracle.name"),
+            ("name = levi13\ndimension = 3", "oracle.dimension"),
+            ("name = synth1d\ndimension = 2", "oracle.dimension"),
+            ("name = ackley", "oracle.dimension"),
+        ],
+    )
+    def test_oracle_the_benchmarks_do_not_offer_named_in_error(self, tmp_path, oracle, key):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"[oracle]\n{oracle}\n")
+        with pytest.raises(ConfigError, match=re.escape(f"key '{key}'")):
+            load_config(path)
+
     def test_choice_keys_are_lower_cased(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
@@ -84,7 +86,7 @@ class TestFixedTrain:
         oos = make_1d_dataset(4, seed=1)
         model = deup_fixed_train(
             train, oos, DeupFit(Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,)), RngStream(0, "deup")
-        )
+        ).model
         # An exact interpolator has ~zero in-sample residuals, so the error rows
         # for train points sit at the log-eps floor.
         resid_sq = (train.targets() - model.main.predict_batch(X)[0]) ** 2
@@ -94,17 +96,19 @@ class TestFixedTrain:
     def test_error_row_count(self):
         train = make_1d_dataset(8)
         oos = make_1d_dataset(5, seed=2)
-        model = deup_fixed_train(
+        state = deup_fixed_train(
             train, oos, DeupFit(Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,)), RngStream(0, "deup")
         )
-        assert model.meta["n_error_rows"] == len(train) + len(oos)
+        assert len(state.d_u) == len(train) + len(oos) and state.step == 0
 
-    def test_empty_out_of_sample_flagged(self):
+    def test_empty_out_of_sample_flagged(self, caplog):
         train = make_1d_dataset(8)
-        model = deup_fixed_train(
-            train, Dataset(), DeupFit(Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,)), RngStream(0, "deup")
-        )
-        assert model.meta.get("in_sample_only") is True
+        with caplog.at_level(logging.WARNING, logger="deup.estimator"):
+            state = deup_fixed_train(
+                train, Dataset(), DeupFit(Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,)), RngStream(0, "deup")
+            )
+        assert "no out-of-sample data" in caplog.text
+        assert len(state.d_u) == len(train)
 
     def test_error_predictor_ranks_true_squared_error(self):
         # Oracle known; an imperfect main fit should leave u ranking the true
@@ -121,7 +125,7 @@ class TestFixedTrain:
             oos,
             DeupFit(Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,)),
             RngStream(1, "deup"),
-        )
+        ).model
         grid = np.linspace(0.0, 2.0, 200)[:, None]
         u_vals = model.epistemic_batch(grid)
         true_err = (model.main.predict_batch(grid)[0] - truth(grid[:, 0])) ** 2
@@ -136,7 +140,6 @@ class TestPretrainCv:
             d, DeupFit(Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,)), RngStream(0, "deup")
         )
         assert len(state.d_u) >= 4 * len(d)
-        assert state.model.meta["pretrain_rows"] == len(state.d_u)
 
     def test_one_pass_adds_one_row_per_point(self):
         d = make_1d_dataset(6)
@@ -259,7 +262,7 @@ class TestEpistemicQuery:
         oos = make_1d_dataset(4, seed=5)
         model = deup_fixed_train(
             train, oos, DeupFit(Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,)), RngStream(0, "deup")
-        )
+        ).model
         x = np.array([0.9])
         F = build_features_batch(model.context, x[None, :])
         u_val = np.exp(model.error.predict_log_error_batch(F))[0]
@@ -274,7 +277,7 @@ class TestEpistemicQuery:
             DeupFit(Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,)),
             RngStream(0, "deup"),
             aleatoric=AleatoricEstimator(lambda X: np.full(len(X), 1e12)),
-        )
+        ).model
         assert model.epistemic_batch(np.array([[0.9]]))[0] == 0.0
 
     def test_near_zero_at_training_points_of_interpolator(self):
@@ -286,7 +289,7 @@ class TestEpistemicQuery:
         oos = Dataset(oos_X, 2.0 * oos_X[:, 0] + 1.0)
         model = deup_fixed_train(
             train, oos, DeupFit(Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,)), RngStream(2, "deup")
-        )
+        ).model
         assert model.epistemic_batch(X[3:4])[0] <= 1e-4
 
 

@@ -6,6 +6,8 @@ import pytest
 import deup.estimator
 import deup.smo
 from deup.core import Acquisition, AleatoricMode, ExperimentConfig, Feature, NumericsError
+from deup.estimator import UncertaintyModel
+from deup.models import GPPredictor
 from deup.smo import best_so_far, read_trace, run_smo
 
 FAST_HP = {
@@ -120,9 +122,9 @@ class TestRunSmo:
         steps = []
         argmax = deup.smo.argmax_acquisition
 
-        def spy(spec, domain, ctx, rng):
-            x = argmax(spec, domain, ctx, rng)
-            steps.append((ctx.model, x))
+        def spy(spec, domain, model, best, rng):
+            x = argmax(spec, domain, model, best, rng)
+            steps.append((model, x))
             return x
 
         monkeypatch.setattr(deup.smo, "argmax_acquisition", spy)
@@ -132,6 +134,31 @@ class TestRunSmo:
             for model, x in steps
         ]
         assert [r.epistemic for r in trace.records] == expected
+
+    @pytest.mark.parametrize("kind", [Acquisition.EI, Acquisition.DEUP_EI])
+    def test_record_queries_the_model_once_per_step(self, kind, monkeypatch):
+        """Outside the candidate search, each step queries its model once, at the
+        acquired x, for both `acq_value` and `epistemic`."""
+        cls = UncertaintyModel if kind.uses_error_model else GPPredictor
+        searching, outside = [False], []
+        argmax, predict_batch = deup.smo.argmax_acquisition, cls.predict_batch
+
+        def search(*args):
+            searching[0] = True
+            try:
+                return argmax(*args)
+            finally:
+                searching[0] = False
+
+        def spy(self, X):
+            if not searching[0]:
+                outside.append(len(X))
+            return predict_batch(self, X)
+
+        monkeypatch.setattr(deup.smo, "argmax_acquisition", search)
+        monkeypatch.setattr(cls, "predict_batch", spy)
+        trace = run_smo(config(kind, budget=10))
+        assert len(trace.records) == 4 and outside == [1] * 4
 
     def test_epistemic_recorded_for_deup(self):
         trace = run_smo(config(Acquisition.DEUP_EI, budget=10))

@@ -1,4 +1,5 @@
-"""Microbenchmarks: `gp_fit` at n = 20/60/140/280, and one candidate-scoring pass.
+"""Microbenchmarks: `gp_fit` at n = 20/60/140/280, one candidate-scoring pass,
+and the 5-row `score_batch` call of the refine.
 
 Usage, from the root of a source checkout (no install needed):
 
@@ -22,6 +23,11 @@ with that `SCORE_BLOCK`) and in one `score_batch` call over all of them
 (`block` null), as the candidate search did before it scored in blocks.
 `ms` is the median of REPEATS passes; `peak_kb` is the tracemalloc peak of
 one pass, output included.
+
+score_batch_5: on the same two models, one `score_batch` call over 5 rows,
+the batch each golden-section step of the refine scores (`n_refine` = 5).
+One repeat is REFINE_CALLS calls on the same 5 rows; `us_median` is the
+median repeat divided by REFINE_CALLS.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ LAYOUTS = {
     "levi13": (2, ("x", "seen_bit", "log_density", "log_variance"), 26),
 }
 CANDIDATES = (2048, 16384)
+REFINE_CALLS = 200
 BLOCKS = (128, 256, 512, 1024, None)  # None: one call over all candidates
 
 
@@ -106,7 +113,7 @@ def bench(n: int) -> dict:
 
 
 def layout_search(name: str):
-    """(domain, DEUP-EI context) on a workload's layout, default settings."""
+    """(domain, DEUP-EI model, incumbent) on a workload's layout, default settings."""
     dimension, features, n = LAYOUTS[name]
     cfg = ExperimentConfig(
         oracle_name=name,
@@ -121,18 +128,18 @@ def layout_search(name: str):
     X = oracle.domain.sample(gen, n)
     y = np.array([oracle.sample(x, gen, 1)[0] for x in X])
     state = deup_init_state(Dataset(X, y), deup_fit(cfg), RngStream(0, "deup"))
-    return oracle.domain, acquisition.AcquisitionContext(best=float(np.max(y)), model=state.model)
+    return oracle.domain, state.model, float(np.max(y))
 
 
-def scoring_pass(spec, X, ctx, block):
+def scoring_pass(spec, X, model, best, block):
     if block is None:
-        return acquisition.score_batch(spec, X, ctx)
+        return acquisition.score_batch(spec, X, model, best)
     acquisition.SCORE_BLOCK = block
-    return acquisition.score_candidates(spec, X, ctx)
+    return acquisition.score_candidates(spec, X, model, best)
 
 
 def bench_scoring(name: str) -> list[dict]:
-    domain, ctx = layout_search(name)
+    domain, model, best = layout_search(name)
     spec = acquisition.AcquisitionSpec(Acquisition.DEUP_EI)
     default_block = acquisition.SCORE_BLOCK
     results = []
@@ -140,10 +147,10 @@ def bench_scoring(name: str) -> list[dict]:
         for m in CANDIDATES:
             X = domain.sample(np.random.default_rng(1), m)
             for block in BLOCKS:
-                q1, median, q3 = timed(lambda: scoring_pass(spec, X, ctx, block))
+                q1, median, q3 = timed(lambda: scoring_pass(spec, X, model, best, block))
                 tracemalloc.start()
                 try:
-                    scoring_pass(spec, X, ctx, block)
+                    scoring_pass(spec, X, model, best, block)
                     _, peak = tracemalloc.get_traced_memory()
                 finally:
                     tracemalloc.stop()
@@ -163,12 +170,28 @@ def bench_scoring(name: str) -> list[dict]:
     return results
 
 
+def bench_refine_call(name: str) -> dict:
+    domain, model, best = layout_search(name)
+    spec = acquisition.AcquisitionSpec(Acquisition.DEUP_EI)
+    X = domain.sample(np.random.default_rng(2), 5)
+    q1, median, q3 = timed(lambda: [acquisition.score_batch(spec, X, model, best) for _ in range(REFINE_CALLS)])
+    return {
+        "layout": name,
+        "calls": REFINE_CALLS,
+        "us_median": round(1e6 * median / REFINE_CALLS, 2),
+        "us_q1": round(1e6 * q1 / REFINE_CALLS, 2),
+        "us_q3": round(1e6 * q3 / REFINE_CALLS, 2),
+    }
+
+
 def main() -> int:
     with one_blas_thread():
         gp = [bench(n) for n in SIZES]
         scoring = [row for name in LAYOUTS for row in bench_scoring(name)]
+        refine = [bench_refine_call(name) for name in LAYOUTS]
     env = {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__}
-    print(json.dumps({"blas_threads": 1, "repeats": REPEATS, "environment": env, "gp_fit": gp, "score_candidates": scoring}))
+    out = {"blas_threads": 1, "repeats": REPEATS, "environment": env, "gp_fit": gp, "score_candidates": scoring}
+    print(json.dumps({**out, "score_batch_5": refine}))
     return 0
 
 
