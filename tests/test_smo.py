@@ -271,6 +271,22 @@ def test_pinned_ei_trace_bytes():
     assert hashlib.sha256(trace_bytes(run_smo(cfg))).hexdigest() == PINNED_EI_TRACE
 
 
+# sha256 of `trace_bytes` for the other three modes, on the run of
+# `PINNED_EI_TRACE` (synth1d, seed 0, n_init 6, budget 12, default settings).
+# Host-pinned like `PINNED_TRACES`.
+PINNED_MODE_TRACES = {
+    Acquisition.UCB: "efa6f2937032c8edf81b6f10767a34945e4dc566af200505948f867efef1af65",
+    Acquisition.DEUP_UCB: "61a172129052c82facc5794a8980d75c88c555bffebfd4b6857bd36e51a90234",
+    Acquisition.RANDOM: "39178d544864042e1469c367a800ece623942466b0246ef0184beef23b7aceff",
+}
+
+
+@pytest.mark.parametrize("kind", list(PINNED_MODE_TRACES), ids=lambda kind: kind.value)
+def test_pinned_mode_trace_bytes(kind):
+    cfg = ExperimentConfig(oracle_name="synth1d", dimension=1, n_init=6, budget=12, acquisition=kind, seed=0)
+    assert hashlib.sha256(trace_bytes(run_smo(cfg))).hexdigest() == PINNED_MODE_TRACES[kind]
+
+
 class TestBestSoFar:
     def test_running_max(self):
         trace = run_smo(config(Acquisition.RANDOM, budget=9, n_init=6))
