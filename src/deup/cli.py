@@ -21,7 +21,7 @@ from . import estimator as est
 from .benchmarks import make_oracle
 from .core import Dataset, Feature, RngStream, load_config, one_blas_thread, write_csv, write_json
 from .models import Learner, gp_fit
-from .smo import build_aleatoric, deup_fit, read_trace, run_smo
+from .smo import GpState, build_aleatoric, deup_fit, read_trace, run_smo
 
 
 class OutputExistsError(FileExistsError):
@@ -164,16 +164,14 @@ def demo_fig1(out_dir, seed: int = 0, force: bool = False) -> dict:
         "n_restarts": 0,
     }
     candidates = np.linspace(0.0, 2.0, 1024)[:, None]
-    d_aug = train
-    gp_cur = gp1
+    acq = GpState(train, fixed_cfg, root.child("gp-acquire"), gp1)
     for _ in range(5):
-        _, var = gp_cur.predict_batch(candidates)
+        _, var = acq.model.predict_batch(candidates)
         x_new = candidates[int(np.argmax(var))]
-        d_aug = d_aug.append(x_new[None], [float(fig1_truth(x_new[0]))])
-        gp_cur = gp_fit(d_aug, fixed_cfg, root.child("gp-acquire"))
-    acquired = d_aug.take(np.arange(len(train), len(d_aug)))
+        acq = acq.update(x_new, float(fig1_truth(x_new[0])))
+    acquired = acq.d.take(np.arange(len(train), len(acq.d)))
 
-    gp2 = gp_fit(d_aug, gp_cfg, root.child("gp2"))
+    gp2 = gp_fit(acq.d, gp_cfg, root.child("gp2"))
 
     layout = (Feature.LOG_VARIANCE,)
     state = est.deup_fixed_train(train, acquired, est.DeupFit(Learner("gp", gp_cfg), layout), root.child("deup"))

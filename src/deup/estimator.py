@@ -254,6 +254,11 @@ class DeupFit:
         """Fit u on d_u, warm-started from `previous` (see `fit_error_predictor`)."""
         return fit_error_predictor(d_u, self.layout, rng, self.error_cfg, previous)
 
+    def state(self, main, context: FeatureContext, d_u: Dataset, rng: RngStream, error_label: str, aleatoric=None):
+        """The step-0 state of f = `main` with `context`, and u fitted on d_u under stream `error_label`."""
+        error = self.error(d_u, rng.child(error_label))
+        return DeupState(self, d_u, UncertaintyModel(main, error, aleatoric or zero_aleatoric(), context), rng)
+
 
 def deup_fixed_train(
     train: Dataset,
@@ -279,13 +284,7 @@ def deup_fixed_train(
     else:
         logger.warning("deup_fixed_train: no out-of-sample data; u sees in-sample errors only")
 
-    model = UncertaintyModel(
-        main=main,
-        error=fit.error(d_u, rng.child("error")),
-        aleatoric=aleatoric or zero_aleatoric(),
-        context=context,
-    )
-    return DeupState(fit=fit, d_u=d_u, model=model, rng=rng)
+    return fit.state(main, context, d_u, rng, "error", aleatoric)
 
 
 def deup_pretrain_cv(d_init: Dataset, k: int, n_pretrain: int, fit: DeupFit, rng: RngStream) -> Dataset:
@@ -313,13 +312,16 @@ def deup_pretrain_cv(d_init: Dataset, k: int, n_pretrain: int, fit: DeupFit, rng
 
 @dataclass
 class DeupState:
-    """Everything the interactive loop carries between acquisitions."""
+    """Everything the interactive loop carries between acquisitions; `update` is `deup_interactive_step`."""
 
     fit: DeupFit
     d_u: Dataset
     model: UncertaintyModel
     rng: RngStream
     step: int = 0
+
+    def update(self, x, y: float) -> DeupState:
+        return deup_interactive_step(self, x, y)
 
 
 def deup_init_state(
@@ -339,13 +341,7 @@ def deup_init_state(
         n_pretrain = 4 * len(d_init)
     d_u = deup_pretrain_cv(d_init, k, n_pretrain, fit, rng.child("pretrain")) if n_pretrain > 0 else Dataset()
     main, context = fit.main(d_init, rng, ("main-0", "features-0"))
-    model = UncertaintyModel(
-        main=main,
-        error=fit.error(d_u, rng.child("error-0")),
-        aleatoric=aleatoric or zero_aleatoric(),
-        context=context,
-    )
-    return DeupState(fit=fit, d_u=d_u, model=model, rng=rng)
+    return fit.state(main, context, d_u, rng, "error-0", aleatoric)
 
 
 def deup_interactive_step(state: DeupState, x_acq, y_acq: float) -> DeupState:

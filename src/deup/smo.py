@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -137,6 +137,40 @@ def build_aleatoric(cfg, oracle, d_init, rng) -> est.AleatoricEstimator:
     return est.estimate_aleatoric_from_replicates(groups, regressor, rng.child("aleatoric-fit"))
 
 
+@dataclass(frozen=True)
+class GpState:
+    """The surrogate of EI and UCB: the data so far, the [gp] settings and the GP fitted to the data."""
+
+    d: Dataset
+    gp_cfg: dict
+    rng: RngStream
+    model: object | None  # None under RANDOM, which fits nothing
+    step: int = 0
+
+    def update(self, x, y: float) -> GpState:
+        """A new state with (x, y) appended and the GP refit under stream label fit-{t}."""
+        t = self.step + 1
+        d = self.d.append(np.reshape(x, (1, -1)), [y])
+        model = None if self.model is None else gp_fit(d, self.gp_cfg, self.rng.child(f"fit-{t}"))
+        return replace(self, d=d, model=model, step=t)
+
+
+def initial_state(cfg: ExperimentConfig, oracle, d: Dataset, root: RngStream):
+    """The step-0 surrogate on the initial design d: a `DeupState` for DEUP_*, else a `GpState`."""
+    if cfg.acquisition.uses_error_model:
+        return est.deup_init_state(
+            d,
+            deup_fit(cfg),
+            root.child("deup"),
+            k=cfg.hp("deup.cv_folds"),
+            n_pretrain=cfg.hp("deup.n_pretrain"),
+            aleatoric=build_aleatoric(cfg, oracle, d, root.child("aleatoric")),
+        )
+    gp_cfg = cfg.section("gp")
+    model = None if cfg.acquisition is Acquisition.RANDOM else gp_fit(d, gp_cfg, root.child("fit-0"))
+    return GpState(d, gp_cfg, root, model)
+
+
 @one_blas_thread()
 def run_smo(cfg: ExperimentConfig) -> RunTrace:
     """Run one optimization, on one BLAS thread (`core.one_blas_thread`), and
@@ -153,64 +187,31 @@ def run_smo(cfg: ExperimentConfig) -> RunTrace:
 
     # Mode-independent labels: every acquisition mode under one seed shares
     # these draws and therefore the same initial design.
-    init_gen = root.child("init-design").generator()
     oracle_gen = root.child("oracle").generator()
-
-    X_init = oracle.domain.sample(init_gen, cfg.n_init)
+    X_init = oracle.domain.sample(root.child("init-design").generator(), cfg.n_init)
     y_init = np.array([oracle.sample(x, oracle_gen, 1)[0] for x in X_init])
-    d = Dataset(X_init, y_init)
 
     trace = RunTrace(config=cfg, init_X=X_init, init_y=y_init)
     spec = AcquisitionSpec(kind=cfg.acquisition, **cfg.section("smo"))
-    gp_cfg = cfg.section("gp")
-    n_steps = cfg.budget - cfg.n_init
-    best = trace.init_best
-    mode = cfg.acquisition
-
-    # One model slot: None for RANDOM, the GP for EI/UCB, the DEUP model for DEUP_*.
-    state = None
-    model = None
     try:
-        if mode.uses_error_model:
-            aleatoric = build_aleatoric(cfg, oracle, d, root.child("aleatoric"))
-            state = est.deup_init_state(
-                d,
-                deup_fit(cfg),
-                root.child("deup"),
-                k=cfg.hp("deup.cv_folds"),
-                n_pretrain=cfg.hp("deup.n_pretrain"),
-                aleatoric=aleatoric,
-            )
-            model = state.model
-        elif mode is not Acquisition.RANDOM:
-            model = gp_fit(d, gp_cfg, root.child("fit-0"))
-
-        for t in range(1, n_steps + 1):
+        state = initial_state(cfg, oracle, Dataset(X_init, y_init), root)
+        for t in range(1, cfg.budget - cfg.n_init + 1):
             t0 = time.perf_counter()
+            model, best = state.model, trace.final_best
             x = argmax_acquisition(spec, oracle.domain, model, best, root.child(f"acq-{t}"))
             if model is None:
                 acq_value = eu = float("nan")
             else:
                 mean, spread = model.predict_batch(x[None])
                 acq_value, eu = float(acquisition_value(spec, mean, spread, best)[0]), float(spread[0])
-
             y = float(oracle.sample(x, oracle_gen, 1)[0])
-
-            if state is not None:
-                state = est.deup_interactive_step(state, x, y)
-                model = state.model
-            else:
-                d = d.append(x[None], [y])
-                if model is not None:
-                    model = gp_fit(d, gp_cfg, root.child(f"fit-{t}"))
-
-            best = max(best, y)
+            state = state.update(x, y)
             trace.records.append(
                 StepRecord(
                     step=t,
                     x=np.asarray(x, dtype=np.float64),
                     y=y,
-                    best=best,
+                    best=max(best, y),
                     acq_value=acq_value,
                     epistemic=eu,
                     ms=(time.perf_counter() - t0) * 1e3,

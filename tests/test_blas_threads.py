@@ -36,10 +36,10 @@ def controls():
         put(n)
 
 
-def spy_counts_in_fits(monkeypatch, controls, fail_at=None, module=deup.smo):
-    """Record every copy's thread count at each gp_fit that `module` makes."""
+def spy_counts_in_fits(monkeypatch, controls, fail_at=None, modules=(deup.smo,)):
+    """Record every copy's thread count at each gp_fit that `modules` make."""
     seen = []
-    real_fit = module.gp_fit
+    real_fit = deup.smo.gp_fit
 
     def fit(*args):
         seen.append(counts(controls))
@@ -47,7 +47,8 @@ def spy_counts_in_fits(monkeypatch, controls, fail_at=None, module=deup.smo):
             raise KeyboardInterrupt("interrupted mid-run")
         return real_fit(*args)
 
-    monkeypatch.setattr(module, "gp_fit", fit)
+    for module in modules:
+        monkeypatch.setattr(module, "gp_fit", fit)
     return seen
 
 
@@ -68,9 +69,9 @@ def test_run_smo_fits_on_one_thread_per_copy(controls, monkeypatch):
 
 
 def test_demo_fig1_called_directly_fits_on_one_thread_per_copy(controls, monkeypatch, tmp_path):
-    seen = spy_counts_in_fits(monkeypatch, controls, module=deup.cli)
+    seen = spy_counts_in_fits(monkeypatch, controls, modules=(deup.cli, deup.smo))
     demo_fig1(tmp_path)
-    assert len(seen) == 7  # GP #1, five acquisition refits, GP #2
+    assert len(seen) == 7  # GP #1 and GP #2 in deup.cli, five acquisition refits in deup.smo.GpState
     assert all(c == [1] * len(controls) for c in seen)
     assert counts(controls) == [2] * len(controls)
 
