@@ -309,8 +309,12 @@ class ExperimentConfig:
             if not ok:
                 raise ConfigError(f"key '{key}': must be {rule}, got {self.hp(key)}")
         folds = self.hp("deup.cv_folds")  # read only by a DEUP run's CV pretraining
-        if self.acquisition.uses_error_model and self.hp("deup.n_pretrain") != 0 and not 2 <= folds <= self.n_init:
+        pretrains = self.acquisition.uses_error_model and self.hp("deup.n_pretrain") != 0
+        if pretrains and not 2 <= folds <= self.n_init:
             raise ConfigError(f"key 'deup.cv_folds': must be in [2, n_init={self.n_init}], got {folds}")
+        # The CV fits of f see every fold but the smallest, the last one: n_init - n_init // folds rows.
+        if pretrains and self.n_init - self.n_init // folds < 2:
+            raise ConfigError(f"key 'smo.n_init': must leave >= 2 rows in {folds}-fold CV training folds, got {self.n_init}")
 
     def layout(self) -> tuple:
         """Feature layout in canonical order, fixed for the whole run."""

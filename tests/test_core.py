@@ -292,6 +292,15 @@ class TestExperimentConfig:
         edges = {"gp.n_restarts": 0, "gp.max_sweeps": 1, "deup.error_gp_restarts": 0, "deup.n_pretrain": 0}
         ExperimentConfig(oracle_name="synth1d", dimension=1, n_init=4, hyperparameters=edges).validate()
 
+    def test_validate_rejects_cv_training_folds_too_small_to_fit(self):
+        # Two initial points in 2 folds leave 1 row to fit f on in each CV pass.
+        cfg = ExperimentConfig(oracle_name="synth1d", dimension=1, n_init=2, budget=4, acquisition=Acquisition.DEUP_EI)
+        with pytest.raises(ConfigError, match=re.escape("key 'smo.n_init'")):
+            cfg.validate()
+        cfg.replace(hyperparameters={"deup.n_pretrain": 0})  # no pretraining: no CV fit
+        cfg.replace(acquisition=Acquisition.EI)  # no error model
+        cfg.replace(n_init=3)
+
     @pytest.mark.parametrize("k", [0, 1])
     def test_validate_rejects_fewer_than_two_replicates(self, k):
         cfg = ExperimentConfig(oracle_name="synth1d", dimension=1, hyperparameters={"deup.replicates_k": k})
