@@ -23,6 +23,7 @@ from .core import (
     AleatoricMode,
     Dataset,
     ExperimentConfig,
+    NumericsError,
     RngStream,
     one_blas_thread,
     write_csv,
@@ -204,6 +205,8 @@ def run_smo(cfg: ExperimentConfig) -> RunTrace:
             else:
                 mean, spread = model.predict_batch(x[None])
                 acq_value, eu = float(acquisition_value(spec, mean, spread, best)[0]), float(spread[0])
+                if not (np.isfinite(acq_value) and np.isfinite(eu)):
+                    raise NumericsError(f"step {t}: acq_value {acq_value} and epistemic {eu} at x = {x} are not finite")
             y = float(oracle.sample(x, oracle_gen, 1)[0])
             state = state.update(x, y)
             trace.records.append(

@@ -5,10 +5,11 @@ import pytest
 
 import deup.estimator
 import deup.smo
-from deup.core import Acquisition, AleatoricMode, ExperimentConfig, Feature, NumericsError
-from deup.estimator import UncertaintyModel
-from deup.models import GPPredictor
-from deup.smo import best_so_far, read_trace, run_smo
+from deup.benchmarks import make_oracle
+from deup.core import Acquisition, AleatoricMode, Dataset, ExperimentConfig, Feature, NumericsError, RngStream
+from deup.estimator import DeupState, UncertaintyModel
+from deup.models import GPPredictor, gp_fit
+from deup.smo import GpState, best_so_far, initial_state, read_trace, run_smo
 
 FAST_HP = {
     "smo.n_candidates": 128,
@@ -198,6 +199,34 @@ class TestRunSmo:
         assert trace.failure == f"{error.__name__}: synthetic factorization failure"
         assert 0 < len(trace.records) < 6
 
+    @pytest.mark.incomplete_ok
+    def test_non_finite_record_ends_the_run_incomplete(self):
+        # An MLP u at learning rate 1 predicts a log error that overflows np.exp at step 2.
+        hp = {
+            "deup.error_model": "mlp",
+            "mlp.learning_rate": 1.0,
+            "mlp.epochs": 5,
+            "deup.n_pretrain": 10,
+            "gp.kernel": "matern52",
+            "gp.noise_variance": 100.0,
+            "kde.bandwidth": 0.1,
+        }
+        cfg = ExperimentConfig(
+            oracle_name="ackley",
+            dimension=3,
+            n_init=4,
+            budget=7,
+            acquisition=Acquisition.DEUP_UCB,
+            feature_set=frozenset({Feature.SEEN_BIT}),
+            aleatoric_mode=AleatoricMode.KNOWN,
+            seed=19,
+            hyperparameters=hp,
+        )
+        trace = run_smo(cfg)
+        assert trace.failure.startswith("NumericsError: step 2: acq_value inf and epistemic inf at x = ")
+        assert len(trace.records) == 1
+        assert all(np.isfinite([r.acq_value, r.epistemic]).all() for r in trace.records)
+
     def test_replicates_aleatoric_mode(self):
         cfg = ExperimentConfig(
             oracle_name="synth1d",
@@ -216,6 +245,67 @@ class TestRunSmo:
         )
         trace = run_smo(cfg)
         assert len(trace.records) == 3
+
+
+class TestSurrogateState:
+    @staticmethod
+    def spy_gp_fits(monkeypatch):
+        """The stream label of every gp_fit that deup.smo or deup.estimator makes."""
+        labels = []
+        real_fit = deup.smo.gp_fit
+
+        def spy(d, cfg, rng):
+            labels.append(rng.label)
+            return real_fit(d, cfg, rng)
+
+        for module in (deup.smo, deup.estimator):
+            monkeypatch.setattr(module, "gp_fit", spy)
+        return labels
+
+    def test_random_fits_no_gp(self, monkeypatch):
+        labels = self.spy_gp_fits(monkeypatch)
+        trace = run_smo(config(Acquisition.RANDOM, budget=10))
+        assert len(trace.records) == 4 and not trace.incomplete
+        assert labels == []
+
+    def test_ei_fits_once_per_step_under_its_labels(self, monkeypatch):
+        labels = self.spy_gp_fits(monkeypatch)
+        trace = run_smo(config(Acquisition.EI, budget=10))
+        assert len(trace.records) == 4 and not trace.incomplete
+        assert labels == [f"smo/fit-{t}" for t in range(10 - 6 + 1)]
+
+    def test_initial_state_holds_the_modes_surrogate(self):
+        oracle = make_oracle("synth1d", 1)
+        d = Dataset(np.array([[0.1], [0.4], [0.7], [0.9]]), np.array([0.2, -0.1, 0.5, 0.3]))
+        root = RngStream(0, "smo")
+        states = {kind: initial_state(config(kind), oracle, d, root) for kind in Acquisition}
+        assert states[Acquisition.RANDOM].model is None
+        for kind, state in states.items():
+            assert isinstance(state, DeupState if kind.uses_error_model else GpState)
+            assert state.step == 0
+        assert isinstance(states[Acquisition.EI].model, GPPredictor)
+        assert isinstance(states[Acquisition.DEUP_UCB].model, UncertaintyModel)
+
+    @pytest.mark.parametrize("with_gp", [True, False], ids=["gp", "random"])
+    def test_gp_state_update_leaves_its_input_unchanged(self, with_gp):
+        X, y = np.array([[0.1], [0.4], [0.7]]), np.array([0.2, -0.1, 0.5])
+        rng, gp_cfg = RngStream(0, "smo"), config(Acquisition.EI).section("gp")
+        model = gp_fit(Dataset(X, y), gp_cfg, rng.child("fit-0")) if with_gp else None
+        state = GpState(Dataset(X.copy(), y.copy()), gp_cfg, rng, model)
+        grid = np.linspace(0.0, 1.0, 7)[:, None]
+        before = model.predict_batch(grid) if with_gp else None
+
+        new = state.update(np.array([0.55]), 0.25)
+        assert (state.step, new.step) == (0, 1)
+        assert state.model is model
+        np.testing.assert_array_equal(state.d.inputs(), X)
+        np.testing.assert_array_equal(state.d.targets(), y)
+        assert len(new.d) == 4 and new.d.inputs()[-1, 0] == 0.55 and new.d.targets()[-1] == 0.25
+        if with_gp:
+            np.testing.assert_array_equal(model.predict_batch(grid), before)
+            assert new.model is not model
+        else:
+            assert new.model is None
 
 
 def trace_bytes(trace) -> bytes:
