@@ -1,5 +1,6 @@
 """Microbenchmarks: `gp_fit` at n = 20/60/140/280, one candidate-scoring pass,
-and the 5-row `score_batch` call of the refine.
+the 5-row `score_batch` call of the refine, the GP posterior, the KDE
+log-density and one epoch of the error MLP.
 
 Usage, from the root of a source checkout (no install needed):
 
@@ -28,6 +29,20 @@ score_batch_5: on the same two models, one `score_batch` call over 5 rows,
 the batch each golden-section step of the refine scores (`n_refine` = 5).
 One repeat is REFINE_CALLS calls on the same 5 rows; `us_median` is the
 median repeat divided by REFINE_CALLS.
+
+gp_posterior: on the same two models, the main GP's `predict_batch` (mean
+and variance) over 2048 uniform candidates, the posterior alone without the
+features or u. `ms_median` is the median of REPEATS calls.
+
+kde_log_density: the levi13 model's KDE, fitted on its 26 points with the
+default (Silverman) bandwidth, evaluates `log_density_batch` over 2048
+uniform candidates. `ms_median` is the median of REPEATS calls.
+
+mlp_epoch: the default error MLP (3 hidden layers of 128 ReLU units, Adam)
+trained from scratch by `mlp_fit` on 64 seeded rows of 5 features, the width
+of the levi13 layout, for MLP_EPOCHS full-batch epochs. `us_per_epoch` is the
+median fit divided by MLP_EPOCHS; the once-per-fit set-up (standardizing,
+drawing the initial weights) is under 1 % of a fit.
 """
 
 from __future__ import annotations
@@ -61,6 +76,8 @@ LAYOUTS = {
 }
 CANDIDATES = (2048, 16384)
 REFINE_CALLS = 200
+POSTERIOR_ROWS = 2048
+MLP_ROWS, MLP_FEATURES, MLP_EPOCHS = 64, 5, 100
 BLOCKS = (128, 256, 512, 1024, None)  # None: one call over all candidates
 
 
@@ -184,14 +201,49 @@ def bench_refine_call(name: str) -> dict:
     }
 
 
+def timed_ms(fn) -> dict:
+    """`timed` of fn, in ms."""
+    q1, median, q3 = timed(fn)
+    ms = {"ms_median": round(1e3 * median, 4), "ms_q1": round(1e3 * q1, 4), "ms_q3": round(1e3 * q3, 4)}
+    return {"repeats": REPEATS, **ms}
+
+
+def bench_posterior(name: str) -> dict:
+    domain, model, _ = layout_search(name)
+    X = domain.sample(np.random.default_rng(3), POSTERIOR_ROWS)
+    timing = timed_ms(lambda: model.main.predict_batch(X))
+    return {"layout": name, "n_train": len(model.context.dataset), "rows": POSTERIOR_ROWS, **timing}
+
+
+def bench_kde() -> dict:
+    domain, model, _ = layout_search("levi13")
+    X = domain.sample(np.random.default_rng(4), POSTERIOR_ROWS)
+    timing = timed_ms(lambda: model.context.kde.log_density_batch(X))
+    return {"layout": "levi13", "points": len(model.context.dataset), "rows": POSTERIOR_ROWS, **timing}
+
+
+def bench_mlp_epoch() -> dict:
+    gen = np.random.default_rng(5)
+    d = Dataset(gen.normal(size=(MLP_ROWS, MLP_FEATURES)), gen.normal(size=MLP_ROWS))
+    q1, median, q3 = timed(lambda: models.mlp_fit(d, {"epochs": MLP_EPOCHS}, RngStream(0, "mlp")))
+    quartiles = {"q1": q1, "median": median, "q3": q3}
+    per_epoch = {f"us_per_epoch_{k}": round(1e6 * v / MLP_EPOCHS, 2) for k, v in quartiles.items()}
+    return {"rows": MLP_ROWS, "features": MLP_FEATURES, "epochs": MLP_EPOCHS, "repeats": REPEATS, **per_epoch}
+
+
 def main() -> int:
     with one_blas_thread():
         gp = [bench(n) for n in SIZES]
         scoring = [row for name in LAYOUTS for row in bench_scoring(name)]
         refine = [bench_refine_call(name) for name in LAYOUTS]
+        kernels = {
+            "gp_posterior": [bench_posterior(name) for name in LAYOUTS],
+            "kde_log_density": bench_kde(),
+            "mlp_epoch": bench_mlp_epoch(),
+        }
     env = {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__}
     out = {"blas_threads": 1, "repeats": REPEATS, "environment": env, "gp_fit": gp, "score_candidates": scoring}
-    print(json.dumps({**out, "score_batch_5": refine}))
+    print(json.dumps({**out, "score_batch_5": refine, **kernels}))
     return 0
 
 
