@@ -156,7 +156,7 @@ class GpState:
         return replace(self, d=d, model=model, step=t)
 
 
-def initial_state(cfg: ExperimentConfig, oracle, d: Dataset, root: RngStream):
+def initial_state(cfg: ExperimentConfig, oracle, d: Dataset, root: RngStream) -> GpState | est.DeupState:
     """The step-0 surrogate on the initial design d: a `DeupState` for DEUP_*, else a `GpState`."""
     if cfg.acquisition.uses_error_model:
         return est.deup_init_state(
