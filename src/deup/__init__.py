@@ -8,7 +8,6 @@ from .core import (
     Feature,
     RngStream,
     load_config,
-    split_dataset,
 )
 from .models import Learner, gp_fit, mlp_fit
 from .density import kde_fit
@@ -67,7 +66,6 @@ __all__ = [
     "mc_total_uncertainty",
     "mlp_fit",
     "run_smo",
-    "split_dataset",
     "synth1d",
     "ucb",
 ]

@@ -140,19 +140,6 @@ class RngStream:
         return RngStream(self.seed, f"{self.label}/{suffix}")
 
 
-def split_dataset(d: Dataset, k: int, rng: RngStream) -> list[Dataset]:
-    """Partition `d` into k disjoint random subsets of near-equal size.
-
-    Sizes differ by at most one; the remainder goes to the first len(d) % k
-    subsets. The union of the parts is exactly `d`.
-    """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if k > len(d):
-        raise ValueError(f"cannot split {len(d)} examples into {k} subsets")
-    return [d.take(idx) for idx in np.array_split(rng.generator().permutation(len(d)), k)]
-
-
 # Config schema: section -> {key: (type, default)}. `None` default means the
 # key is optional with behavior documented where it is consumed.
 _SCHEMA = {

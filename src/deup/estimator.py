@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import HYPERPARAMETERS, Dataset, Feature, RngStream, split_dataset, write_csv
+from .core import HYPERPARAMETERS, Dataset, Feature, RngStream, write_csv
 from .density import KdePredictor, kde_fit
-from .models import Learner, MLPPredictor, gp_fit, mlp_fit
+from .models import Learner, gp_fit
 
 logger = logging.getLogger(__name__)
 
@@ -127,8 +127,8 @@ def fit_error_predictor(
     the chosen model's hyperparameters. With fewer than two rows (pretraining
     disabled and nothing acquired yet) u degenerates to a constant at the
     observed target or the log-eps floor. `previous` is the regressor of the
-    u this fit replaces: an MLP u warm-starts from it when it is an MLP too;
-    every other fit starts from scratch.
+    u this fit replaces, passed to `Learner.fit`: an MLP u warm-starts from it
+    when it is an MLP too. An MLP u ignores the error GP keys.
     """
     cfg = dict(cfg or {})
     choice = cfg.pop("error_model", HYPERPARAMETERS["deup.error_model"])
@@ -137,12 +137,7 @@ def fit_error_predictor(
     if len(d_u) < 2:
         value = float(d_u.targets()[0]) if len(d_u) == 1 else float(np.log(LOG_TARGET_EPS))
         return ErrorPredictor(model=ConstantModel(value))
-    if choice == "gp":
-        model = gp_fit(d_u, {**ERROR_GP_DEFAULTS, **cfg}, rng)
-    elif choice == "mlp":
-        model = mlp_fit(d_u, cfg, rng, init=previous if isinstance(previous, MLPPredictor) else None)
-    else:
-        raise ValueError(f"unknown error model {choice!r}")
+    model = Learner(choice, {**ERROR_GP_DEFAULTS, **cfg}).fit(d_u, rng, previous)
     F = d_u.inputs()
     return ErrorPredictor(
         model=model,
@@ -202,17 +197,16 @@ class UncertaintyModel:
         """
         if self.context.variance_source is self.main:
             mean, var = self.main.predict_batch(X)
-            return mean, self._epistemic(X, var)
+            return mean, self.epistemic_batch(X, var)
         return self.predict_mean_batch(X), self.epistemic_batch(X)
 
     def predict_mean_batch(self, X: np.ndarray) -> np.ndarray:
         return self.main.predict_mean_batch(X)
 
-    def epistemic_batch(self, X: np.ndarray) -> np.ndarray:
-        """max(u(features(x)) - a(x), 0) per row; with a == 0 this is the total-uncertainty estimate."""
-        return self._epistemic(X, None)
+    def epistemic_batch(self, X: np.ndarray, variance: np.ndarray | None = None) -> np.ndarray:
+        """max(u(features(x)) - a(x), 0) per row; with a == 0 this is the total-uncertainty estimate.
 
-    def _epistemic(self, X: np.ndarray, variance: np.ndarray | None) -> np.ndarray:
+        `variance` is the variance source's posterior variance at X, if already solved."""
         F = build_features_batch(self.context, X, variance)
         u = np.exp(self.error.predict_log_error_batch(F))
         a = self.aleatoric.values(X)
@@ -292,18 +286,18 @@ def deup_pretrain_cv(d_init: Dataset, k: int, n_pretrain: int, fit: DeupFit, rng
 
     Repeats {random split into k folds; fit f and features on k-1 folds; add an
     error row for every point of d_init} until at least n_pretrain rows exist.
-    Held-out-fold rows get seen bit 0, in-fold rows 1.
+    Held-out-fold rows get seen bit 0, in-fold rows 1. Each pass permutes d_init;
+    its k-1 training folds are the first n - n // k rows, the held-out fold the rest.
     """
-    if k < 2:
-        raise ValueError(f"cv needs k >= 2 folds, got {k}")
+    n = len(d_init)
+    if not 2 <= k <= n:
+        raise ValueError(f"cv needs 2 <= k <= {n} folds for {n} examples, got {k}")
     d_u = Dataset()
     pass_idx = 0
     while len(d_u) < n_pretrain:
         pass_idx += 1
-        *train_folds, _ = split_dataset(d_init, k, rng.child(f"split-{pass_idx}"))
-        d_tilde = Dataset(
-            np.vstack([f.inputs() for f in train_folds]), np.concatenate([f.targets() for f in train_folds])
-        )
+        perm = rng.child(f"split-{pass_idx}").generator().permutation(n)
+        d_tilde = d_init.take(perm[: n - n // k])
         main, context = fit.main(d_tilde, rng, (f"fit-{pass_idx}", f"features-{pass_idx}"))
         rows = fit.error_rows(main, context, d_init)
         d_u = d_u.append(rows.inputs(), rows.targets())

@@ -191,15 +191,14 @@ def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
 
     Hyperparameters (lengthscale, signal variance, noise variance) are searched
     in log space with `n_restarts` random restarts of a coordinate descent whose
-    accepted steps never decrease the likelihood. Pass explicit `lengthscale` /
-    `signal_variance` / `noise_variance` in cfg with n_restarts=0 to skip the
-    search. Cholesky failures escalate jitter from 1e-8 to 1e-2 before raising.
+    accepted steps never decrease the likelihood. A `lengthscale`,
+    `signal_variance` or `noise_variance` set in cfg is held: both its search
+    bounds are that value, at any n_restarts. The searched noise is bounded
+    below by `noise_floor` in standardized units. A fit with all three held
+    takes them without evaluating the likelihood. Cholesky failures escalate
+    jitter from 1e-8 to 1e-2 before raising.
     """
     cfg = {**GP_DEFAULTS, **(cfg or {})}
-    for key, positive in (("lengthscale", True), ("signal_variance", True), ("noise_variance", False)):
-        value = cfg.get(key)
-        if value is not None and not (value > 0 if positive else value >= 0):
-            raise ValueError(f"gp_fit: {key} must be {'> 0' if positive else '>= 0'}, got {value}")
     X = d.inputs()
     y = d.targets()
     n = len(y)
@@ -217,21 +216,29 @@ def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
     if input_range <= 0.0:
         input_range = 1.0
 
-    # theta = (log lengthscale, log signal, log noise) as a tuple of Python floats.
-    ls_bounds = (float(np.log(1e-2 * input_range)), float(np.log(1e2 * input_range)))
-    sig_bounds = (float(np.log(1e-3)), float(np.log(1e3)))
-    noise_floor = float(cfg["noise_floor"])
-    noise_bounds = (float(np.log(noise_floor)), float(np.log(1.0)))
-
-    kernel = str(cfg["kernel"]).lower()
-    fixed_noise = cfg.get("noise_variance")
+    # theta = (log lengthscale, log signal, log noise) as a tuple of Python
+    # floats, signal and noise standardized; a held value is both its bounds.
+    bounds = [
+        (float(np.log(1e-2 * input_range)), float(np.log(1e2 * input_range))),
+        (float(np.log(1e-3)), float(np.log(1e3))),
+        (float(np.log(float(cfg["noise_floor"]))), float(np.log(1.0))),
+    ]
+    units = {"lengthscale": 1.0, "signal_variance": y_std**2, "noise_variance": y_std**2}
+    for i, (key, unit) in enumerate(units.items()):
+        value, positive = cfg.get(key), key != "noise_variance"
+        if value is None:
+            continue
+        if not (value > 0 if positive else value >= 0):
+            raise ValueError(f"gp_fit: {key} must be {'> 0' if positive else '>= 0'}, got {value}")
+        held = float(np.log(max(float(value) / unit, 1e-300)))
+        bounds[i] = (held, held)
 
     # Off-diagonal median distance is a robust lengthscale init.
     off = np.sqrt(sq[~np.eye(n, dtype=bool)])
     med = float(np.median(off[off > 0])) if np.any(off > 0) else input_range
-    med = float(np.clip(med, np.exp(ls_bounds[0]), np.exp(ls_bounds[1])))
+    med = float(np.clip(med, np.exp(bounds[0][0]), np.exp(bounds[0][1])))
 
-    search_kernel = _SearchKernel(sq, kernel)
+    search_kernel = _SearchKernel(sq, str(cfg["kernel"]).lower())
     seen = {}  # the coordinate descent revisits points; evaluate each theta once
 
     def objective(theta):
@@ -240,56 +247,39 @@ def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
             val = seen[theta] = _log_marginal_likelihood(search_kernel, z, *theta, JITTER_START)
         return val
 
-    if fixed_noise is not None:
-        log_noise_fixed = float(np.log(max(float(fixed_noise) / y_std**2, 1e-300)))
-    bounds = [ls_bounds, sig_bounds, noise_bounds]
-    free = [0, 1] if fixed_noise is not None else [0, 1, 2]
-
-    n_restarts = int(cfg["n_restarts"])
-    max_sweeps = int(cfg["max_sweeps"])
     gen = rng.generator()
+    starts = [(float(np.log(med)), 0.0, float(np.log(1e-4)))]
+    for _ in range(max(int(cfg["n_restarts"]) - 1, 0)):
+        starts.append(tuple(gen.uniform(lo, hi) for lo, hi in bounds))
+    starts = [tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(theta, bounds)) for theta in starts]
 
-    if n_restarts == 0 and "lengthscale" in cfg:
-        best_theta = (
-            float(np.log(float(cfg["lengthscale"]))),
-            float(np.log(float(cfg.get("signal_variance", y_std**2)) / y_std**2)),
-            float(np.log(max(float(cfg.get("noise_variance", noise_floor)) / y_std**2, 1e-300))),
-        )
-    else:
-        starts = [(float(np.log(med)), 0.0, float(np.log(1e-4)))]
-        for _ in range(max(n_restarts - 1, 0)):
-            starts.append(tuple(gen.uniform(lo, hi) for lo, hi in bounds))
-        best_theta, best_val = None, -np.inf
-        for theta in starts:
-            if fixed_noise is not None:
-                theta = theta[:2] + (log_noise_fixed,)
-            val = objective(theta)
-            step = 1.0
-            for _ in range(max_sweeps):
-                improved = False
-                for i in free:
-                    lo, hi = bounds[i]
-                    for direction in (1.0, -1.0):
-                        x = min(max(theta[i] + direction * step, lo), hi)
-                        if x == theta[i]:
-                            continue
-                        cand = theta[:i] + (x,) + theta[i + 1 :]
-                        cand_val = objective(cand)
-                        if cand_val > val:
-                            theta, val = cand, cand_val
-                            improved = True
-                if not improved:
-                    step *= 0.5
-                    if step < 1e-3:
-                        break
-            if val > best_val:
-                best_theta, best_val = theta, val
-        if best_theta is None:
-            raise NumericsError("GP hyperparameter search failed at every restart")
+    # With all three held every start is the held theta: it is taken unevaluated.
+    best_theta, best_val = starts[0], -np.inf
+    for theta in starts if any(lo < hi for lo, hi in bounds) else ():
+        val = objective(theta)
+        step = 1.0
+        for _ in range(int(cfg["max_sweeps"])):
+            improved = False
+            for i, (lo, hi) in enumerate(bounds):
+                for direction in (1.0, -1.0):
+                    x = min(max(theta[i] + direction * step, lo), hi)
+                    if x == theta[i]:
+                        continue
+                    cand = theta[:i] + (x,) + theta[i + 1 :]
+                    cand_val = objective(cand)
+                    if cand_val > val:
+                        theta, val = cand, cand_val
+                        improved = True
+            if not improved:
+                step *= 0.5
+                if step < 1e-3:
+                    break
+        if val > best_val:
+            best_theta, best_val = theta, val
 
-    # A fixed noise is already in best_theta on both paths. After a search the
-    # final factor is the one it evaluated at best_theta with the upper
-    # triangle zeroed, so the likelihood taken from it has the search's bits.
+    # The final factor is the one the search evaluated at best_theta with the
+    # upper triangle zeroed, so the likelihood taken from it has the search's
+    # bits. If every evaluation failed, this factor fails too and raises.
     log_ls, log_sig, log_noise = best_theta
     L, jitter = _chol_with_jitter(search_kernel, log_ls, np.exp(log_sig), np.exp(log_noise), JITTER_START, clean=1)
     if jitter > JITTER_START:
@@ -298,7 +288,7 @@ def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
     alpha, _ = _trtrs(L, a, lower=1, trans=1)
 
     return GPPredictor(
-        kernel=kernel,
+        kernel=search_kernel.kernel,
         lengthscale=float(np.exp(log_ls)),
         signal_variance=float(np.exp(log_sig)) * y_std**2,
         noise_variance=float(np.exp(log_noise)) * y_std**2,
@@ -410,10 +400,9 @@ def mlp_fit(d: Dataset, cfg: dict | None, rng: RngStream, init: MLPPredictor | N
 
     lr = float(cfg["learning_rate"])
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-    m_w = [np.zeros_like(W) for W in weights]
-    v_w = [np.zeros_like(W) for W in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
+    params = weights + biases  # the same arrays: an update in place moves both lists
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
 
     batch_size = int(cfg["batch_size"])
     full_batch = n < batch_size
@@ -435,13 +424,10 @@ def mlp_fit(d: Dataset, cfg: dict | None, rng: RngStream, init: MLPPredictor | N
             step += 1
             c1 = 1.0 - b1**step
             c2 = 1.0 - b2**step
-            for i in range(len(weights)):
-                m_w[i] = b1 * m_w[i] + (1 - b1) * grad_w[i]
-                v_w[i] = b2 * v_w[i] + (1 - b2) * grad_w[i] ** 2
-                weights[i] -= lr * (m_w[i] / c1) / (np.sqrt(v_w[i] / c2) + eps)
-                m_b[i] = b1 * m_b[i] + (1 - b1) * grad_b[i]
-                v_b[i] = b2 * v_b[i] + (1 - b2) * grad_b[i] ** 2
-                biases[i] -= lr * (m_b[i] / c1) / (np.sqrt(v_b[i] / c2) + eps)
+            for i, g in enumerate(grad_w + grad_b):
+                m[i] = b1 * m[i] + (1 - b1) * g
+                v[i] = b2 * v[i] + (1 - b2) * g**2
+                params[i] -= lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + eps)
 
     return MLPPredictor(weights=weights, biases=biases, x_mean=x_mean, x_std=x_std, y_mean=y_mean, y_std=y_std)
 
@@ -453,9 +439,11 @@ class Learner:
     kind: str
     hyperparameters: dict = field(default_factory=dict)
 
-    def fit(self, d: Dataset, rng: RngStream):
+    def fit(self, d: Dataset, rng: RngStream, previous=None):
+        """Fit on d. An MLP warm-starts from `previous` when it is an MLPPredictor
+        (see `mlp_fit`'s init); every other fit starts from scratch."""
         if self.kind == "gp":
             return gp_fit(d, self.hyperparameters, rng)
         if self.kind == "mlp":
-            return mlp_fit(d, self.hyperparameters, rng)
+            return mlp_fit(d, self.hyperparameters, rng, init=previous if isinstance(previous, MLPPredictor) else None)
         raise ValueError(f"unknown learner kind {self.kind!r}")

@@ -299,15 +299,14 @@ def spy_fits(monkeypatch):
     """Record (fit function, cfg) of every model fit, keyed by the last label of its
     stream without a step suffix ("main-3" -> "main")."""
     calls = {}
-    for module in (deup.models, deup.estimator):
-        for name in ("gp_fit", "mlp_fit"):
-            fit = getattr(module, name)
+    for module, name in ((deup.models, "gp_fit"), (deup.models, "mlp_fit"), (deup.estimator, "gp_fit")):
+        fit = getattr(module, name)
 
-            def spy(d, cfg, rng, fit=fit, name=name, **kwargs):
-                calls[re.sub(r"-\d+$", "", rng.label.rsplit("/", 1)[-1])] = (name, dict(cfg or {}))
-                return fit(d, cfg, rng, **kwargs)
+        def spy(d, cfg, rng, fit=fit, name=name, **kwargs):
+            calls[re.sub(r"-\d+$", "", rng.label.rsplit("/", 1)[-1])] = (name, dict(cfg or {}))
+            return fit(d, cfg, rng, **kwargs)
 
-            monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(module, name, spy)
     return calls
 
 

@@ -16,7 +16,6 @@ from deup.core import (
     RngStream,
     ValidationError,
     load_config,
-    split_dataset,
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -106,45 +105,6 @@ class TestRngStream:
         a = s.child("sub").generator().integers(0, 1 << 30, size=3)
         b = s.child("sub").generator().integers(0, 1 << 30, size=3)
         np.testing.assert_array_equal(a, b)
-
-
-class TestSplitDataset:
-    def test_even_partition(self):
-        d = make_dataset(6)
-        parts = split_dataset(d, 2, RngStream(0, "split"))
-        assert [len(p) for p in parts] == [3, 3]
-        keys = set()
-        for p in parts:
-            keys.update(x.tobytes() for x in p.inputs())
-        assert keys == {x.tobytes() for x in d.inputs()}
-
-    def test_remainder_to_first_subsets(self):
-        parts = split_dataset(make_dataset(7), 2, RngStream(0, "split"))
-        assert [len(p) for p in parts] == [4, 3]
-
-    def test_deterministic(self):
-        d = make_dataset(10)
-        a = split_dataset(d, 3, RngStream(4, "split"))
-        b = split_dataset(d, 3, RngStream(4, "split"))
-        for pa, pb in zip(a, b):
-            np.testing.assert_array_equal(pa.inputs(), pb.inputs())
-
-    def test_partition_property_random_sizes(self):
-        gen = np.random.default_rng(11)
-        for trial in range(25):
-            n = int(gen.integers(2, 40))
-            k = int(gen.integers(2, n + 1))
-            d = make_dataset(n, seed=trial)
-            parts = split_dataset(d, k, RngStream(trial, "split"))
-            sizes = [len(p) for p in parts]
-            assert sum(sizes) == n
-            assert max(sizes) - min(sizes) <= 1
-            seen = [x.tobytes() for p in parts for x in p.inputs()]
-            assert len(seen) == len(set(seen)) == n
-
-    def test_k_larger_than_dataset(self):
-        with pytest.raises(ValueError):
-            split_dataset(make_dataset(3), 4, RngStream(0, "split"))
 
 
 class TestLoadConfig:

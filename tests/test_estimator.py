@@ -156,6 +156,17 @@ class TestPretrainCv:
         # K=2 folds over 6 points: 3 in-fold rows (bit 1), 3 held-out rows (bit 0)
         assert bits == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
 
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_rejects_fold_counts_outside_two_to_n(self, k):
+        fit = DeupFit(Learner("gp", GP_NOISELESS), (Feature.SEEN_BIT,))
+        with pytest.raises(ValueError, match="2 <= k <= 6"):
+            deup_pretrain_cv(make_1d_dataset(6), k, 1, fit, RngStream(0, "cv"))
+
+    def test_n_folds_hold_out_one_row_each(self):
+        layout = (Feature.SEEN_BIT,)
+        d_u = deup_pretrain_cv(make_1d_dataset(6), 6, 1, DeupFit(Learner("gp", GP_NOISELESS), layout), RngStream(0, "cv"))
+        assert sorted(d_u.inputs()[:, 0]) == [0.0] + [1.0] * 5
+
 
 def mlp_params(model) -> list:
     """Copies of an MLP's weights and biases; empty for any other model."""

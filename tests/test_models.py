@@ -14,6 +14,7 @@ from deup.models import (
     _kernel_from_sq_dists,
     _log_marginal_likelihood,
     _pairwise_sq_dists,
+    Learner,
     _SearchKernel,
     gp_fit,
     loss_and_gradients,
@@ -122,6 +123,20 @@ class TestGPFit:
     def test_needs_two_examples(self):
         with pytest.raises(ValueError):
             gp_fit(Dataset([[0.0]], [1.0]), None, RngStream(0, "fit"))
+
+    @pytest.mark.parametrize("floor", [1e-3, 1e-2, 0.1])
+    def test_noise_never_ends_below_its_floor(self, floor):
+        # A noiseless sine pulls the noise down to its bound, the floor in standardized units.
+        for seed in range(5):
+            X = np.random.default_rng(seed).uniform(0.0, 1.0, size=(12, 1))
+            gp = gp_fit(Dataset(X, np.sin(6 * X[:, 0])), {"noise_floor": floor}, RngStream(seed, "fit"))
+            assert gp.noise_variance / gp.y_std**2 >= floor * (1 - 1e-12)
+
+    @pytest.mark.parametrize("key, value", [("lengthscale", 0.3), ("signal_variance", 2.0), ("noise_variance", 0.05)])
+    def test_a_set_hyperparameter_is_held_under_default_restarts(self, key, value):
+        X = np.linspace(0.0, 1.0, 12)[:, None]
+        gp = gp_fit(Dataset(X, np.sin(6 * X[:, 0])), {key: value}, RngStream(0, "fit"))
+        assert getattr(gp, key) == pytest.approx(value, rel=1e-12)
 
 
 class TestGPPosterior:
@@ -559,6 +574,27 @@ class TestMLP:
             np.testing.assert_array_equal(start, p0)  # the first step starts from init's weights
             np.testing.assert_array_equal(after, p0)  # and init is left unchanged
         assert not np.array_equal(warm.weights[0], prev.weights[0])
+
+    def test_learner_warm_starts_an_mlp_from_a_previous_mlp(self):
+        X = np.random.default_rng(3).uniform(-1, 1, size=(12, 2))
+        cfg = {"epochs": 12, "hidden_units": 8}
+        prev = mlp_fit(Dataset(X[:10], np.sin(X[:10, 0])), cfg, RngStream(0, "mlp"))
+        d = Dataset(X, np.sin(X[:, 0]))
+        learned = Learner("mlp", cfg).fit(d, RngStream(1, "mlp"), previous=prev)
+        direct = mlp_fit(d, cfg, RngStream(1, "mlp"), init=prev)
+        for a, b in zip(learned.weights + learned.biases, direct.weights + direct.biases, strict=True):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("previous", ["gp", None])
+    def test_learner_fits_an_mlp_from_scratch_without_a_previous_mlp(self, previous):
+        X = np.random.default_rng(3).uniform(-1, 1, size=(12, 2))
+        d = Dataset(X, np.sin(X[:, 0]))
+        cfg = {"epochs": 12, "hidden_units": 8}
+        previous = gp_fit(d, None, RngStream(0, "fit")) if previous == "gp" else None
+        learned = Learner("mlp", cfg).fit(d, RngStream(1, "mlp"), previous=previous)
+        scratch = mlp_fit(d, cfg, RngStream(1, "mlp"))
+        for a, b in zip(learned.weights + learned.biases, scratch.weights + scratch.biases, strict=True):
+            assert a.tobytes() == b.tobytes()
 
     def test_warm_start_rejects_other_layer_sizes(self):
         d = Dataset(np.linspace(0, 1, 6)[:, None], np.linspace(0, 1, 6))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import deup.estimator
+import deup.models
 import deup.smo
 from deup.benchmarks import make_oracle
 from deup.core import Acquisition, AleatoricMode, Dataset, ExperimentConfig, Feature, NumericsError, RngStream
@@ -75,27 +76,27 @@ class TestRunSmo:
 
     def test_mlp_keys_reach_error_mlp(self, monkeypatch):
         epochs = []
-        mlp_fit = deup.estimator.mlp_fit
+        mlp_fit = deup.models.mlp_fit
 
         def spy(d, cfg, rng, init=None):
             epochs.append(cfg.get("epochs"))
             return mlp_fit(d, cfg, rng, init=init)
 
-        monkeypatch.setattr(deup.estimator, "mlp_fit", spy)
+        monkeypatch.setattr(deup.models, "mlp_fit", spy)
         cfg = config(Acquisition.DEUP_EI, budget=8, **{"mlp.epochs": 7})
         run_smo(cfg.replace(feature_set=frozenset({Feature.X, Feature.LOG_VARIANCE})))
         assert epochs and all(e == 7 for e in epochs)
 
     def test_error_mlp_without_pretraining_fits_from_scratch_then_warm_starts(self, monkeypatch):
         inits, fits = [], []
-        mlp_fit = deup.estimator.mlp_fit
+        mlp_fit = deup.models.mlp_fit
 
         def spy(d, cfg, rng, init=None):
             inits.append(init)
             fits.append(mlp_fit(d, cfg, rng, init=init))
             return fits[-1]
 
-        monkeypatch.setattr(deup.estimator, "mlp_fit", spy)
+        monkeypatch.setattr(deup.models, "mlp_fit", spy)
         cfg = config(Acquisition.DEUP_EI, budget=10, **{"mlp.epochs": 20, "deup.n_pretrain": 0})
         trace = run_smo(cfg.replace(feature_set=frozenset({Feature.X, Feature.LOG_VARIANCE})))
         assert len(trace.records) == 4 and not trace.incomplete

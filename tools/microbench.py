@@ -1,4 +1,5 @@
-"""Microbenchmarks: `gp_fit` at n = 20/60/140/280, one candidate-scoring pass,
+"""Microbenchmarks: `gp_fit` at n = 20/60/140/280 and with a held noise at
+n = 20/60, one candidate-scoring pass,
 the 5-row `score_batch` call of the refine, the GP posterior, the KDE
 log-density and one epoch of the error MLP.
 
@@ -15,6 +16,10 @@ A fit is repeated REPEATS times after one warm-up fit; every repeat is
 bitwise the same fit. An extra, untimed fit counts the log-likelihood
 evaluations of the search, so `eval_us` is the median fit time divided by
 that count.
+
+gp_fit_held_noise: the n = 20 and 60 fits with `noise_variance` set to
+HELD_NOISE, the data's own noise variance, as demo-fig1's GP #1 sets it:
+the search then holds the noise and moves lengthscale and signal only.
 
 score_candidates: a DEUP-EI model on the layout of each benchmark workload
 (synth1d {log_variance}, levi13 {x, seen_bit, log_density, log_variance}),
@@ -68,6 +73,7 @@ from deup.estimator import deup_init_state  # noqa: E402
 from deup.smo import deup_fit  # noqa: E402
 
 SIZES = (20, 60, 140, 280)
+HELD_SIZES, HELD_NOISE = (20, 60), 0.3**2
 REPEATS = 15
 # Dimension, feature layout and budget of the benchmark workloads synth1d-deup and levi13-mlp.
 LAYOUTS = {
@@ -87,7 +93,7 @@ def dataset(n: int) -> Dataset:
     return Dataset(X, np.sin(8.0 * X[:, 0]) + 0.3 * gen.normal(size=n))
 
 
-def count_evaluations(d: Dataset) -> int:
+def count_evaluations(d: Dataset, cfg: dict | None) -> int:
     real, count = models._log_marginal_likelihood, 0
 
     def counting(*args):
@@ -97,7 +103,7 @@ def count_evaluations(d: Dataset) -> int:
 
     models._log_marginal_likelihood = counting
     try:
-        models.gp_fit(d, None, RngStream(0, "fit"))
+        models.gp_fit(d, cfg, RngStream(0, "fit"))
     finally:
         models._log_marginal_likelihood = real
     return count
@@ -114,10 +120,10 @@ def timed(fn) -> tuple[float, float, float]:
     return tuple(statistics.quantiles(times, n=4))
 
 
-def bench(n: int) -> dict:
+def bench(n: int, cfg: dict | None = None) -> dict:
     d = dataset(n)
-    q1, median, q3 = timed(lambda: models.gp_fit(d, None, RngStream(0, "fit")))
-    evals = count_evaluations(d)
+    q1, median, q3 = timed(lambda: models.gp_fit(d, cfg, RngStream(0, "fit")))
+    evals = count_evaluations(d, cfg)
     return {
         "n": n,
         "repeats": REPEATS,
@@ -234,6 +240,7 @@ def bench_mlp_epoch() -> dict:
 def main() -> int:
     with one_blas_thread():
         gp = [bench(n) for n in SIZES]
+        held = [bench(n, {"noise_variance": HELD_NOISE}) for n in HELD_SIZES]
         scoring = [row for name in LAYOUTS for row in bench_scoring(name)]
         refine = [bench_refine_call(name) for name in LAYOUTS]
         kernels = {
@@ -242,7 +249,8 @@ def main() -> int:
             "mlp_epoch": bench_mlp_epoch(),
         }
     env = {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__}
-    out = {"blas_threads": 1, "repeats": REPEATS, "environment": env, "gp_fit": gp, "score_candidates": scoring}
+    out = {"blas_threads": 1, "repeats": REPEATS, "environment": env, "gp_fit": gp, "gp_fit_held_noise": held}
+    out["score_candidates"] = scoring
     print(json.dumps({**out, "score_batch_5": refine, **kernels}))
     return 0
 
