@@ -163,8 +163,8 @@ class TestPretrainCv:
             deup_pretrain_cv(make_1d_dataset(6), k, 1, fit, RngStream(0, "cv"))
 
     def test_n_folds_hold_out_one_row_each(self):
-        layout = (Feature.SEEN_BIT,)
-        d_u = deup_pretrain_cv(make_1d_dataset(6), 6, 1, DeupFit(Learner("gp", GP_NOISELESS), layout), RngStream(0, "cv"))
+        fit = DeupFit(Learner("gp", GP_NOISELESS), (Feature.SEEN_BIT,))
+        d_u = deup_pretrain_cv(make_1d_dataset(6), 6, 1, fit, RngStream(0, "cv"))
         assert sorted(d_u.inputs()[:, 0]) == [0.0] + [1.0] * 5
 
 

@@ -250,8 +250,7 @@ def main() -> int:
         }
     env = {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__}
     out = {"blas_threads": 1, "repeats": REPEATS, "environment": env, "gp_fit": gp, "gp_fit_held_noise": held}
-    out["score_candidates"] = scoring
-    print(json.dumps({**out, "score_batch_5": refine, **kernels}))
+    print(json.dumps({**out, "score_candidates": scoring, "score_batch_5": refine, **kernels}))
     return 0
 
 
