@@ -20,7 +20,7 @@ from scipy.stats import spearmanr
 from . import estimator as est
 from .benchmarks import make_oracle
 from .core import Dataset, Feature, RngStream, load_config, one_blas_thread, write_csv, write_json
-from .models import Learner, gp_fit
+from .models import Learner
 from .smo import GpState, build_aleatoric, deup_fit, read_trace, run_smo
 
 
@@ -41,7 +41,8 @@ def _max_workers(n_tasks: int) -> int:
         if not (cap.isdecimal() and int(cap) > 0):
             raise ValueError(f"DEUP_THREADS must be a positive integer, got {cap!r}")
         return min(int(cap), n_tasks)
-    return max(1, min(os.cpu_count() or 1, n_tasks))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus, n_tasks))
 
 
 # --- run-smo ----------------------------------------------------------------
@@ -152,29 +153,24 @@ def demo_fig1(out_dir, seed: int = 0, force: bool = False) -> dict:
     )
     train = Dataset(xs[:, None], fig1_truth(xs))
 
-    gp_cfg = {"noise_variance": 1e-8, "n_restarts": 8}
-    gp1 = gp_fit(train, gp_cfg, root.child("gp1"))
+    gp = Learner("gp", {"noise_variance": 1e-8, "n_restarts": 8})
+    gp1 = gp.fit(train, root.child("gp1"))
 
     # Acquire 5 points at the current posterior-variance maximum, refitting
     # with the same hyperparameters after each (variance-only exploration).
-    fixed_cfg = {
-        "lengthscale": gp1.lengthscale,
-        "signal_variance": gp1.signal_variance,
-        "noise_variance": gp1.noise_variance,
-        "n_restarts": 0,
-    }
+    held = {key: getattr(gp1, key) for key in ("lengthscale", "signal_variance", "noise_variance")}
     candidates = np.linspace(0.0, 2.0, 1024)[:, None]
-    acq = GpState(train, fixed_cfg, root.child("gp-acquire"), gp1)
+    acq = GpState(train, Learner("gp", {**held, "n_restarts": 0}), root.child("gp-acquire"), gp1)
     for _ in range(5):
         _, var = acq.model.predict_batch(candidates)
         x_new = candidates[int(np.argmax(var))]
         acq = acq.update(x_new, float(fig1_truth(x_new[0])))
     acquired = acq.d.take(np.arange(len(train), len(acq.d)))
 
-    gp2 = gp_fit(acq.d, gp_cfg, root.child("gp2"))
+    gp2 = gp.fit(acq.d, root.child("gp2"))
 
     layout = (Feature.LOG_VARIANCE,)
-    state = est.deup_fixed_train(train, acquired, est.DeupFit(Learner("gp", gp_cfg), layout), root.child("deup"))
+    state = est.deup_fixed_train(train, acquired, est.DeupFit(gp, layout), root.child("deup"))
 
     grid = np.linspace(0.0, 2.0, 401)[:, None]
     f_true = fig1_truth(grid[:, 0])

@@ -13,9 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import HYPERPARAMETERS, Dataset, Feature, RngStream, write_csv
+from .core import HYPERPARAMETERS, Dataset, Feature, RngStream, schema_section, write_csv
 from .density import KdePredictor, kde_fit
-from .models import Learner, gp_fit
+from .models import Learner
 
 logger = logging.getLogger(__name__)
 
@@ -24,7 +24,8 @@ LOG_TARGET_EPS = 1e-10
 # clamped to exactly zero at interpolated points.
 VARIANCE_LOG_FLOOR = 1e-25
 
-ERROR_GP_DEFAULTS = {"n_restarts": HYPERPARAMETERS["deup.error_gp_restarts"], "max_sweeps": 10}
+# A GP u is RBF (gp_fit's default kernel) with a searched noise and this many sweeps per restart.
+ERROR_GP_MAX_SWEEPS = 10
 
 
 def log_error_target(residual_sq) -> np.ndarray:
@@ -47,19 +48,19 @@ def fit_feature_context(
     rng: RngStream,
     bandwidth: float | None = None,
     variance_source=None,
-    gp_cfg: dict | None = None,
+    variance_gp: Learner = Learner("gp"),
 ) -> FeatureContext:
     """Fit the density / variance estimators the layout requires on d.
 
     A main-model GP can be passed as `variance_source` so its posterior
-    variance doubles as the feature at no extra cost; otherwise a side GP with
-    settings `gp_cfg` is fitted when the layout asks for log variance.
+    variance doubles as the feature at no extra cost; otherwise the side GP
+    `variance_gp` is fitted when the layout asks for log variance.
     """
     kde = kde_fit(d, bandwidth) if Feature.LOG_DENSITY in layout else None
     if Feature.LOG_VARIANCE not in layout:
         variance_source = None
     elif variance_source is None:
-        variance_source = gp_fit(d, gp_cfg, rng.child("variance-gp"))
+        variance_source = variance_gp.fit(d, rng.child("variance-gp"))
     return FeatureContext(d, layout, kde, variance_source)
 
 
@@ -117,33 +118,39 @@ class ErrorPredictor:
         return self.model.predict_mean_batch(F)
 
 
-def fit_error_predictor(
-    d_u: Dataset, layout: tuple, rng: RngStream, cfg: dict | None = None, previous=None
-) -> ErrorPredictor:
-    """Fit u on the error dataset; GP unless the layout includes raw x.
+def error_learner(layout: tuple, hyperparameters: dict | None = None) -> Learner:
+    """The error model u for `layout` under `hyperparameters` ("section.key" names
+    over the schema defaults, as in `ExperimentConfig.hyperparameters`).
 
-    A GP error model overfits raw coordinates, so layouts containing x default
-    to the MLP. `cfg` may force 'gp' or 'mlp' via key 'error_model' and carries
-    the chosen model's hyperparameters. With fewer than two rows (pretraining
-    disabled and nothing acquired yet) u degenerates to a constant at the
-    observed target or the log-eps floor. `previous` is the regressor of the
-    u this fit replaces, passed to `Learner.fit`: an MLP u warm-starts from it
-    when it is an MLP too. An MLP u ignores the error GP keys.
+    `deup.error_model = auto` is an MLP when the layout contains raw x, which a
+    GP overfits, and a GP otherwise. An MLP u holds the [mlp] keys; a GP u holds
+    `deup.error_gp_restarts` as n_restarts, ERROR_GP_MAX_SWEEPS and `gp.noise_floor`.
     """
-    cfg = dict(cfg or {})
-    choice = cfg.pop("error_model", HYPERPARAMETERS["deup.error_model"])
-    if choice == "auto":
-        choice = "mlp" if Feature.X in layout else "gp"
+    deup = schema_section("deup", hyperparameters)
+    kind = deup["error_model"]
+    if kind == "auto":
+        kind = "mlp" if Feature.X in layout else "gp"
+    if kind == "mlp":
+        return Learner("mlp", schema_section("mlp", hyperparameters))
+    noise_floor = schema_section("gp", hyperparameters)["noise_floor"]
+    return Learner(
+        kind, {"n_restarts": deup["error_gp_restarts"], "max_sweeps": ERROR_GP_MAX_SWEEPS, "noise_floor": noise_floor}
+    )
+
+
+def fit_error_predictor(d_u: Dataset, learner: Learner, rng: RngStream, previous=None) -> ErrorPredictor:
+    """Fit u = `learner` on the error dataset.
+
+    With fewer than two rows (pretraining disabled and nothing acquired yet)
+    u degenerates to a constant at the observed target or the log-eps floor.
+    `previous` is the regressor of the u this fit replaces, passed to
+    `Learner.fit`: an MLP u warm-starts from it when it is an MLP too.
+    """
     if len(d_u) < 2:
         value = float(d_u.targets()[0]) if len(d_u) == 1 else float(np.log(LOG_TARGET_EPS))
         return ErrorPredictor(model=ConstantModel(value))
-    model = Learner(choice, {**ERROR_GP_DEFAULTS, **cfg}).fit(d_u, rng, previous)
     F = d_u.inputs()
-    return ErrorPredictor(
-        model=model,
-        feature_lows=F.min(axis=0),
-        feature_highs=F.max(axis=0),
-    )
+    return ErrorPredictor(learner.fit(d_u, rng, previous), F.min(axis=0), F.max(axis=0))
 
 
 @dataclass
@@ -215,25 +222,29 @@ class UncertaintyModel:
 
 @dataclass(frozen=True)
 class DeupFit:
-    """The settings every DEUP fit shares: main learner f, feature layout, and
-    the settings of the error model u, the KDE bandwidth and the side GP."""
+    """What every DEUP fit shares: main learner f, feature layout, error model u
+    (default `error_learner(layout)`), KDE bandwidth and side variance GP."""
 
     learner: Learner
     layout: tuple
-    error_cfg: dict | None = None
+    u: Learner | None = None
     bandwidth: float | None = None
-    gp_cfg: dict | None = None
+    variance_gp: Learner = Learner("gp")
+
+    def __post_init__(self):
+        if self.u is None:
+            object.__setattr__(self, "u", error_learner(self.layout))
 
     def main(self, d: Dataset, rng: RngStream, labels: tuple):
         """Fit f on d under stream labels[0], then the feature context under labels[1].
 
-        A main GP doubles as the log-variance source; an MLP main gets a side GP
-        with settings `gp_cfg`.
+        A main GP doubles as the log-variance source; an MLP main gets the side
+        GP `variance_gp`.
         """
         main = self.learner.fit(d, rng.child(labels[0]))
         variance_source = main if self.learner.kind == "gp" else None
         context = fit_feature_context(
-            d, self.layout, rng.child(labels[1]), self.bandwidth, variance_source, self.gp_cfg
+            d, self.layout, rng.child(labels[1]), self.bandwidth, variance_source, self.variance_gp
         )
         return main, context
 
@@ -244,13 +255,9 @@ class DeupFit:
         targets = log_error_target((d.targets() - main.predict_mean_batch(X)) ** 2)
         return Dataset(build_features_batch(context, X), targets)
 
-    def error(self, d_u: Dataset, rng: RngStream, previous=None) -> ErrorPredictor:
-        """Fit u on d_u, warm-started from `previous` (see `fit_error_predictor`)."""
-        return fit_error_predictor(d_u, self.layout, rng, self.error_cfg, previous)
-
     def state(self, main, context: FeatureContext, d_u: Dataset, rng: RngStream, error_label: str, aleatoric=None):
         """The step-0 state of f = `main` with `context`, and u fitted on d_u under stream `error_label`."""
-        error = self.error(d_u, rng.child(error_label))
+        error = fit_error_predictor(d_u, self.u, rng.child(error_label))
         return DeupState(self, d_u, UncertaintyModel(main, error, aleatoric or zero_aleatoric(), context), rng)
 
 
@@ -358,7 +365,7 @@ def deup_interactive_step(state: DeupState, x_acq, y_acq: float) -> DeupState:
     post = fit.error_rows(main, context, acquired)
 
     new_du = state.d_u.append(pre.inputs(), pre.targets()).append(post.inputs(), post.targets())
-    error = fit.error(new_du, state.rng.child(f"error-{t}"), old.error.model)
+    error = fit_error_predictor(new_du, fit.u, state.rng.child(f"error-{t}"), old.error.model)
     model = replace(old, main=main, error=error, context=context)
     return replace(state, d_u=new_du, model=model, step=t)
 

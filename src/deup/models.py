@@ -439,11 +439,13 @@ class Learner:
     kind: str
     hyperparameters: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.kind not in ("gp", "mlp"):
+            raise ValueError(f"unknown learner kind {self.kind!r}")
+
     def fit(self, d: Dataset, rng: RngStream, previous=None):
         """Fit on d. An MLP warm-starts from `previous` when it is an MLPPredictor
         (see `mlp_fit`'s init); every other fit starts from scratch."""
         if self.kind == "gp":
             return gp_fit(d, self.hyperparameters, rng)
-        if self.kind == "mlp":
-            return mlp_fit(d, self.hyperparameters, rng, init=previous if isinstance(previous, MLPPredictor) else None)
-        raise ValueError(f"unknown learner kind {self.kind!r}")
+        return mlp_fit(d, self.hyperparameters, rng, init=previous if isinstance(previous, MLPPredictor) else None)

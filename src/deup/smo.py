@@ -29,7 +29,7 @@ from .core import (
     write_csv,
     write_json,
 )
-from .models import Learner, gp_fit
+from .models import Learner
 
 
 @dataclass
@@ -105,18 +105,16 @@ def best_so_far(trace: RunTrace) -> list[float]:
 
 
 def deup_fit(cfg: ExperimentConfig) -> est.DeupFit:
-    """The settings of a run's DEUP fits: `deup.main_model` with its [gp] or [mlp]
-    keys, the error model u ([mlp] keys for an MLP, error GP keys for a GP), the
-    KDE bandwidth, and [gp] for the side variance GP of an MLP main model."""
-    kind = cfg.hp("deup.main_model")
-    error_cfg = {
-        **cfg.section("mlp"),
-        "error_model": cfg.hp("deup.error_model"),
-        "n_restarts": cfg.hp("deup.error_gp_restarts"),
-        "noise_floor": cfg.hp("gp.noise_floor"),
-    }
+    """The learners of a run's DEUP fits: `deup.main_model` with its [gp] or [mlp]
+    keys, the error model u (`estimator.error_learner`), the KDE bandwidth, and
+    [gp] for the side variance GP of an MLP main model."""
+    kind, layout = cfg.hp("deup.main_model"), cfg.layout()
     return est.DeupFit(
-        Learner(kind, cfg.section(kind)), cfg.layout(), error_cfg, cfg.hp("kde.bandwidth"), cfg.section("gp")
+        Learner(kind, cfg.section(kind)),
+        layout,
+        est.error_learner(layout, cfg.hyperparameters),
+        cfg.hp("kde.bandwidth"),
+        Learner("gp", cfg.section("gp")),
     )
 
 
@@ -140,19 +138,19 @@ def build_aleatoric(cfg, oracle, d_init, rng) -> est.AleatoricEstimator:
 
 @dataclass(frozen=True)
 class GpState:
-    """The surrogate of EI and UCB: the data so far, the [gp] settings and the GP fitted to the data."""
+    """The surrogate of EI and UCB: the data so far, the GP learner and the GP it fitted to the data."""
 
     d: Dataset
-    gp_cfg: dict
+    learner: Learner | None  # None under RANDOM, which fits nothing
     rng: RngStream
-    model: object | None  # None under RANDOM, which fits nothing
+    model: object | None
     step: int = 0
 
     def update(self, x, y: float) -> GpState:
         """A new state with (x, y) appended and the GP refit under stream label fit-{t}."""
         t = self.step + 1
         d = self.d.append(np.reshape(x, (1, -1)), [y])
-        model = None if self.model is None else gp_fit(d, self.gp_cfg, self.rng.child(f"fit-{t}"))
+        model = None if self.learner is None else self.learner.fit(d, self.rng.child(f"fit-{t}"))
         return replace(self, d=d, model=model, step=t)
 
 
@@ -167,9 +165,8 @@ def initial_state(cfg: ExperimentConfig, oracle, d: Dataset, root: RngStream) ->
             n_pretrain=cfg.hp("deup.n_pretrain"),
             aleatoric=build_aleatoric(cfg, oracle, d, root.child("aleatoric")),
         )
-    gp_cfg = cfg.section("gp")
-    model = None if cfg.acquisition is Acquisition.RANDOM else gp_fit(d, gp_cfg, root.child("fit-0"))
-    return GpState(d, gp_cfg, root, model)
+    learner = None if cfg.acquisition is Acquisition.RANDOM else Learner("gp", cfg.section("gp"))
+    return GpState(d, learner, root, None if learner is None else learner.fit(d, root.child("fit-0")))
 
 
 @one_blas_thread()

@@ -2,8 +2,7 @@ import dataclasses
 
 import pytest
 
-import deup.cli
-import deup.smo
+import deup.models
 from deup.cli import demo_fig1
 from deup.core import Acquisition, ExperimentConfig, _openblas_thread_controls, _thread_controls
 from deup.smo import run_smo
@@ -36,19 +35,19 @@ def controls():
         put(n)
 
 
-def spy_counts_in_fits(monkeypatch, controls, fail_at=None, modules=(deup.smo,)):
-    """Record every copy's thread count at each gp_fit that `modules` make."""
+def spy_counts_in_fits(monkeypatch, controls, fail_at=None):
+    """Record every copy's thread count at each gp_fit outside DEUP's fits (stream labels under "deup")."""
     seen = []
-    real_fit = deup.smo.gp_fit
+    real_fit = deup.models.gp_fit
 
-    def fit(*args):
-        seen.append(counts(controls))
-        if len(seen) == fail_at:
-            raise KeyboardInterrupt("interrupted mid-run")
-        return real_fit(*args)
+    def fit(d, cfg, rng):
+        if "/deup/" not in rng.label:
+            seen.append(counts(controls))
+            if len(seen) == fail_at:
+                raise KeyboardInterrupt("interrupted mid-run")
+        return real_fit(d, cfg, rng)
 
-    for module in modules:
-        monkeypatch.setattr(module, "gp_fit", fit)
+    monkeypatch.setattr(deup.models, "gp_fit", fit)
     return seen
 
 
@@ -69,9 +68,9 @@ def test_run_smo_fits_on_one_thread_per_copy(controls, monkeypatch):
 
 
 def test_demo_fig1_called_directly_fits_on_one_thread_per_copy(controls, monkeypatch, tmp_path):
-    seen = spy_counts_in_fits(monkeypatch, controls, modules=(deup.cli, deup.smo))
+    seen = spy_counts_in_fits(monkeypatch, controls)
     demo_fig1(tmp_path)
-    assert len(seen) == 7  # GP #1 and GP #2 in deup.cli, five acquisition refits in deup.smo.GpState
+    assert len(seen) == 7  # GP #1, GP #2 and five acquisition refits in deup.smo.GpState
     assert all(c == [1] * len(controls) for c in seen)
     assert counts(controls) == [2] * len(controls)
 

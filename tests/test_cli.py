@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import multiprocessing
+import os
 import re
 
 import numpy as np
@@ -11,7 +12,7 @@ import deup.cli
 import deup.estimator
 import deup.models
 import deup.smo
-from deup.cli import demo_fig1, main, report_command
+from deup.cli import _max_workers, demo_fig1, main, report_command
 from deup.core import HYPERPARAMETERS
 
 FAST_CFG = """
@@ -124,6 +125,15 @@ class TestRunSmoSeeds:
             assert trace_rows_without_ms(tmp_path / "par" / name) == trace_rows_without_ms(tmp_path / "ser" / name)
             summary = f"synth1d_ei_seed{seed}_summary.json"
             assert (tmp_path / "par" / summary).read_text() == (tmp_path / "ser" / summary).read_text()
+
+    def test_workers_default_to_the_cpus_this_process_may_run_on(self, monkeypatch):
+        # A container pinned to 1 of 64 host CPUs runs one worker, not one per seed.
+        monkeypatch.delenv("DEUP_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _max_workers(4) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _max_workers(4) == 4
 
 
 class TestLibraryWarnings:
@@ -299,14 +309,14 @@ def spy_fits(monkeypatch):
     """Record (fit function, cfg) of every model fit, keyed by the last label of its
     stream without a step suffix ("main-3" -> "main")."""
     calls = {}
-    for module, name in ((deup.models, "gp_fit"), (deup.models, "mlp_fit"), (deup.estimator, "gp_fit")):
-        fit = getattr(module, name)
+    for name in ("gp_fit", "mlp_fit"):
+        fit = getattr(deup.models, name)
 
         def spy(d, cfg, rng, fit=fit, name=name, **kwargs):
             calls[re.sub(r"-\d+$", "", rng.label.rsplit("/", 1)[-1])] = (name, dict(cfg or {}))
             return fit(d, cfg, rng, **kwargs)
 
-        monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(deup.models, name, spy)
     return calls
 
 
@@ -331,6 +341,7 @@ class TestFitUncertaintyConfigKeys:
         name, error_cfg = calls["error"]
         assert name == "gp_fit"
         assert (error_cfg["n_restarts"], error_cfg["noise_floor"]) == (2, 1e-5)
+        assert error_cfg.keys() == {"n_restarts", "max_sweeps", "noise_floor"}
         assert "aleatoric-fit" in calls
 
     def test_mlp_keys_reach_main_and_error_mlps(self, tmp_path, monkeypatch):
@@ -340,6 +351,7 @@ class TestFitUncertaintyConfigKeys:
             name, cfg = calls[label]
             assert name == "mlp_fit"
             assert MLP_KEYS.items() <= cfg.items()
+        assert calls["error"][1].keys() == MLP_KEYS.keys()
 
 
 def _fit(label, key=None):
@@ -495,7 +507,7 @@ class TestReportCommand:
             report_command(out)
 
     def test_refuses_incomplete_trace(self, tmp_path, monkeypatch, capsys):
-        real_fit = deup.smo.gp_fit
+        real_fit = deup.models.gp_fit
 
         def fail_seed_one_at_step_two(d, cfg, rng):
             if rng.seed == 1 and rng.label.endswith("/fit-2"):
@@ -503,7 +515,7 @@ class TestReportCommand:
             return real_fit(d, cfg, rng)
 
         monkeypatch.setenv("DEUP_THREADS", "1")
-        monkeypatch.setattr(deup.smo, "gp_fit", fail_seed_one_at_step_two)
+        monkeypatch.setattr(deup.models, "gp_fit", fail_seed_one_at_step_two)
         out = self.make_traces(tmp_path, modes=("ei",), seeds=(0, 1))
         capsys.readouterr()
         assert main(["report", "--traces", str(out)]) == 1

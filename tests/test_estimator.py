@@ -15,6 +15,7 @@ from deup.estimator import (
     deup_init_state,
     deup_interactive_step,
     deup_pretrain_cv,
+    error_learner,
     estimate_aleatoric_from_replicates,
     export_error_dataset,
     fit_feature_context,
@@ -304,6 +305,18 @@ class TestEpistemicQuery:
         assert model.epistemic_batch(X[3:4])[0] <= 1e-4
 
 
+class TestErrorLearner:
+    @pytest.mark.parametrize("layout", [(Feature.LOG_VARIANCE,), FULL_LAYOUT], ids=["without-x", "with-x"])
+    def test_deup_fit_without_u_takes_the_default_error_learner(self, layout):
+        u = DeupFit(Learner("gp", GP_NOISELESS), layout).u
+        assert u == error_learner(layout)
+        assert u.kind == ("mlp" if Feature.X in layout else "gp")
+
+    def test_rejects_an_unknown_kind_when_built(self):
+        with pytest.raises(ValueError, match="unknown learner kind 'svm'"):
+            error_learner((Feature.LOG_VARIANCE,), {"deup.error_model": "svm"})
+
+
 class TestUncertaintyModelPredictBatch:
     """predict_batch is (predict_mean_batch, epistemic_batch), bit for bit, in every setup."""
 
@@ -323,7 +336,7 @@ class TestUncertaintyModelPredictBatch:
         learner = Learner(main_kind, GP_NOISELESS if main_kind == "gp" else self.SMALL_MLP)
         state = deup_init_state(
             make_1d_dataset(6),
-            DeupFit(learner, layout, self.SMALL_MLP),
+            DeupFit(learner, layout, error_learner(layout, {f"mlp.{k}": v for k, v in self.SMALL_MLP.items()})),
             RngStream(0, "deup"),
             n_pretrain=n_pretrain,
         )

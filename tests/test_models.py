@@ -596,6 +596,10 @@ class TestMLP:
         for a, b in zip(learned.weights + learned.biases, scratch.weights + scratch.biases, strict=True):
             assert a.tobytes() == b.tobytes()
 
+    def test_learner_rejects_an_unknown_kind_when_built(self):
+        with pytest.raises(ValueError, match="unknown learner kind 'svm'"):
+            Learner("svm")
+
     def test_warm_start_rejects_other_layer_sizes(self):
         d = Dataset(np.linspace(0, 1, 6)[:, None], np.linspace(0, 1, 6))
         prev = mlp_fit(d, {"epochs": 2, "hidden_units": 8}, RngStream(0, "mlp"))

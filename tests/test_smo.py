@@ -3,13 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 
-import deup.estimator
 import deup.models
 import deup.smo
 from deup.benchmarks import make_oracle
 from deup.core import Acquisition, AleatoricMode, Dataset, ExperimentConfig, Feature, NumericsError, RngStream
 from deup.estimator import DeupState, UncertaintyModel
-from deup.models import GPPredictor, gp_fit
+from deup.models import GPPredictor, Learner, gp_fit
 from deup.smo import GpState, best_so_far, initial_state, read_trace, run_smo
 
 FAST_HP = {
@@ -107,14 +106,14 @@ class TestRunSmo:
 
     def test_gp_keys_reach_side_variance_gp(self, monkeypatch):
         kernels = []
-        gp_fit = deup.estimator.gp_fit
+        gp_fit = deup.models.gp_fit
 
         def spy(d, cfg, rng):
             if rng.label.endswith("/variance-gp"):
                 kernels.append(cfg["kernel"])
             return gp_fit(d, cfg, rng)
 
-        monkeypatch.setattr(deup.estimator, "gp_fit", spy)
+        monkeypatch.setattr(deup.models, "gp_fit", spy)
         hp = {"deup.main_model": "mlp", "mlp.epochs": 7, "gp.kernel": "matern52"}
         run_smo(config(Acquisition.DEUP_EI, budget=8, **hp))
         assert kernels and all(k == "matern52" for k in kernels)
@@ -183,10 +182,8 @@ class TestRunSmo:
     @pytest.mark.incomplete_ok
     @pytest.mark.parametrize("error", [NumericsError, ValueError])
     def test_fit_failure_yields_incomplete_trace(self, error, monkeypatch):
-        import deup.smo as smo_mod
-
         calls = {"n": 0}
-        real_fit = smo_mod.gp_fit
+        real_fit = deup.models.gp_fit
 
         def flaky_fit(d, cfg, rng):
             calls["n"] += 1
@@ -194,7 +191,7 @@ class TestRunSmo:
                 raise error("synthetic factorization failure")
             return real_fit(d, cfg, rng)
 
-        monkeypatch.setattr(smo_mod, "gp_fit", flaky_fit)
+        monkeypatch.setattr(deup.models, "gp_fit", flaky_fit)
         trace = run_smo(config(Acquisition.EI, budget=12))
         assert trace.incomplete
         assert trace.failure == f"{error.__name__}: synthetic factorization failure"
@@ -251,16 +248,15 @@ class TestRunSmo:
 class TestSurrogateState:
     @staticmethod
     def spy_gp_fits(monkeypatch):
-        """The stream label of every gp_fit that deup.smo or deup.estimator makes."""
+        """The stream label of every gp_fit a run makes."""
         labels = []
-        real_fit = deup.smo.gp_fit
+        real_fit = deup.models.gp_fit
 
         def spy(d, cfg, rng):
             labels.append(rng.label)
             return real_fit(d, cfg, rng)
 
-        for module in (deup.smo, deup.estimator):
-            monkeypatch.setattr(module, "gp_fit", spy)
+        monkeypatch.setattr(deup.models, "gp_fit", spy)
         return labels
 
     def test_random_fits_no_gp(self, monkeypatch):
@@ -292,7 +288,7 @@ class TestSurrogateState:
         X, y = np.array([[0.1], [0.4], [0.7]]), np.array([0.2, -0.1, 0.5])
         rng, gp_cfg = RngStream(0, "smo"), config(Acquisition.EI).section("gp")
         model = gp_fit(Dataset(X, y), gp_cfg, rng.child("fit-0")) if with_gp else None
-        state = GpState(Dataset(X.copy(), y.copy()), gp_cfg, rng, model)
+        state = GpState(Dataset(X.copy(), y.copy()), Learner("gp", gp_cfg) if with_gp else None, rng, model)
         grid = np.linspace(0.0, 1.0, 7)[:, None]
         before = model.predict_batch(grid) if with_gp else None
 
@@ -307,6 +303,31 @@ class TestSurrogateState:
             assert new.model is not model
         else:
             assert new.model is None
+
+
+# The settings a u `Learner` holds, by kind: the [mlp] keys, or the error GP's own three.
+U_KEYS = {
+    "mlp": {"epochs", "learning_rate", "batch_size", "hidden_layers", "hidden_units"},
+    "gp": {"n_restarts", "max_sweeps", "noise_floor"},
+}
+
+
+@pytest.mark.parametrize(
+    "error_model, with_x, kind",
+    [
+        ("auto", False, "gp"),
+        ("auto", True, "mlp"),
+        ("gp", False, "gp"),
+        ("gp", True, "gp"),
+        ("mlp", False, "mlp"),
+        ("mlp", True, "mlp"),
+    ],
+)
+def test_deup_fit_builds_u_with_only_its_kinds_keys(error_model, with_x, kind):
+    features = {Feature.X, Feature.LOG_VARIANCE} if with_x else {Feature.LOG_VARIANCE}
+    cfg = config(Acquisition.DEUP_EI, **{"deup.error_model": error_model}).replace(feature_set=frozenset(features))
+    u = deup.smo.deup_fit(cfg).u
+    assert (u.kind, u.hyperparameters.keys()) == (kind, U_KEYS[kind])
 
 
 def trace_bytes(trace) -> bytes:
