@@ -140,50 +140,59 @@ class RngStream:
         return RngStream(self.seed, f"{self.label}/{suffix}")
 
 
-# Config schema: section -> {key: (type, default)}. `None` default means the
-# key is optional with behavior documented where it is consumed.
+# Config schema: section -> {key: (type, default, rule)}. A `None` default
+# means the key is optional, with behavior documented where it is consumed.
+# The rule is the tuple of allowed lower-case names, a `_RANGES` text, or None;
+# `validate()` checks each rule and writes out the rules that read a second key.
+_RANGES = {
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    ">= 2": lambda v: v >= 2,
+    "> 0": lambda v: v > 0,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+}
 _SCHEMA = {
     "oracle": {
-        "name": (str, "ackley"),
-        "dimension": (int, None),
-        "noise": (float, 0.0),
+        "name": (str, "ackley", None),  # an oracle of `benchmarks.make_oracle`
+        "dimension": (int, None, ">= 1"),
+        "noise": (float, 0.0, ">= 0"),
     },
     "smo": {
-        "n_init": (int, 20),
-        "budget": (int, 120),
-        "acquisition": (str, "deup_ei"),
-        "seed": (int, 0),
-        "n_candidates": (int, 2048),
-        "n_refine": (int, 5),
-        "beta": (float, 2.0),
-        "xi": (float, 0.01),
+        "n_init": (int, 20, ">= 2"),
+        "budget": (int, 120, None),  # >= n_init
+        "acquisition": (str, "deup_ei", tuple(a.value for a in Acquisition)),
+        "seed": (int, 0, None),
+        "n_candidates": (int, 2048, ">= 1"),
+        "n_refine": (int, 5, ">= 1"),
+        "beta": (float, 2.0, "> 0"),
+        "xi": (float, 0.01, ">= 0"),
     },
     "deup": {
-        "features": (str, "log_variance"),
-        "aleatoric": (str, "zero"),
-        "n_pretrain": (int, None),  # default 4 * n_init, resolved at run time
-        "cv_folds": (int, 2),
-        "main_model": (str, "gp"),
-        "error_model": (str, "auto"),
-        "error_gp_restarts": (int, 4),
-        "replicates_k": (int, 5),
+        "features": (str, "log_variance", tuple(f.value for f in Feature)),  # a comma list
+        "aleatoric": (str, "zero", tuple(m.value for m in AleatoricMode)),
+        "n_pretrain": (int, None, ">= 0"),  # default 4 * n_init, resolved at run time
+        "cv_folds": (int, 2, None),  # in [2, n_init] when a DEUP run pretrains
+        "main_model": (str, "gp", ("gp", "mlp")),
+        "error_model": (str, "auto", ("auto", "gp", "mlp")),
+        "error_gp_restarts": (int, 4, ">= 0"),
+        "replicates_k": (int, 5, None),  # >= 2 under aleatoric = replicates
     },
     "gp": {
-        "kernel": (str, "rbf"),
-        "n_restarts": (int, 8),
-        "noise_floor": (float, 1e-6),
-        "noise_variance": (float, None),  # fixed observation noise if set
-        "max_sweeps": (int, 12),
+        "kernel": (str, "rbf", ("rbf", "matern52")),
+        "n_restarts": (int, 8, ">= 0"),
+        "noise_floor": (float, 1e-6, "in (0, 1]"),
+        "noise_variance": (float, None, ">= 0"),  # fixed observation noise if set
+        "max_sweeps": (int, 12, ">= 1"),
     },
     "mlp": {
-        "epochs": (int, 400),
-        "learning_rate": (float, 1e-3),
-        "batch_size": (int, 256),
-        "hidden_layers": (int, 3),
-        "hidden_units": (int, 128),
+        "epochs": (int, 400, ">= 1"),
+        "learning_rate": (float, 1e-3, "> 0"),
+        "batch_size": (int, 256, ">= 1"),
+        "hidden_layers": (int, 3, ">= 0"),
+        "hidden_units": (int, 128, ">= 1"),
     },
     "kde": {
-        "bandwidth": (float, None),  # None -> Silverman's rule
+        "bandwidth": (float, None, "> 0"),  # None -> Silverman's rule
     },
 }
 
@@ -194,29 +203,33 @@ _FIELD_KEYS = {
     "oracle.name", "oracle.dimension", "smo.n_init", "smo.budget",
     "smo.acquisition", "smo.seed", "deup.features", "deup.aleatoric",
 }
-_DEFAULTS = {f"{s}.{k}": default for s, keys in _SCHEMA.items() for k, (_, default) in keys.items()}
+_ROWS = {f"{s}.{k}": row for s, keys in _SCHEMA.items() for k, row in keys.items()}
+_DEFAULTS = {key: default for key, (_, default, _) in _ROWS.items()}
 HYPERPARAMETERS = {key: default for key, default in _DEFAULTS.items() if key not in _FIELD_KEYS}
-# Keys whose value is one of a fixed set of lower-case names; `load_config`
-# lower-cases what it reads, `validate()` rejects anything else.
-_CHOICES = {
-    "smo.acquisition": [a.value for a in Acquisition],
-    "deup.aleatoric": [m.value for m in AleatoricMode],
-    "deup.main_model": ["gp", "mlp"],
-    "deup.error_model": ["auto", "gp", "mlp"],
-    "gp.kernel": ["rbf", "matern52"],
-}
 
 
-def _choice(key: str, raw: str, allowed) -> str:
+def _breach(key: str, value) -> str | None:
+    """The error message if `value` breaks `key`'s rule, else None; an unset
+    optional key (None) breaks none."""
+    rule = _ROWS[key][2]
+    if value is None or rule is None:
+        return None
+    if isinstance(rule, tuple):
+        return None if value in rule else f"key '{key}': expected one of {', '.join(rule)}, got {value!r}"
+    return None if _RANGES[rule](value) else f"key '{key}': must be {rule}, got {value}"
+
+
+def _choice(key: str, raw: str) -> str:
+    """`raw` lower-cased, if `key`'s rule allows it."""
     value = raw.strip().lower()
-    if value not in allowed:
-        raise ConfigError(f"key '{key}': expected one of {', '.join(allowed)}, got {raw!r}")
+    if value not in _ROWS[key][2]:
+        raise ConfigError(_breach(key, raw))
     return value
 
 
 def _features(raw: str) -> frozenset:
     names = [t.strip() for t in raw.split(",") if t.strip()]
-    return frozenset(Feature(_choice("deup.features", n, [f.value for f in Feature])) for n in names)
+    return frozenset(Feature(_choice("deup.features", n)) for n in names)
 
 
 def schema_section(name: str, hyperparameters: dict | None = None) -> dict:
@@ -247,54 +260,22 @@ class ExperimentConfig:
     hyperparameters: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.dimension < 1:
-            raise ValidationError("dimension must be >= 1")
-        _oracle(self.oracle_name, self.dimension)
-        if self.n_init < 2:
-            raise ValidationError(f"n_init must be >= 2, got {self.n_init}")
-        if self.budget < self.n_init:
-            raise ValidationError(
-                f"budget ({self.budget}) must be >= n_init ({self.n_init})"
-            )
-        if self.acquisition.uses_error_model and not self.feature_set:
-            raise ValidationError(
-                "feature_set must be nonempty for DEUP acquisitions"
-            )
         unknown = sorted(set(self.hyperparameters) - HYPERPARAMETERS.keys())
         if unknown:
             raise ConfigError(f"not hyperparameter keys: {', '.join(unknown)}")
-        for key, allowed in _CHOICES.items():
-            if key in HYPERPARAMETERS and self.hp(key) not in allowed:
-                raise ConfigError(f"key '{key}': expected one of {', '.join(allowed)}, got {self.hp(key)!r}")
-        bandwidth = self.hp("kde.bandwidth")  # None: Silverman's rule
-        noise_variance = self.hp("gp.noise_variance")  # None: searched
-        n_pretrain = self.hp("deup.n_pretrain")  # None: 4 * n_init
-        for key, ok, rule in (
-            ("smo.n_candidates", self.hp("smo.n_candidates") >= 1, ">= 1"),
-            ("smo.n_refine", self.hp("smo.n_refine") >= 1, ">= 1"),
-            ("smo.beta", self.hp("smo.beta") > 0, "> 0"),
-            ("smo.xi", self.hp("smo.xi") >= 0, ">= 0"),
-            ("gp.noise_floor", 0 < self.hp("gp.noise_floor") <= 1, "in (0, 1]"),
-            ("gp.noise_variance", noise_variance is None or noise_variance >= 0, ">= 0"),
-            ("gp.n_restarts", self.hp("gp.n_restarts") >= 0, ">= 0"),
-            ("gp.max_sweeps", self.hp("gp.max_sweeps") >= 1, ">= 1"),
-            ("deup.error_gp_restarts", self.hp("deup.error_gp_restarts") >= 0, ">= 0"),
-            ("deup.n_pretrain", n_pretrain is None or n_pretrain >= 0, ">= 0"),
-            ("kde.bandwidth", bandwidth is None or bandwidth > 0, "> 0"),
-            ("oracle.noise", self.hp("oracle.noise") >= 0, ">= 0"),
-            ("mlp.epochs", self.hp("mlp.epochs") >= 1, ">= 1"),
-            ("mlp.batch_size", self.hp("mlp.batch_size") >= 1, ">= 1"),
-            ("mlp.hidden_units", self.hp("mlp.hidden_units") >= 1, ">= 1"),
-            ("mlp.hidden_layers", self.hp("mlp.hidden_layers") >= 0, ">= 0"),
-            ("mlp.learning_rate", self.hp("mlp.learning_rate") > 0, "> 0"),
-            (
-                "deup.replicates_k",
-                self.aleatoric_mode is not AleatoricMode.REPLICATES or self.hp("deup.replicates_k") >= 2,
-                ">= 2 with deup.aleatoric = replicates",
-            ),
-        ):
-            if not ok:
-                raise ConfigError(f"key '{key}': must be {rule}, got {self.hp(key)}")
+        typed = {"oracle.dimension": self.dimension, "smo.n_init": self.n_init}
+        for key, value in {**typed, **{k: self.hp(k) for k in HYPERPARAMETERS}}.items():
+            if message := _breach(key, value):
+                raise (ValidationError if key in typed else ConfigError)(message)
+        _oracle(self.oracle_name, self.dimension)
+        if self.budget < self.n_init:
+            raise ValidationError(f"key 'smo.budget': must be >= smo.n_init ({self.n_init}), got {self.budget}")
+        if self.acquisition.uses_error_model and not self.feature_set:
+            raise ValidationError("key 'deup.features': must be nonempty for DEUP acquisitions")
+        if self.aleatoric_mode is AleatoricMode.REPLICATES and self.hp("deup.replicates_k") < 2:
+            raise ConfigError(
+                f"key 'deup.replicates_k': must be >= 2 with deup.aleatoric = replicates, got {self.hp('deup.replicates_k')}"
+            )
         folds = self.hp("deup.cv_folds")  # read only by a DEUP run's CV pretraining
         pretrains = self.acquisition.uses_error_model and self.hp("deup.n_pretrain") != 0
         if pretrains and not 2 <= folds <= self.n_init:
@@ -338,7 +319,7 @@ class ExperimentConfig:
 
 
 def _parse_value(section: str, key: str, raw: str):
-    typ, _ = _SCHEMA[section][key]
+    typ = _SCHEMA[section][key][0]
     raw = raw.strip()
     try:
         return typ(raw)
@@ -363,8 +344,8 @@ def load_config(path) -> ExperimentConfig:
     """Load and validate an experiment config from a key = value file.
 
     Sections are [oracle], [smo], [deup], [gp], [mlp], [kde]; unknown sections
-    or keys are errors, and so are choice values outside `_CHOICES`. Unset keys
-    take their `_SCHEMA` defaults.
+    or keys are errors, and so are choice values their `_SCHEMA` rule does not
+    name, in any case. Unset keys take their `_SCHEMA` defaults.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -381,8 +362,9 @@ def load_config(path) -> ExperimentConfig:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key '{section}.{key}'")
             values[f"{section}.{key}"] = _parse_value(section, key, raw)
-    for key, allowed in _CHOICES.items():
-        values[key] = _choice(key, values[key], allowed)
+    for key, (_, _, rule) in _ROWS.items():
+        if isinstance(rule, tuple) and key != "deup.features":  # a comma list, read by _features
+            values[key] = _choice(key, values[key])
 
     oracle_name = values["oracle.name"].lower()
     dimension = values["oracle.dimension"]

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from deup.core import (
+    _FIELD_KEYS,
+    _ROWS,
     _SCHEMA,
     HYPERPARAMETERS,
     Acquisition,
@@ -206,6 +208,35 @@ class TestLoadConfig:
             load_config(path)
 
 
+def range_edges(typ, rule):
+    """(passing, failing) per bound of a range rule: the bound itself, or the
+    nearest value inside an open bound, and the first value past it."""
+    step = (lambda v, d: v + d) if typ is int else (lambda v, d: float(np.nextafter(v, d * np.inf)))
+    edges = {
+        ">= 0": [(0, step(0, -1))],
+        ">= 1": [(1, step(1, -1))],
+        ">= 2": [(2, step(2, -1))],
+        "> 0": [(step(0, 1), 0)],
+        "in (0, 1]": [(step(0, 1), 0), (1, step(1, 1))],
+    }[rule]
+    return [(typ(passing), typ(failing)) for passing, failing in edges]
+
+
+RANGE_EDGES = [
+    (key, rule, passing, failing)
+    for key, (typ, _, rule) in _ROWS.items()
+    if isinstance(rule, str)
+    for passing, failing in range_edges(typ, rule)
+]
+
+
+def config_with(key, value):
+    """A synth1d EI config (ackley for `oracle.dimension`) with `key` set to `value`."""
+    fields = {"oracle.dimension": {"oracle_name": "ackley", "dimension": value}, "smo.n_init": {"n_init": value}}
+    kwargs = fields.get(key, {"hyperparameters": {key: value}})
+    return ExperimentConfig(**{"oracle_name": "synth1d", "dimension": 1, "acquisition": Acquisition.EI, **kwargs})
+
+
 class TestExperimentConfig:
     @pytest.mark.parametrize("key", ["gp.kernal", "smo.budget"])
     def test_validate_rejects_keys_that_are_not_hyperparameters(self, key):
@@ -252,6 +283,28 @@ class TestExperimentConfig:
         edges = {"gp.n_restarts": 0, "gp.max_sweeps": 1, "deup.error_gp_restarts": 0, "deup.n_pretrain": 0}
         ExperimentConfig(oracle_name="synth1d", dimension=1, n_init=4, hyperparameters=edges).validate()
 
+    @pytest.mark.parametrize("key, rule, passing, failing", RANGE_EDGES, ids=[f"{e[0]}:{e[3]}" for e in RANGE_EDGES])
+    def test_validate_accepts_each_range_bound_and_rejects_the_first_value_past_it(self, key, rule, passing, failing):
+        config_with(key, passing).validate()
+        error = ValidationError if key in _FIELD_KEYS else ConfigError
+        with pytest.raises(error, match=re.escape(f"key '{key}': must be {rule}, got {failing}")):
+            config_with(key, failing).validate()
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"n_init": 1}, "key 'smo.n_init': must be >= 2, got 1"),
+            ({"n_init": 6, "budget": 5}, "key 'smo.budget': must be >= smo.n_init (6), got 5"),
+            ({"oracle_name": "ackley", "dimension": 0}, "key 'oracle.dimension': must be >= 1, got 0"),
+            ({"feature_set": frozenset()}, "key 'deup.features': must be nonempty for DEUP acquisitions"),
+        ],
+        ids=["smo.n_init", "smo.budget", "oracle.dimension", "deup.features"],
+    )
+    def test_typed_field_errors_name_the_key(self, fields, message):
+        cfg = ExperimentConfig(**{"oracle_name": "synth1d", "dimension": 1, **fields})
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            cfg.validate()
+
     def test_validate_rejects_cv_training_folds_too_small_to_fit(self):
         # Two initial points in 2 folds leave 1 row to fit f on in each CV pass.
         cfg = ExperimentConfig(oracle_name="synth1d", dimension=1, n_init=2, budget=4, acquisition=Acquisition.DEUP_EI)
@@ -282,24 +335,30 @@ class TestExperimentConfig:
 
 
 def readme_config_lines():
-    """(section, key, value, commented) for each `key = value` line of the README's ini block."""
+    """(section, key, value, commented, comment) for each `key = value` line of the README's ini block."""
     block = re.search(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
     section, out = None, []
     for line in block.splitlines():
         if m := re.match(r"\[(\w+)\]", line):
             section = m.group(1)
-        elif m := re.match(r"(#\s*)?(\w+)\s*=\s*([^\s#]*)", line):
-            out.append((section, m.group(2), m.group(3), bool(m.group(1))))
+        elif m := re.match(r"(#\s*)?(\w+)\s*=\s*([^\s#]*)\s*(?:#\s*(.*))?", line):
+            out.append((section, m.group(2), m.group(3), bool(m.group(1)), m.group(4) or ""))
     return out
 
 
 class TestReadmeConfig:
     def test_every_key_is_a_schema_key_and_every_schema_key_is_listed(self):
-        listed = {(section, key) for section, key, _, _ in readme_config_lines()}
+        listed = {(section, key) for section, key, _, _, _ in readme_config_lines()}
         assert listed == {(section, key) for section in _SCHEMA for key in _SCHEMA[section]}
 
     def test_uncommented_values_are_the_defaults(self):
-        for section, key, value, commented in readme_config_lines():
-            typ, default = _SCHEMA[section][key]
+        for section, key, value, commented, _ in readme_config_lines():
+            typ, default, _ = _SCHEMA[section][key]
             if not commented and default is not None:
                 assert typ(value) == default, f"{section}.{key}"
+
+    def test_each_comment_states_its_rule(self):
+        for section, key, _, _, comment in readme_config_lines():
+            rule = _SCHEMA[section][key][2]
+            for text in rule if isinstance(rule, tuple) else [rule] if rule else []:
+                assert re.search(rf"(?<!\w){re.escape(text)}(?!\w)", comment), f"{section}.{key}: {text!r}"
