@@ -103,8 +103,14 @@ class Dataset:
         X = np.ascontiguousarray(X, dtype=np.float64)
         if not len(self):
             return np.zeros(len(X), dtype=bool)
+        if X.shape[1] != self._X.shape[1]:
+            raise ValidationError(f"dimension mismatch: got {X.shape[1]}, dataset has {self._X.shape[1]}")
         rows, stored = X.view(np.uint64), self._X.view(np.uint64)
-        return (rows[:, None, :] == stored[None, :, :]).all(axis=2).any(axis=1)
+        # One (m, n) comparison per column: faster than reducing an (m, n, d) array over its short last axis.
+        equal = np.ones((len(rows), len(stored)), dtype=bool)
+        for j in range(stored.shape[1]):
+            equal &= rows[:, j, None] == stored[None, :, j]
+        return equal.any(axis=1)
 
     def inputs(self) -> np.ndarray:
         return self._X

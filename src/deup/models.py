@@ -313,6 +313,44 @@ def _init_params(layer_sizes: list[int], gen: np.random.Generator):
     return weights, biases
 
 
+def _flat_params(layer_sizes: list[int]):
+    """(theta, weights, biases): an uninitialized parameter vector and each layer's
+    weight matrix and bias as reshaped views into it, all weights first."""
+    shapes = list(zip(layer_sizes[:-1], layer_sizes[1:])) + [(fan_out,) for fan_out in layer_sizes[1:]]
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    theta = np.empty(sum(sizes))
+    ends = np.cumsum(sizes)
+    views = [theta[end - size : end].reshape(shape) for shape, size, end in zip(shapes, sizes, ends)]
+    return theta, views[: len(layer_sizes) - 1], views[len(layer_sizes) - 1 :]
+
+
+def _adam_update(theta, grad, m, v, scratch, step: int, lr: float) -> None:
+    """One Adam step (Kingma & Ba, 2015) on the flat vectors, in place; grad is overwritten.
+
+    Each operation is one ufunc over the whole vector, in the order of
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2 and
+    theta -= lr * (m/c1) / (sqrt(v/c2) + eps), so every bit is that formula's.
+    """
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+    c1 = 1.0 - b1**step
+    c2 = 1.0 - b2**step
+    m *= b1
+    np.multiply(grad, 1 - b1, out=scratch)
+    m += scratch
+    v *= b2
+    np.square(grad, out=scratch)
+    scratch *= 1 - b2
+    v += scratch
+    # m and v are updated: grad is free to hold lr * (m/c1).
+    np.divide(v, c2, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += eps
+    np.divide(m, c1, out=grad)
+    grad *= lr
+    grad /= scratch
+    theta -= grad
+
+
 def loss_and_gradients(weights, biases, X, y):
     """Mean-squared-error loss and its gradients for a ReLU network.
 
@@ -321,8 +359,11 @@ def loss_and_gradients(weights, biases, X, y):
     acts = [X]
     h = X
     for i, (W, b) in enumerate(zip(weights, biases)):
-        pre = h @ W + b
-        h = pre if i == len(weights) - 1 else np.maximum(pre, 0.0)
+        # In place on the product: the bits of h @ W + b and np.maximum(., 0.0), fewer temporaries.
+        h = h @ W
+        h += b
+        if i < len(weights) - 1:
+            np.maximum(h, 0.0, out=h)
         acts.append(h)
     pred = acts[-1][:, 0]
     resid = pred - y
@@ -335,7 +376,8 @@ def loss_and_gradients(weights, biases, X, y):
         grad_w[i] = acts[i].T @ delta
         grad_b[i] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ weights[i].T) * (acts[i] > 0)
+            delta = delta @ weights[i].T
+            delta *= acts[i] > 0
     return loss, grad_w, grad_b
 
 
@@ -350,6 +392,8 @@ class MLPPredictor:
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
+        if X.shape[1] != len(self.x_mean):
+            raise ValueError(f"query dimension {X.shape[1]} != training dimension {len(self.x_mean)}")
         h = (X - self.x_mean) / self.x_std
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
             pre = h @ W + b
@@ -367,6 +411,7 @@ def mlp_fit(d: Dataset, cfg: dict | None, rng: RngStream, init: MLPPredictor | N
     From scratch it runs `epochs` epochs. With `init`, training starts from
     copies of init's weights (init is left unchanged) with fresh Adam moments
     and standardization recomputed from d, and runs max(1, epochs // 4).
+    The returned weights and biases are views into one parameter vector.
     Raises NumericsError with the epoch index if the loss goes non-finite.
     """
     cfg = {**MLP_DEFAULTS, **(cfg or {})}
@@ -389,25 +434,24 @@ def mlp_fit(d: Dataset, cfg: dict | None, rng: RngStream, init: MLPPredictor | N
     layer_sizes = [dim] + [int(cfg["hidden_units"])] * int(cfg["hidden_layers"]) + [1]
     gen = rng.generator()
     if init is None:
-        weights, biases = _init_params(layer_sizes, gen)
+        start_weights, start_biases = _init_params(layer_sizes, gen)
         epochs = int(cfg["epochs"])
     else:
         if [W.shape[0] for W in init.weights] + [1] != layer_sizes:
             raise ValueError(f"warm start: init layers do not match {layer_sizes}")
-        weights = [W.copy() for W in init.weights]
-        biases = [b.copy() for b in init.biases]
+        start_weights, start_biases = init.weights, init.biases
         epochs = max(1, int(cfg["epochs"]) // 4)
 
-    lr = float(cfg["learning_rate"])
-    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-    params = weights + biases  # the same arrays: an update in place moves both lists
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    # The training state is five flat vectors: the parameters (weights and
+    # biases are views into theta), the gradient, Adam's moments and one scratch.
+    theta, weights, biases = _flat_params(layer_sizes)
+    np.concatenate([p.ravel() for p in start_weights + start_biases], out=theta)
+    grad, m, v, scratch = np.empty_like(theta), np.zeros_like(theta), np.zeros_like(theta), np.empty_like(theta)
 
+    lr = float(cfg["learning_rate"])
     batch_size = int(cfg["batch_size"])
     full_batch = n < batch_size
     step = 0
-    loss = np.nan
     for epoch in range(epochs):
         if full_batch:
             batches = [(Xz, z)]
@@ -422,12 +466,8 @@ def mlp_fit(d: Dataset, cfg: dict | None, rng: RngStream, init: MLPPredictor | N
             if not np.isfinite(loss):
                 raise NumericsError(f"MLP training diverged at epoch {epoch}")
             step += 1
-            c1 = 1.0 - b1**step
-            c2 = 1.0 - b2**step
-            for i, g in enumerate(grad_w + grad_b):
-                m[i] = b1 * m[i] + (1 - b1) * g
-                v[i] = b2 * v[i] + (1 - b2) * g**2
-                params[i] -= lr * (m[i] / c1) / (np.sqrt(v[i] / c2) + eps)
+            np.concatenate([g.ravel() for g in grad_w + grad_b], out=grad)
+            _adam_update(theta, grad, m, v, scratch, step, lr)
 
     return MLPPredictor(weights=weights, biases=biases, x_mean=x_mean, x_std=x_std, y_mean=y_mean, y_std=y_std)
 

@@ -37,6 +37,19 @@ class TestDataset:
         assert d.contains(batch).tolist() == [any(np.array_equal(b, s) for s in d.inputs()) for b in batch]
         assert not Dataset().contains(batch).any()
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_membership_has_the_bits_of_the_broadcast_comparison(self, dim):
+        gen = np.random.default_rng(dim)
+        stored = gen.choice([0.0, 0.5, 1.0], size=(20, dim))
+        stored[0] = 0.0
+        signed = np.where(stored == 0.0, -0.0, stored)  # -0.0 == 0.0, but not bit for bit
+        batch = np.vstack([stored[:6], signed[:6], gen.choice([0.0, -0.0, 0.5, 1.0, 2.0], size=(40, dim))])
+        rows, ref = batch.view(np.uint64), stored.view(np.uint64)
+        expected = (rows[:, None, :] == ref[None, :, :]).all(axis=2).any(axis=1)
+        got = Dataset(stored, np.zeros(20)).contains(batch)
+        assert got.tolist() == expected.tolist()
+        assert got[:6].all() and not got[6]  # exact duplicates are members; the all -0.0 row is not
+
     def test_append_preserves_order(self):
         d = Dataset()
         for i in range(4):
@@ -60,6 +73,9 @@ class TestDataset:
         d = make_dataset(3, d=2)
         with pytest.raises(ValidationError):
             d.append([[1.0]], [0.0])
+        for width in (1, 3):
+            with pytest.raises(ValidationError, match=f"got {width}, dataset has 2"):
+                d.contains(np.zeros((4, width)))
 
     def test_arrays_are_read_only(self):
         d = make_dataset(3)

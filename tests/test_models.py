@@ -600,8 +600,72 @@ class TestMLP:
         with pytest.raises(ValueError, match="unknown learner kind 'svm'"):
             Learner("svm")
 
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_predict_rejects_another_query_width(self, width):
+        X = np.random.default_rng(0).uniform(-1, 1, size=(10, 3))
+        mlp = mlp_fit(Dataset(X, X[:, 0]), {"epochs": 2, "hidden_units": 8}, RngStream(0, "mlp"))
+        with pytest.raises(ValueError, match=f"query dimension {width} != training dimension 3"):
+            mlp.predict_batch(np.zeros((4, width)))
+
+    @pytest.mark.parametrize("step", [1, 2, 60, 400])
+    def test_adam_update_has_the_bits_of_the_per_array_formula(self, step):
+        gen = np.random.default_rng(step)
+        n, lr = 2000, 1e-3
+        # Gradients from subnormal to 1e4 in size, with zeros; moments as a run leaves them.
+        g = gen.normal(size=n) * np.logspace(-320, 4, n)
+        g[::97] = 0.0
+        theta, m, v = gen.normal(size=n), 0.1 * gen.normal(size=n), gen.uniform(0.0, 0.01, size=n) ** 2
+        b1, b2, eps = models.ADAM_BETA1, models.ADAM_BETA2, models.ADAM_EPS
+        c1, c2 = 1.0 - b1**step, 1.0 - b2**step
+        m_ref = b1 * m + (1 - b1) * g
+        v_ref = b2 * v + (1 - b2) * g**2
+        theta_ref = theta - lr * (m_ref / c1) / (np.sqrt(v_ref / c2) + eps)
+        models._adam_update(theta, g.copy(), m, v, np.empty(n), step, lr)
+        for got, ref in ((theta, theta_ref), (m, m_ref), (v, v_ref)):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_weights_and_biases_are_views_into_one_vector(self):
+        d, cfg, _ = golden_mlp_case("full_batch")
+        mlp = mlp_fit(d, {**cfg, "epochs": 2}, RngStream(0, "mlp"))
+        theta = mlp.weights[0].base
+        assert all(p.base is theta for p in mlp.weights + mlp.biases)
+        assert np.concatenate([p.ravel() for p in mlp.weights + mlp.biases]).tobytes() == theta.tobytes()
+
     def test_warm_start_rejects_other_layer_sizes(self):
         d = Dataset(np.linspace(0, 1, 6)[:, None], np.linspace(0, 1, 6))
         prev = mlp_fit(d, {"epochs": 2, "hidden_units": 8}, RngStream(0, "mlp"))
         with pytest.raises(ValueError, match="warm start"):
             mlp_fit(d, {"epochs": 2, "hidden_units": 16}, RngStream(0, "mlp"), init=prev)
+
+
+def golden_mlp_case(name):
+    """(dataset, mlp config, init) of one pinned `mlp_fit`; each case draws from its own generator."""
+    gen = np.random.default_rng(13)
+    if name == "mini_batch":  # 300 rows at batch size 64: four full batches and a short one of 44
+        X = gen.uniform(-1.0, 1.0, size=(300, 3))
+        return Dataset(X, np.sin(3 * X[:, 0]) * X[:, 1] + 0.1 * gen.normal(size=300)), {"epochs": 6, "batch_size": 64, "hidden_units": 32}, None
+    X = gen.uniform(-1.0, 1.0, size=(40, 2))
+    d = Dataset(X, np.sin(3 * X[:, 0]) + X[:, 1] ** 2)
+    if name == "full_batch":  # the error MLP's shape: 3 x 128, full batch
+        return d, {"epochs": 20}, None
+    if name == "warm_start":
+        cfg = {"epochs": 24, "hidden_units": 16}
+        return d, cfg, mlp_fit(d.take(np.arange(30)), cfg, RngStream(2, "mlp"))
+    return d, {"epochs": 50, "hidden_layers": 0}, None  # a linear model
+
+
+# sha256 of the final weights' and biases' bytes, in layer order, weights first.
+# A change that moves the training arithmetic on purpose must regenerate these.
+GOLDEN_MLP = {
+    "full_batch": "29506175047c59f0199f10c179bc50d0b134ac2ad0631b29ceb8a9ab619a08bd",
+    "mini_batch": "40bcfe730f6b010c0665ea1f5146bd1a7a393965ee61637894b6f5bfd6bd6a30",
+    "warm_start": "bbb601912a2e5aa4b227fe7303662de48363fd86c7b39d6dd34931445dad2a42",
+    "no_hidden": "e4e76c12e36a6f42afa695825b5a61e166ea786f434b91f57f87facd4f36cf91",
+}
+
+
+@pytest.mark.parametrize("name", ["full_batch", "mini_batch", "warm_start", "no_hidden"])
+def test_pinned_mlp_fits(name):
+    d, cfg, init = golden_mlp_case(name)
+    mlp = mlp_fit(d, cfg, RngStream(3, "mlp"), init=init)
+    assert hashlib.sha256(b"".join(p.tobytes() for p in mlp.weights + mlp.biases)).hexdigest() == GOLDEN_MLP[name]

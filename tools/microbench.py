@@ -45,9 +45,13 @@ uniform candidates. `ms_median` is the median of REPEATS calls.
 
 mlp_epoch: the default error MLP (3 hidden layers of 128 ReLU units, Adam)
 trained from scratch by `mlp_fit` on 64 seeded rows of 5 features, the width
-of the levi13 layout, for MLP_EPOCHS full-batch epochs. `us_per_epoch` is the
-median fit divided by MLP_EPOCHS; the once-per-fit set-up (standardizing,
-drawing the initial weights) is under 1 % of a fit.
+of the levi13 layout, for MLP_EPOCHS full-batch epochs, one Adam step each.
+`us_per_epoch` is a fit divided by MLP_EPOCHS. Each fit is split in two:
+`gradients_us_per_epoch` is the time inside `loss_and_gradients` (the
+forward and backward pass), `update_us_per_epoch` the rest of the fit: the
+Adam update, the gradient copy and the loop, plus the once-per-fit set-up
+(standardizing, drawing the initial weights), which is under 1 % of a fit.
+Each is given as the quartiles of REPEATS fits.
 """
 
 from __future__ import annotations
@@ -109,15 +113,20 @@ def count_evaluations(d: Dataset, cfg: dict | None) -> int:
     return count
 
 
-def timed(fn) -> tuple[float, float, float]:
-    """(q1, median, q3) in seconds of REPEATS calls of fn, after one warm-up call."""
+def samples(fn) -> list[float]:
+    """Seconds of each of REPEATS calls of fn, after one warm-up call."""
     fn()
     times = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return tuple(statistics.quantiles(times, n=4))
+    return times
+
+
+def timed(fn) -> tuple[float, float, float]:
+    """(q1, median, q3) in seconds of REPEATS calls of fn, after one warm-up call."""
+    return tuple(statistics.quantiles(samples(fn), n=4))
 
 
 def bench(n: int, cfg: dict | None = None) -> dict:
@@ -228,13 +237,37 @@ def bench_kde() -> dict:
     return {"layout": "levi13", "points": len(model.context.dataset), "rows": POSTERIOR_ROWS, **timing}
 
 
+def per_epoch(name: str, seconds: list[float]) -> dict:
+    """Quartiles of per-fit seconds as µs per epoch, keyed `<name>_q1`, `_median`, `_q3`."""
+    quartiles = statistics.quantiles(seconds, n=4)
+    return {f"{name}_{k}": round(1e6 * v / MLP_EPOCHS, 2) for k, v in zip(("q1", "median", "q3"), quartiles)}
+
+
 def bench_mlp_epoch() -> dict:
     gen = np.random.default_rng(5)
     d = Dataset(gen.normal(size=(MLP_ROWS, MLP_FEATURES)), gen.normal(size=MLP_ROWS))
-    q1, median, q3 = timed(lambda: models.mlp_fit(d, {"epochs": MLP_EPOCHS}, RngStream(0, "mlp")))
-    quartiles = {"q1": q1, "median": median, "q3": q3}
-    per_epoch = {f"us_per_epoch_{k}": round(1e6 * v / MLP_EPOCHS, 2) for k, v in quartiles.items()}
-    return {"rows": MLP_ROWS, "features": MLP_FEATURES, "epochs": MLP_EPOCHS, "repeats": REPEATS, **per_epoch}
+    real, gradient_s = models.loss_and_gradients, []
+
+    def timed_gradients(*args):
+        t0 = time.perf_counter()
+        out = real(*args)
+        gradient_s[-1] += time.perf_counter() - t0
+        return out
+
+    def fit():
+        gradient_s.append(0.0)
+        models.mlp_fit(d, {"epochs": MLP_EPOCHS}, RngStream(0, "mlp"))
+
+    models.loss_and_gradients = timed_gradients
+    try:
+        fit_s = samples(fit)
+    finally:
+        models.loss_and_gradients = real
+    gradient_s = gradient_s[1:]  # drop the warm-up fit
+    update_s = [total - grad for total, grad in zip(fit_s, gradient_s)]
+    split = {**per_epoch("gradients_us_per_epoch", gradient_s), **per_epoch("update_us_per_epoch", update_s)}
+    sizes = {"rows": MLP_ROWS, "features": MLP_FEATURES, "epochs": MLP_EPOCHS, "repeats": REPEATS}
+    return {**sizes, **per_epoch("us_per_epoch", fit_s), **split}
 
 
 def main() -> int:
