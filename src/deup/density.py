@@ -31,7 +31,10 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     a_max = a.max(axis=1, keepdims=True)
     is_max = a == a_max
     m = is_max.sum(axis=1, keepdims=True, dtype=np.float64)
-    s = np.exp(a - a_max, out=np.zeros_like(a), where=~is_max).sum(axis=1, keepdims=True)
+    e = a - a_max
+    np.exp(e, out=e)
+    e[is_max] = 0.0
+    s = e.sum(axis=1, keepdims=True)
     return (np.log1p(s / m) + np.log(m) + a_max)[:, 0]
 
 

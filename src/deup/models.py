@@ -33,7 +33,11 @@ _potrf, _trtrs = get_lapack_funcs(("potrf", "trtrs"), (np.empty(0),))
 
 # n x n RBF unit kernels one hyperparameter search keeps: on both benchmark
 # workloads the last 3 lengthscales serve 81 % of its kernel builds, the last 1 only 44-46 %.
+# Their entries whose exponent is at or below UNIT_KERNEL_MIN_EXPONENT are +0.0
+# (e^-345 is about 1.4e-150): with the standardized signal in [1e-3, 1e3], the
+# kernel then holds no subnormal and no product of two of its entries is one.
 UNIT_KERNEL_CACHE = 3
+UNIT_KERNEL_MIN_EXPONENT = -345.0
 
 
 def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -112,11 +116,26 @@ class GPPredictor:
         return self.y_mean + self.y_std * mean_z
 
 
+def _unit_kernel(neg_half_sq: np.ndarray, neg_half_sq_min: float, log_ls) -> np.ndarray:
+    """exp(neg_half_sq / ls**2), +0.0 where the exponent is at or below UNIT_KERNEL_MIN_EXPONENT.
+    Division keeps order: no entry is zeroed when the least one's exponent is above it."""
+    ls2 = np.exp(log_ls) ** 2
+    K = neg_half_sq / ls2
+    if neg_half_sq_min / ls2 > UNIT_KERNEL_MIN_EXPONENT:
+        return np.exp(K, out=K)
+    keep = K > UNIT_KERNEL_MIN_EXPONENT
+    np.maximum(K, UNIT_KERNEL_MIN_EXPONENT, out=K)  # so that exp never returns a subnormal
+    np.exp(K, out=K)
+    K *= keep
+    return K
+
+
 class _SearchKernel:
     """One fit's kernel matrices over its inputs, written into one F-ordered
     n x n buffer that the search factors in place, with the bits of
-    `_kernel_from_sq_dists`. The RBF kernel's lengthscale-only part,
-    exp(-0.5 * sq / ls**2), is kept for the last UNIT_KERNEL_CACHE lengthscales."""
+    `_kernel_from_sq_dists` except the RBF entries that `_unit_kernel` zeroes.
+    The RBF kernel's lengthscale-only part, that unit kernel, is kept for the
+    last UNIT_KERNEL_CACHE lengthscales."""
 
     def __init__(self, sq: np.ndarray, kernel: str):
         n = len(sq)
@@ -128,8 +147,9 @@ class _SearchKernel:
         self.diag = self._rows.reshape(-1)[:: n + 1]
         if kernel == "rbf":
             neg_half_sq = -0.5 * sq
+            self.neg_half_sq_min = float(neg_half_sq.min())
             self.unit = functools.lru_cache(UNIT_KERNEL_CACHE)(
-                lambda log_ls: np.exp(neg_half_sq / np.exp(log_ls) ** 2)
+                functools.partial(_unit_kernel, neg_half_sq, self.neg_half_sq_min)
             )
 
     def write(self, log_ls, signal, diag) -> np.ndarray:
@@ -148,6 +168,7 @@ class _SearchKernel:
 def _chol_with_jitter(kernel: _SearchKernel, log_ls, signal, noise, base_jitter, clean=0):
     """(L, jitter): lower Cholesky factor of K + (noise + jitter) * I, escalating jitter tenfold on failure.
 
+    K is what `kernel.write` builds, with the RBF entries `_unit_kernel` zeroes.
     Each attempt writes the matrix into the kernel's buffer and factors it there,
     so L is that buffer. With clean=0 its strict upper triangle keeps K; with
     clean=1 it is zeroed, and L is bit for bit and in memory order what
@@ -396,8 +417,11 @@ class MLPPredictor:
             raise ValueError(f"query dimension {X.shape[1]} != training dimension {len(self.x_mean)}")
         h = (X - self.x_mean) / self.x_std
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            pre = h @ W + b
-            h = pre if i == len(self.weights) - 1 else np.maximum(pre, 0.0)
+            # In place on the product, as in `loss_and_gradients`: the bits of h @ W + b and the ReLU.
+            h = h @ W
+            h += b
+            if i < len(self.weights) - 1:
+                np.maximum(h, 0.0, out=h)
         return self.y_mean + self.y_std * h[:, 0]
 
     def predict_mean_batch(self, X: np.ndarray) -> np.ndarray:

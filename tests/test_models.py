@@ -10,6 +10,7 @@ from deup.core import Dataset, NumericsError, RngStream
 from deup.models import (
     JITTER_MAX,
     UNIT_KERNEL_CACHE,
+    UNIT_KERNEL_MIN_EXPONENT,
     _chol_with_jitter,
     _kernel_from_sq_dists,
     _log_marginal_likelihood,
@@ -297,10 +298,15 @@ class TestLeanLikelihood:
         X = gen.uniform(-1.0, 1.0, size=(40, 2))
         sq = _pairwise_sq_dists(X, X)
         search = _SearchKernel(sq, kernel)
+        zeroed = 0
         for log_ls, log_sig in gen.uniform(-3.0, 3.0, size=(10, 2)):
             signal = np.exp(log_sig)
             ref = reference_kernel(sq, kernel, np.exp(log_ls), signal)
             assert _kernel_from_sq_dists(sq, kernel, np.exp(log_ls), signal).tobytes() == ref.tobytes()
+            if kernel == "rbf":  # the search's RBF kernel is +0.0 at and below the exponent floor
+                floored = -0.5 * sq / np.exp(log_ls) ** 2 <= UNIT_KERNEL_MIN_EXPONENT
+                zeroed += np.count_nonzero(floored & (ref > 0.0))
+                ref = np.where(floored, 0.0, ref)
             # Twice: the second build of an RBF lengthscale reuses its cached unit kernel.
             for _ in range(2):
                 # The diagonal written is `signal`, so this also checks that the kernel's own diagonal is.
@@ -308,6 +314,30 @@ class TestLeanLikelihood:
                 assert K is search.buf and K.flags.f_contiguous
                 assert K.tobytes(order="C") == ref.tobytes()
                 K[:] = 0.0  # the factor overwrites the buffer: that leaves the cache alone
+        assert zeroed > 0 if kernel == "rbf" else zeroed == 0
+
+    def test_short_lengthscale_kernel_has_no_subnormal_and_keeps_the_likelihood(self):
+        # The error GP's late regime: 124 rows on a line, at the search's shortest lengthscale.
+        X = np.linspace(0.0, 1.0, 124)[:, None]
+        sq = _pairwise_sq_dists(X, X)
+        z = np.sin(20.0 * X[:, 0])
+        z = (z - z.mean()) / z.std()
+        search = _SearchKernel(sq, "rbf")
+        tiny = np.finfo(np.float64).tiny
+        for log_ls, zeroing in ((np.log(1e-2), True), (np.log(10**-0.5), False)):
+            # The branch `_unit_kernel` takes: zeroing only when some exponent is at or below the floor.
+            assert (search.neg_half_sq_min / np.exp(log_ls) ** 2 <= UNIT_KERNEL_MIN_EXPONENT) == zeroing
+            for log_sig in (np.log(1e-3), 0.0, np.log(1e3)):
+                K = search.write(log_ls, np.exp(log_sig), np.exp(log_sig))
+                assert not np.any((K != 0.0) & (np.abs(K) < tiny))
+                ref = reference_kernel(sq, "rbf", np.exp(log_ls), np.exp(log_sig))
+                assert np.any((K == 0.0) & (ref > 0.0)) == zeroing
+                if not zeroing:
+                    assert K.tobytes(order="C") == ref.tobytes()
+                for log_noise in (np.log(1e-6), np.log(1e-2)):
+                    theta = (log_ls, log_sig, log_noise, 1e-8)
+                    lean = _log_marginal_likelihood(search, z, *theta)
+                    assert lean.hex() == reference_log_marginal_likelihood(sq, z, "rbf", *theta).hex()
 
     def test_unit_kernel_cache_stays_bounded(self):
         X = np.linspace(0.0, 1.0, 30)[:, None]
@@ -623,6 +653,20 @@ class TestMLP:
         models._adam_update(theta, g.copy(), m, v, np.empty(n), step, lr)
         for got, ref in ((theta, theta_ref), (m, m_ref), (v, v_ref)):
             assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("rows", [5, 256])
+    @pytest.mark.parametrize("hidden_layers", [3, 0])
+    def test_predict_batch_has_the_bits_of_the_out_of_place_formula(self, rows, hidden_layers):
+        gen = np.random.default_rng(rows)
+        X = gen.uniform(-1.0, 1.0, size=(40, 5))
+        d = Dataset(X, np.sin(3 * X[:, 0]) + X[:, 1] ** 2)
+        mlp = mlp_fit(d, {"epochs": 5, "hidden_layers": hidden_layers}, RngStream(0, "mlp"))
+        Q = gen.uniform(-2.0, 2.0, size=(rows, 5))
+        h = (Q - mlp.x_mean) / mlp.x_std
+        for i, (W, b) in enumerate(zip(mlp.weights, mlp.biases)):
+            pre = h @ W + b
+            h = pre if i == len(mlp.weights) - 1 else np.maximum(pre, 0.0)
+        assert mlp.predict_batch(Q).tobytes() == (mlp.y_mean + mlp.y_std * h[:, 0]).tobytes()
 
     def test_weights_and_biases_are_views_into_one_vector(self):
         d, cfg, _ = golden_mlp_case("full_batch")

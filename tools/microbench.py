@@ -1,5 +1,6 @@
 """Microbenchmarks: `gp_fit` at n = 20/60/140/280 and with a held noise at
-n = 20/60, one candidate-scoring pass,
+n = 20/60, one GP log-likelihood evaluation at a short and a medium
+lengthscale, one candidate-scoring pass,
 the 5-row `score_batch` call of the refine, the GP posterior, the KDE
 log-density and one epoch of the error MLP.
 
@@ -16,6 +17,14 @@ A fit is repeated REPEATS times after one warm-up fit; every repeat is
 bitwise the same fit. An extra, untimed fit counts the log-likelihood
 evaluations of the search, so `eval_us` is the median fit time divided by
 that count.
+
+gp_loglik_short_ls: one log-likelihood evaluation on the n = 60 and 140
+datasets at a lengthscale of 10^-2 (the search's lower bound, where the RBF
+unit kernel has entries below 1e-150) and 10^-0.5 of the input range, with
+signal 1 and noise 1e-4 in standardized units. `cold_us` clears the unit-kernel
+cache before each evaluation, so it builds the unit kernel as a new lengthscale
+does; `warm_us` reuses the cached one and is mostly the Cholesky factor. Each
+is the quartiles over REPEATS repeats of LOGLIK_CALLS evaluations, per call.
 
 gp_fit_held_noise: the n = 20 and 60 fits with `noise_variance` set to
 HELD_NOISE, the data's own noise variance, as demo-fig1's GP #1 sets it:
@@ -78,6 +87,7 @@ from deup.smo import deup_fit  # noqa: E402
 
 SIZES = (20, 60, 140, 280)
 HELD_SIZES, HELD_NOISE = (20, 60), 0.3**2
+LOGLIK_SIZES, LOGLIK_LENGTHSCALES, LOGLIK_CALLS = (60, 140), (1e-2, 10**-0.5), 100
 REPEATS = 15
 # Dimension, feature layout and budget of the benchmark workloads synth1d-deup and levi13-mlp.
 LAYOUTS = {
@@ -142,6 +152,26 @@ def bench(n: int, cfg: dict | None = None) -> dict:
         "evaluations": evals,
         "eval_us": round(1e6 * median / evals, 2),
     }
+
+
+def bench_loglik(n: int, fraction: float) -> dict:
+    d = dataset(n)
+    X, y = d.inputs(), d.targets()
+    search = models._SearchKernel(models._pairwise_sq_dists(X, X), "rbf")
+    z = (y - y.mean()) / y.std()
+    args = (float(np.log(fraction * np.ptp(X))), 0.0, float(np.log(1e-4)), models.JITTER_START)
+
+    def calls(cold: bool):
+        for _ in range(LOGLIK_CALLS):
+            if cold:
+                search.unit.cache_clear()
+            models._log_marginal_likelihood(search, z, *args)
+
+    out = {"n": n, "lengthscale_of_range": fraction, "calls": LOGLIK_CALLS, "repeats": REPEATS}
+    for name, cold in (("cold_us", True), ("warm_us", False)):
+        quartiles = timed(lambda: calls(cold))
+        out.update({f"{name}_{k}": round(1e6 * v / LOGLIK_CALLS, 2) for k, v in zip(("q1", "median", "q3"), quartiles)})
+    return out
 
 
 def layout_search(name: str):
@@ -274,6 +304,7 @@ def main() -> int:
     with one_blas_thread():
         gp = [bench(n) for n in SIZES]
         held = [bench(n, {"noise_variance": HELD_NOISE}) for n in HELD_SIZES]
+        loglik = [bench_loglik(n, fraction) for n in LOGLIK_SIZES for fraction in LOGLIK_LENGTHSCALES]
         scoring = [row for name in LAYOUTS for row in bench_scoring(name)]
         refine = [bench_refine_call(name) for name in LAYOUTS]
         kernels = {
@@ -283,7 +314,7 @@ def main() -> int:
         }
     env = {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__}
     out = {"blas_threads": 1, "repeats": REPEATS, "environment": env, "gp_fit": gp, "gp_fit_held_noise": held}
-    print(json.dumps({**out, "score_candidates": scoring, "score_batch_5": refine, **kernels}))
+    print(json.dumps({**out, "gp_loglik_short_ls": loglik, "score_candidates": scoring, "score_batch_5": refine, **kernels}))
     return 0
 
 
