@@ -22,12 +22,11 @@ from .estimator import (
 )
 from .acquisition import (
     AcquisitionSpec,
-    BoxDomain,
     argmax_acquisition,
     expected_improvement,
     ucb,
 )
-from .benchmarks import Oracle, ackley, levi13, make_oracle, synth1d
+from .benchmarks import BoxDomain, Oracle, ackley, levi13, make_oracle, synth1d
 from .smo import RunTrace, best_so_far, run_smo
 from .theory import GaussianPair, check_nll_decomposition, check_prop5, gaussian_kl, mc_total_uncertainty
 

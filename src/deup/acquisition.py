@@ -7,35 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from .benchmarks import BoxDomain
 from .core import HYPERPARAMETERS, Acquisition, RngStream
-
-
-@dataclass(frozen=True)
-class BoxDomain:
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=np.float64).reshape(-1)
-        hi = np.asarray(self.upper, dtype=np.float64).reshape(-1)
-        if lo.shape != hi.shape or np.any(lo >= hi):
-            raise ValueError("domain requires lower < upper componentwise")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    @property
-    def dimension(self) -> int:
-        return self.lower.shape[0]
-
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
-
-    def sample(self, gen: np.random.Generator, m: int) -> np.ndarray:
-        return gen.uniform(self.lower, self.upper, size=(m, self.dimension))
-
-    def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lower, self.upper)
 
 
 @dataclass(frozen=True)

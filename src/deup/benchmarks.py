@@ -1,7 +1,9 @@
 """Analytic benchmark oracles with known optima and controllable noise.
 
 All oracles follow the maximization convention; sample() adds Gaussian noise
-whose standard deviation comes from the oracle's noise profile.
+whose standard deviation comes from the oracle's noise profile. Each oracle is
+one row of `ORACLES`. This module imports no other `deup` module, so any of
+them can import it.
 """
 
 from __future__ import annotations
@@ -10,19 +12,48 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acquisition import BoxDomain
+
+@dataclass(frozen=True)
+class BoxDomain:
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def __post_init__(self):
+        lo = np.asarray(self.lower, dtype=np.float64).reshape(-1)
+        hi = np.asarray(self.upper, dtype=np.float64).reshape(-1)
+        if lo.shape != hi.shape or np.any(lo >= hi):
+            raise ValueError("domain requires lower < upper componentwise")
+        object.__setattr__(self, "lower", lo)
+        object.__setattr__(self, "upper", hi)
+
+    @property
+    def dimension(self) -> int:
+        return self.lower.shape[0]
+
+    def contains(self, x) -> bool:
+        x = np.asarray(x, dtype=np.float64).reshape(-1)
+        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
+
+    def sample(self, gen: np.random.Generator, m: int) -> np.ndarray:
+        return gen.uniform(self.lower, self.upper, size=(m, self.dimension))
+
+    def clip(self, x: np.ndarray) -> np.ndarray:
+        return np.clip(x, self.lower, self.upper)
 
 
-def ackley(x, a=20.0, b=0.2, c=2.0 * np.pi):
+ACKLEY_A, ACKLEY_B, ACKLEY_C = 20.0, 0.2, 2.0 * np.pi
+
+
+def ackley(x):
     """Negated Ackley function: global maximum 0 at the origin.
 
     a*exp(-b*sqrt(mean(x_i^2))) + exp(mean(cos(c*x_i))) - a - e, broadcast over
-    the last axis.
+    the last axis, with (a, b, c) = (ACKLEY_A, ACKLEY_B, ACKLEY_C).
     """
     x = np.asarray(x, dtype=np.float64)
     # Grouped so the optimum at the origin evaluates to exactly 0.0.
-    out = a * (np.exp(-b * np.sqrt(np.mean(x**2, axis=-1))) - 1.0) + (
-        np.exp(np.mean(np.cos(c * x), axis=-1)) - np.e
+    out = ACKLEY_A * (np.exp(-ACKLEY_B * np.sqrt(np.mean(x**2, axis=-1))) - 1.0) + (
+        np.exp(np.mean(np.cos(ACKLEY_C * x), axis=-1)) - np.e
     )
     return float(out) if out.ndim == 0 else out
 
@@ -88,51 +119,44 @@ class Oracle:
         return fx + sigma * gen.standard_normal(replicates)
 
 
-def _const_noise(sigma: float):
-    sigma = float(sigma)
+@dataclass(frozen=True)
+class OracleRow:
+    """One benchmark: its box [lower, upper]^d, f over (m, d) rows, and the
+    maximizer x_star (in every coordinate) with its value f_star."""
+
+    dimension: int | None  # None: any dimension >= 1, which the caller sets
+    lower: float
+    upper: float
+    f: object  # callable (m, d) array -> (m,) values
+    x_star: float
+    f_star: float
+
+
+ORACLES = {
+    "ackley": OracleRow(None, -10.0, 15.0, ackley, 0.0, 0.0),
+    "levi13": OracleRow(2, -10.0, 10.0, lambda X: levi13(X[..., 0], X[..., 1]), 1.0, 0.0),
+    "synth1d": OracleRow(1, 0.0, 1.0, lambda X: synth1d(X[..., 0]), SYNTH1D_X_STAR, 1.0),
+}
+
+
+def make_oracle(name: str, dimension: int | None = None, noise=0.0) -> Oracle:
+    """The oracle of row `name` of ORACLES with constant noise sigma `noise`,
+    at `dimension` (by default the row's fixed one)."""
+    sigma = float(noise)
     if sigma < 0:
         raise ValueError("noise sigma must be nonnegative")
-    return lambda X: np.full(len(X), sigma)
-
-
-def make_oracle(name: str, dimension: int | None = None, noise=0.0, noise_fn=None) -> Oracle:
-    """Look up an oracle by name; `noise` is a constant sigma unless noise_fn is given."""
     name = name.lower()
-    nf = noise_fn if noise_fn is not None else _const_noise(noise)
-    if name == "ackley":
-        if dimension is None or dimension < 1:
-            raise ValueError("ackley requires an explicit dimension >= 1")
-        domain = BoxDomain(np.full(dimension, -10.0), np.full(dimension, 15.0))
-        return Oracle(
-            name=name,
-            dimension=dimension,
-            domain=domain,
-            f=lambda X: ackley(X),
-            noise_fn=nf,
-            known_optimum=(np.zeros(dimension), 0.0),
-        )
-    if name == "levi13":
-        if dimension not in (None, 2):
-            raise ValueError("levi13 is two-dimensional")
-        domain = BoxDomain(np.full(2, -10.0), np.full(2, 10.0))
-        return Oracle(
-            name=name,
-            dimension=2,
-            domain=domain,
-            f=lambda X: levi13(X[..., 0], X[..., 1]),
-            noise_fn=nf,
-            known_optimum=(np.array([1.0, 1.0]), 0.0),
-        )
-    if name == "synth1d":
-        if dimension not in (None, 1):
-            raise ValueError("synth1d is one-dimensional")
-        domain = BoxDomain(np.array([0.0]), np.array([1.0]))
-        return Oracle(
-            name=name,
-            dimension=1,
-            domain=domain,
-            f=lambda X: synth1d(X[..., 0]),
-            noise_fn=nf,
-            known_optimum=(np.array([SYNTH1D_X_STAR]), 1.0),
-        )
-    raise ValueError(f"unknown oracle {name!r}")
+    if name not in ORACLES:
+        raise ValueError(f"unknown oracle {name!r}")
+    row = ORACLES[name]
+    d = row.dimension if dimension is None else dimension
+    if d is None or d < 1 or row.dimension not in (None, d):
+        raise ValueError(f"{name} needs dimension {row.dimension or '>= 1'}, got {dimension}")
+    return Oracle(
+        name=name,
+        dimension=d,
+        domain=BoxDomain(np.full(d, row.lower), np.full(d, row.upper)),
+        f=row.f,
+        noise_fn=lambda X: np.full(len(X), sigma),
+        known_optimum=(np.full(d, row.x_star), row.f_star),
+    )

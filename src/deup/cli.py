@@ -22,6 +22,7 @@ from .benchmarks import make_oracle
 from .core import Dataset, Feature, RngStream, load_config, one_blas_thread, write_csv, write_json
 from .models import Learner
 from .smo import GpState, build_aleatoric, deup_fit, read_trace, run_smo
+from .theory import run_theory_checks
 
 
 class OutputExistsError(FileExistsError):
@@ -203,8 +204,6 @@ def demo_fig1(out_dir, seed: int = 0, force: bool = False) -> dict:
 
 
 def check_theory_command(out_dir, seed: int = 1, force: bool = False) -> bool:
-    from .theory import run_theory_checks
-
     out = Path(out_dir)
     report_path = _ensure_writable(out / "theory_report.csv", force)
     results = run_theory_checks(seed)

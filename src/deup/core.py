@@ -8,6 +8,7 @@ import configparser
 import contextlib
 import csv
 import ctypes
+import dataclasses
 import enum
 import functools
 import hashlib
@@ -15,6 +16,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .benchmarks import ORACLES
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -159,7 +162,7 @@ _RANGES = {
 }
 _SCHEMA = {
     "oracle": {
-        "name": (str, "ackley", None),  # an oracle of `benchmarks.make_oracle`
+        "name": (str, "ackley", tuple(ORACLES)),
         "dimension": (int, None, ">= 1"),
         "noise": (float, 0.0, ">= 0"),
     },
@@ -270,10 +273,13 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"not hyperparameter keys: {', '.join(unknown)}")
         typed = {"oracle.dimension": self.dimension, "smo.n_init": self.n_init}
-        for key, value in {**typed, **{k: self.hp(k) for k in HYPERPARAMETERS}}.items():
+        checked = {**typed, **{k: self.hp(k) for k in HYPERPARAMETERS}, "oracle.name": self.oracle_name}
+        for key, value in checked.items():
             if message := _breach(key, value):
                 raise (ValidationError if key in typed else ConfigError)(message)
-        _oracle(self.oracle_name, self.dimension)
+        fixed = ORACLES[self.oracle_name].dimension
+        if self.dimension is None or fixed not in (None, self.dimension):
+            raise ConfigError(f"key 'oracle.dimension': must be {fixed or 'set'} for {self.oracle_name}, got {self.dimension}")
         if self.budget < self.n_init:
             raise ValidationError(f"key 'smo.budget': must be >= smo.n_init ({self.n_init}), got {self.budget}")
         if self.acquisition.uses_error_model and not self.feature_set:
@@ -304,8 +310,6 @@ class ExperimentConfig:
         return schema_section(name, self.hyperparameters)
 
     def replace(self, **kwargs) -> "ExperimentConfig":
-        import dataclasses
-
         cfg = dataclasses.replace(self, **kwargs)
         cfg.validate()
         return cfg
@@ -335,17 +339,6 @@ def _parse_value(section: str, key: str, raw: str):
         ) from None
 
 
-def _oracle(name: str, dimension):
-    """`benchmarks.make_oracle(name, dimension)`, with its refusal as a ConfigError naming the key."""
-    from . import benchmarks  # deferred: benchmarks imports this module
-
-    try:
-        return benchmarks.make_oracle(name, dimension)
-    except ValueError as exc:
-        key = "oracle.name" if str(exc).startswith("unknown oracle") else "oracle.dimension"
-        raise ConfigError(f"key '{key}': {exc}") from None
-
-
 def load_config(path) -> ExperimentConfig:
     """Load and validate an experiment config from a key = value file.
 
@@ -372,14 +365,13 @@ def load_config(path) -> ExperimentConfig:
         if isinstance(rule, tuple) and key != "deup.features":  # a comma list, read by _features
             values[key] = _choice(key, values[key])
 
-    oracle_name = values["oracle.name"].lower()
     dimension = values["oracle.dimension"]
-    if dimension is None:
-        dimension = _oracle(oracle_name, None).dimension
+    if dimension is None:  # not `or`: a set 0 gets validate()'s ">= 1" message
+        dimension = ORACLES[values["oracle.name"]].dimension
 
     cfg = ExperimentConfig(
-        oracle_name=oracle_name,
-        dimension=int(dimension),
+        oracle_name=values["oracle.name"],
+        dimension=dimension,
         n_init=values["smo.n_init"],
         budget=values["smo.budget"],
         acquisition=Acquisition(values["smo.acquisition"]),

@@ -43,6 +43,8 @@ class StepRecord:
     ms: float
 
     def __eq__(self, other):
+        if not isinstance(other, StepRecord):
+            return NotImplemented
         return (
             self.step == other.step
             and np.array_equal(self.x, other.x)
@@ -123,8 +125,7 @@ def build_aleatoric(cfg, oracle, d_init, rng) -> est.AleatoricEstimator:
     if mode is AleatoricMode.ZERO:
         return est.zero_aleatoric()
     if mode is AleatoricMode.KNOWN:
-        sigma = float(cfg.hp("oracle.noise"))
-        return est.AleatoricEstimator(lambda X: np.full(len(X), sigma**2))
+        return est.AleatoricEstimator(lambda X: oracle.noise_fn(X) ** 2)
     # REPLICATES: groups drawn at the init points, fit once; the extra draws
     # per point are not counted against the acquisition budget (see README).
     k = int(cfg.hp("deup.replicates_k"))

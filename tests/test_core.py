@@ -208,9 +208,10 @@ class TestLoadConfig:
     def test_choice_keys_are_lower_cased(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(
-            "[oracle]\nname = synth1d\n\n[deup]\nmain_model = GP\nerror_model = GP\n\n[gp]\nkernel = RBF\n"
+            "[oracle]\nname = Synth1D\n\n[deup]\nmain_model = GP\nerror_model = GP\n\n[gp]\nkernel = RBF\n"
         )
         cfg = load_config(path)
+        assert (cfg.oracle_name, cfg.dimension) == ("synth1d", 1)
         assert (cfg.hp("deup.main_model"), cfg.hp("deup.error_model"), cfg.hp("gp.kernel")) == ("gp", "gp", "rbf")
 
     @pytest.mark.parametrize(
@@ -320,6 +321,21 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(**{"oracle_name": "synth1d", "dimension": 1, **fields})
         with pytest.raises(ValidationError, match=re.escape(message)):
             cfg.validate()
+
+    @pytest.mark.parametrize(
+        "name, dimension, error, key",
+        [
+            ("branin", 1, ConfigError, "oracle.name"),
+            ("Synth1d", 1, ConfigError, "oracle.name"),  # only load_config lower-cases a name
+            ("levi13", 3, ConfigError, "oracle.dimension"),
+            ("ackley", 0, ValidationError, "oracle.dimension"),
+        ],
+    )
+    def test_programmatic_oracle_errors_keep_their_class_and_key(self, name, dimension, error, key):
+        cfg = ExperimentConfig(oracle_name=name, dimension=dimension)
+        with pytest.raises(ValueError, match=re.escape(f"key '{key}'")) as info:
+            cfg.validate()
+        assert type(info.value) is error
 
     def test_validate_rejects_cv_training_folds_too_small_to_fit(self):
         # Two initial points in 2 folds leave 1 row to fit f on in each CV pass.

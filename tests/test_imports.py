@@ -1,0 +1,28 @@
+"""The `deup` module graph stays acyclic with every import at module top."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "deup"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def imports(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    inner = [f"{path.name}:{node.lineno}" for f in functions for node in imports(f)]
+    assert inner == []
+
+
+def test_benchmarks_imports_no_deup_module():
+    tree = ast.parse((SRC / "benchmarks.py").read_text(encoding="utf-8"))
+    modules = [alias.name for node in imports(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += ["." * node.level + (node.module or "") for node in imports(tree) if isinstance(node, ast.ImportFrom)]
+    assert [m for m in modules if m.startswith(".") or m.split(".")[0] == "deup"] == []

@@ -9,7 +9,7 @@ from deup.benchmarks import make_oracle
 from deup.core import Acquisition, AleatoricMode, Dataset, ExperimentConfig, Feature, NumericsError, RngStream
 from deup.estimator import DeupState, UncertaintyModel
 from deup.models import GPPredictor, Learner, gp_fit
-from deup.smo import GpState, best_so_far, initial_state, read_trace, run_smo
+from deup.smo import GpState, StepRecord, best_so_far, build_aleatoric, initial_state, read_trace, run_smo
 
 FAST_HP = {
     "smo.n_candidates": 128,
@@ -391,12 +391,36 @@ PINNED_MODE_TRACES = {
     Acquisition.DEUP_UCB: "61a172129052c82facc5794a8980d75c88c555bffebfd4b6857bd36e51a90234",
     Acquisition.RANDOM: "39178d544864042e1469c367a800ece623942466b0246ef0184beef23b7aceff",
 }
+# sha256 of `trace_bytes` for the run of `TestRunSmo.test_known_aleatoric_mode`
+# (DEUP-EI under aleatoric = known, synth1d, sigma 0.1, seed 0). Host-pinned like `PINNED_TRACES`.
+PINNED_KNOWN_ALEATORIC_TRACE = "a02958d45a3cfdc0c7f0f3d0eaaf3f42795d731edcacec5de2ab09385ecb4c4b"
 
 
 @pytest.mark.parametrize("kind", list(PINNED_MODE_TRACES), ids=lambda kind: kind.value)
 def test_pinned_mode_trace_bytes(kind):
     cfg = ExperimentConfig(oracle_name="synth1d", dimension=1, n_init=6, budget=12, acquisition=kind, seed=0)
     assert hashlib.sha256(trace_bytes(run_smo(cfg))).hexdigest() == PINNED_MODE_TRACES[kind]
+
+
+def test_pinned_known_aleatoric_trace_bytes():
+    cfg = config(Acquisition.DEUP_EI, budget=10, **{"oracle.noise": 0.1, "gp.noise_variance": None})
+    trace = run_smo(cfg.replace(aleatoric_mode=AleatoricMode.KNOWN))
+    assert hashlib.sha256(trace_bytes(trace)).hexdigest() == PINNED_KNOWN_ALEATORIC_TRACE
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.1, 0.3])
+def test_known_aleatoric_values_are_sigma_squared_bit_for_bit(sigma):
+    cfg = config(Acquisition.DEUP_EI, **{"oracle.noise": sigma}).replace(aleatoric_mode=AleatoricMode.KNOWN)
+    aleatoric = build_aleatoric(cfg, make_oracle("synth1d", 1, noise=sigma), None, None)
+    X = np.linspace(0.0, 1.0, 9)[:, None]
+    assert aleatoric.values(X).tobytes() == np.full(9, sigma**2).tobytes()
+
+
+def test_step_record_compares_unequal_to_other_types():
+    r = StepRecord(step=1, x=np.array([0.5]), y=0.2, best=0.3, acq_value=np.nan, epistemic=0.1, ms=1.0)
+    assert not r == None  # noqa: E711 -- the == operator itself is under test
+    assert r != "record"
+    assert r in [None, r]
 
 
 class TestBestSoFar:
