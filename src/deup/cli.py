@@ -285,17 +285,21 @@ def _settings(config: dict) -> dict:
 
 def report_command(traces_dir, out_path=None, force: bool = False) -> Path:
     """Aggregate per-mode best-so-far curves (mean and standard error by step).
-    Refuses incomplete traces, mixed oracles, dimensions, n_init or budgets, and
-    traces of one mode whose configs differ in more than the seed."""
+    Refuses a summary or trace CSV without its partner, incomplete traces, mixed
+    oracles, dimensions, n_init or budgets, and traces of one mode whose configs
+    differ in more than the seed."""
     traces_dir = Path(traces_dir)
+    summaries = {p.name.removesuffix("_summary.json"): p for p in traces_dir.glob("*_summary.json")}
+    csvs = {p.name.removesuffix("_trace.csv"): p for p in traces_dir.glob("*_trace.csv")}
+    unpaired = sorted(str(summaries.get(stem) or csvs[stem]) for stem in summaries.keys() ^ csvs.keys())
+    if unpaired:
+        raise ValueError(f"refusing to aggregate trace files without their summary or trace CSV: {unpaired}")
     pairs = []
-    for summary_path in sorted(traces_dir.glob("*_summary.json")):
-        csv_path = Path(str(summary_path).replace("_summary.json", "_trace.csv"))
-        if csv_path.exists():
-            trace = read_trace(csv_path, summary_path)
-            if trace.get("incomplete"):
-                raise ValueError(f"refusing to aggregate incomplete trace {csv_path}: {trace['failure']}")
-            pairs.append(trace)
+    for stem in sorted(summaries, key=summaries.get):  # in the order of the summary paths
+        trace = read_trace(csvs[stem], summaries[stem])
+        if trace.get("incomplete"):
+            raise ValueError(f"refusing to aggregate incomplete trace {csvs[stem]}: {trace['failure']}")
+        pairs.append(trace)
     if not pairs:
         raise FileNotFoundError(f"no trace/summary pairs found in {traces_dir}")
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset
+from .models import _pairwise_sq_dists, _query_rows
 
 
 def silverman_bandwidth(X: np.ndarray) -> float:
@@ -47,12 +48,8 @@ class KdePredictor:
 
     def log_density_batch(self, X: np.ndarray) -> np.ndarray:
         """Log mixture density at each row of X, finite for any finite X by log-sum-exp."""
-        X = np.asarray(X, dtype=np.float64)
         n, d = self.points.shape
-        if X.shape[1] != d:
-            raise ValueError(f"query dimension {X.shape[1]} != KDE dimension {d}")
-        diff = X[:, None, :] - self.points[None, :, :]
-        sq = np.einsum("ijk,ijk->ij", diff, diff)
+        sq = _pairwise_sq_dists(_query_rows(X, d), self.points)
         log_norm = np.log(n) + d * np.log(self.bandwidth * np.sqrt(2.0 * np.pi))
         return _logsumexp_rows(-0.5 * sq / self.bandwidth**2) - log_norm
 

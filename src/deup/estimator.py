@@ -248,12 +248,12 @@ class DeupFit:
         )
         return main, context
 
-    def error_rows(self, main, context: FeatureContext, d: Dataset) -> Dataset:
-        """Error rows of f = `main`, fitted with `context`, at the rows of d: features
-        as inputs, log squared errors as targets."""
+    def error_rows(self, main, context: FeatureContext, d: Dataset) -> tuple[np.ndarray, np.ndarray]:
+        """(features, targets): the error rows of f = `main`, fitted with `context`,
+        at the rows of d, with log squared errors as targets."""
         X = d.inputs()
         targets = log_error_target((d.targets() - main.predict_mean_batch(X)) ** 2)
-        return Dataset(build_features_batch(context, X), targets)
+        return build_features_batch(context, X), targets
 
     def state(self, main, context: FeatureContext, d_u: Dataset, rng: RngStream, error_label: str, aleatoric=None):
         """The step-0 state of f = `main` with `context`, and u fitted on d_u under stream `error_label`."""
@@ -278,10 +278,9 @@ def deup_fixed_train(
         raise ValueError("train dataset is empty")
     main, context = fit.main(train, rng, ("main", "features"))
 
-    d_u = fit.error_rows(main, context, train)
+    d_u = Dataset(*fit.error_rows(main, context, train))
     if len(out_of_sample):
-        held_out = fit.error_rows(main, context, out_of_sample)
-        d_u = d_u.append(held_out.inputs(), held_out.targets())
+        d_u = d_u.append(*fit.error_rows(main, context, out_of_sample))
     else:
         logger.warning("deup_fixed_train: no out-of-sample data; u sees in-sample errors only")
 
@@ -306,8 +305,7 @@ def deup_pretrain_cv(d_init: Dataset, k: int, n_pretrain: int, fit: DeupFit, rng
         perm = rng.child(f"split-{pass_idx}").generator().permutation(n)
         d_tilde = d_init.take(perm[: n - n // k])
         main, context = fit.main(d_tilde, rng, (f"fit-{pass_idx}", f"features-{pass_idx}"))
-        rows = fit.error_rows(main, context, d_init)
-        d_u = d_u.append(rows.inputs(), rows.targets())
+        d_u = d_u.append(*fit.error_rows(main, context, d_init))
     return d_u
 
 
@@ -364,7 +362,7 @@ def deup_interactive_step(state: DeupState, x_acq, y_acq: float) -> DeupState:
     main, context = fit.main(old.context.dataset.append(X, y), state.rng, (f"main-{t}", f"features-{t}"))
     post = fit.error_rows(main, context, acquired)
 
-    new_du = state.d_u.append(pre.inputs(), pre.targets()).append(post.inputs(), post.targets())
+    new_du = state.d_u.append(*pre).append(*post)
     error = fit_error_predictor(new_du, fit.u, state.rng.child(f"error-{t}"), old.error.model)
     model = replace(old, main=main, error=error, context=context)
     return replace(state, d_u=new_du, model=model, step=t)

@@ -45,6 +45,23 @@ def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", d, d)
 
 
+def _query_rows(X, dimension: int) -> np.ndarray:
+    """X as a float64 array, checked to have the `dimension` columns a model was fitted on."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape[1] != dimension:
+        raise ValueError(f"query dimension {X.shape[1]} != training dimension {dimension}")
+    return X
+
+
+def _standardize(a: np.ndarray):
+    """(z, mean, std): a standardized over axis 0, a deviation under 1e-12 counted as 1; floats for a 1-D a."""
+    mean, std = a.mean(axis=0), a.std(axis=0)
+    std = np.where(std < 1e-12, 1.0, std)
+    if a.ndim == 1:
+        mean, std = float(mean), float(std)
+    return (a - mean) / std, mean, std
+
+
 def _kernel_from_sq_dists(sq: np.ndarray, kernel: str, lengthscale: float, signal: float) -> np.ndarray:
     if kernel == "rbf":  # signal * exp(-0.5 * sq / ls**2), built in one array
         K = -0.5 * sq
@@ -90,13 +107,7 @@ class GPPredictor:
 
     def _cross_kernel(self, X: np.ndarray) -> np.ndarray:
         """Kernel between the training inputs and each row of X (standardized units)."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.shape[1] != self.training_inputs.shape[1]:
-            raise ValueError(
-                f"query dimension {X.shape[1]} != training dimension "
-                f"{self.training_inputs.shape[1]}"
-            )
-        sq = _pairwise_sq_dists(self.training_inputs, X)
+        sq = _pairwise_sq_dists(self.training_inputs, _query_rows(X, self.training_inputs.shape[1]))
         return _kernel_from_sq_dists(sq, self.kernel, self.lengthscale, self._signal_z)
 
     def predict_batch(self, X: np.ndarray):
@@ -226,11 +237,7 @@ def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
     if n < 2:
         raise ValueError(f"GP fit needs at least 2 examples, got {n}")
 
-    y_mean = float(np.mean(y))
-    y_std = float(np.std(y))
-    if y_std < 1e-12:
-        y_std = 1.0
-    z = (y - y_mean) / y_std
+    z, y_mean, y_std = _standardize(y)
 
     sq = _pairwise_sq_dists(X, X)
     input_range = float(np.max(np.ptp(X, axis=0)))
@@ -372,20 +379,23 @@ def _adam_update(theta, grad, m, v, scratch, step: int, lr: float) -> None:
     theta -= grad
 
 
-def loss_and_gradients(weights, biases, X, y):
-    """Mean-squared-error loss and its gradients for a ReLU network.
-
-    Exposed so analytic gradients can be checked against finite differences.
-    """
-    acts = [X]
-    h = X
+def _layer_outputs(weights, biases, h):
+    """Yield each layer's output in turn: h @ W + b, with a ReLU on every layer but the last."""
     for i, (W, b) in enumerate(zip(weights, biases)):
         # In place on the product: the bits of h @ W + b and np.maximum(., 0.0), fewer temporaries.
         h = h @ W
         h += b
         if i < len(weights) - 1:
             np.maximum(h, 0.0, out=h)
-        acts.append(h)
+        yield h
+
+
+def loss_and_gradients(weights, biases, X, y):
+    """Mean-squared-error loss and its gradients for a ReLU network.
+
+    Exposed so analytic gradients can be checked against finite differences.
+    """
+    acts = [X, *_layer_outputs(weights, biases, X)]
     pred = acts[-1][:, 0]
     resid = pred - y
     loss = float(np.mean(resid**2))
@@ -412,16 +422,10 @@ class MLPPredictor:
     y_std: float
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.shape[1] != len(self.x_mean):
-            raise ValueError(f"query dimension {X.shape[1]} != training dimension {len(self.x_mean)}")
-        h = (X - self.x_mean) / self.x_std
-        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            # In place on the product, as in `loss_and_gradients`: the bits of h @ W + b and the ReLU.
-            h = h @ W
-            h += b
-            if i < len(self.weights) - 1:
-                np.maximum(h, 0.0, out=h)
+        h = (_query_rows(X, len(self.x_mean)) - self.x_mean) / self.x_std
+        # Keep the last layer's output; unlike training, only one activation is held at a time.
+        for h in _layer_outputs(self.weights, self.biases, h):
+            pass
         return self.y_mean + self.y_std * h[:, 0]
 
     def predict_mean_batch(self, X: np.ndarray) -> np.ndarray:
@@ -445,15 +449,8 @@ def mlp_fit(d: Dataset, cfg: dict | None, rng: RngStream, init: MLPPredictor | N
     if n < 1:
         raise ValueError("MLP fit needs at least 1 example")
 
-    x_mean = X.mean(axis=0)
-    x_std = X.std(axis=0)
-    x_std[x_std < 1e-12] = 1.0
-    y_mean = float(np.mean(y))
-    y_std = float(np.std(y))
-    if y_std < 1e-12:
-        y_std = 1.0
-    Xz = (X - x_mean) / x_std
-    z = (y - y_mean) / y_std
+    Xz, x_mean, x_std = _standardize(X)
+    z, y_mean, y_std = _standardize(y)
 
     layer_sizes = [dim] + [int(cfg["hidden_units"])] * int(cfg["hidden_layers"]) + [1]
     gen = rng.generator()

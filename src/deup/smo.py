@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -40,18 +40,14 @@ class StepRecord:
     best: float
     acq_value: float
     epistemic: float
-    ms: float
+    ms: float = field(compare=False)  # wall time: reruns differ in it
 
     def __eq__(self, other):
+        """Every compared field equal, NaN to NaN included."""
         if not isinstance(other, StepRecord):
             return NotImplemented
-        return (
-            self.step == other.step
-            and np.array_equal(self.x, other.x)
-            and self.y == other.y
-            and self.best == other.best
-            and (self.acq_value == other.acq_value or (np.isnan(self.acq_value) and np.isnan(other.acq_value)))
-            and (self.epistemic == other.epistemic or (np.isnan(self.epistemic) and np.isnan(other.epistemic)))
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name), equal_nan=True) for f in fields(self) if f.compare
         )
 
 
@@ -224,9 +220,14 @@ def run_smo(cfg: ExperimentConfig) -> RunTrace:
 
 
 def read_trace(csv_path, summary_path) -> dict:
-    """Load one exported trace; returns summary dict plus per-step best values."""
+    """Load one exported trace; returns summary dict plus per-step best values.
+    Raises ValueError, naming the CSV, when its row count is not the summary's n_records."""
     with open(summary_path, encoding="utf-8") as fh:
         summary = json.load(fh)
     with open(csv_path, newline="", encoding="utf-8") as fh:
         summary["best_by_step"] = [float(row["best"]) for row in csv.DictReader(fh)]
+    if len(summary["best_by_step"]) != summary["n_records"]:
+        raise ValueError(
+            f"{csv_path} has {len(summary['best_by_step'])} rows, but {summary_path} has n_records {summary['n_records']}"
+        )
     return summary

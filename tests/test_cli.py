@@ -525,6 +525,29 @@ class TestReportCommand:
         assert "RuntimeError: injected fit failure" in err
         assert not (out / "report.csv").exists()
 
+    @pytest.mark.parametrize("removed", ["_trace.csv", "_summary.json"])
+    def test_refuses_a_trace_file_without_its_partner(self, tmp_path, capsys, removed):
+        out = self.make_traces(tmp_path, modes=("random",))
+        (out / f"synth1d_random_seed1{removed}").unlink()
+        kept = "_summary.json" if removed == "_trace.csv" else "_trace.csv"
+        capsys.readouterr()
+        assert main(["report", "--traces", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "without their summary or trace CSV" in err
+        assert str(out / f"synth1d_random_seed1{kept}") in err
+        assert not (out / "report.csv").exists()
+
+    def test_refuses_a_trace_csv_shorter_than_its_summary(self, tmp_path, capsys):
+        out = self.make_traces(tmp_path, modes=("random",))
+        csv_path = out / "synth1d_random_seed2_trace.csv"
+        lines = csv_path.read_text().splitlines(keepends=True)
+        csv_path.write_text("".join(lines[:2]))  # the header and the first of 4 records
+        capsys.readouterr()
+        assert main(["report", "--traces", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{csv_path} has 1 rows, but {out / 'synth1d_random_seed2_summary.json'} has n_records 4" in err
+        assert not (out / "report.csv").exists()
+
     def test_empty_dir_is_error(self, tmp_path):
         (tmp_path / "empty").mkdir()
         assert main(["report", "--traces", str(tmp_path / "empty")]) == 1

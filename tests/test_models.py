@@ -713,3 +713,47 @@ def test_pinned_mlp_fits(name):
     d, cfg, init = golden_mlp_case(name)
     mlp = mlp_fit(d, cfg, RngStream(3, "mlp"), init=init)
     assert hashlib.sha256(b"".join(p.tobytes() for p in mlp.weights + mlp.biases)).hexdigest() == GOLDEN_MLP[name]
+
+
+# Both fits standardize with a guard: a standard deviation under 1e-12 counts
+# as 1. Constant data reach it with a deviation of about 5.6e-17, not 0.
+# GP: float.hex of y_mean, y_std, lengthscale, signal and noise variance, log
+# marginal likelihood and jitter; then sha256 of alpha's bytes.
+GOLDEN_CONSTANT_TARGET_GP = (
+    (
+        "0x1.3333333333332p-2",
+        "0x1.0000000000000p+0",
+        "0x1.88fd571034538p+6",
+        "0x1.0624dd2f1a9fdp-10",
+        "0x1.0c6f7a0b5ed8fp-20",
+        "0x1.0c1bc32a153f5p+6",
+        "0x1.5798ee2308c3ap-27",
+    ),
+    "083c477d82dbaa9866dc2e19fb9e162e5ccebc3342750c95e9ef7cf3813b80fd",
+)
+# MLP: sha256 of x_mean, x_std, the weights and the biases, in that order; then
+# sha256 of its predictions at five query rows.
+GOLDEN_CONSTANT_COLUMN_MLP = (
+    "026155d0108ed77460e22fe6a4de2b6bf00b057b145a3ba82915b48ff447ff6e",
+    "73d817718b5ded8bf09be1c8d00c5aadf9c66c66ac096859a7e077b69784a0c7",
+)
+
+
+def test_pinned_gp_fit_on_constant_targets():
+    X = np.random.default_rng(17).uniform(0.0, 1.0, size=(12, 2))
+    gp = gp_fit(Dataset(X, np.full(12, 0.3)), None, RngStream(3, "fit"))
+    got = tuple(float(v).hex() for v in (
+        gp.y_mean, gp.y_std, gp.lengthscale, gp.signal_variance, gp.noise_variance, gp.log_marginal_likelihood, gp.jitter
+    ))
+    assert (got, hashlib.sha256(gp.alpha.tobytes()).hexdigest()) == GOLDEN_CONSTANT_TARGET_GP
+
+
+def test_pinned_mlp_fit_with_a_constant_input_column():
+    gen = np.random.default_rng(19)
+    X = gen.uniform(-1.0, 1.0, size=(30, 3))
+    X[:, 1] = 0.3
+    mlp = mlp_fit(Dataset(X, np.sin(3 * X[:, 0]) - X[:, 2]), {"epochs": 20, "hidden_units": 16}, RngStream(3, "mlp"))
+    assert mlp.x_std[1] == 1.0
+    params = hashlib.sha256(b"".join(p.tobytes() for p in [mlp.x_mean, mlp.x_std] + mlp.weights + mlp.biases)).hexdigest()
+    Q = gen.uniform(-1.0, 1.0, size=(5, 3))
+    assert (params, hashlib.sha256(mlp.predict_batch(Q).tobytes()).hexdigest()) == GOLDEN_CONSTANT_COLUMN_MLP

@@ -220,7 +220,8 @@ class TestRunSmo:
             seed=19,
             hyperparameters=hp,
         )
-        trace = run_smo(cfg)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+            trace = run_smo(cfg)
         assert trace.failure.startswith("NumericsError: step 2: acq_value inf and epistemic inf at x = ")
         assert len(trace.records) == 1
         assert all(np.isfinite([r.acq_value, r.epistemic]).all() for r in trace.records)
