@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import ndtr
 
 from .benchmarks import BoxDomain
-from .core import HYPERPARAMETERS, Acquisition, RngStream
+from .core import HYPERPARAMETERS, Acquisition, RngStream, check_rule
 
 
 @dataclass(frozen=True)
 class AcquisitionSpec:
+    """The acquisition of a run and its [smo] search keys; each field but
+    `kind` meets the rule of its `smo.<field>` key (`core.check_rule`)."""
+
     kind: Acquisition
     beta: float = HYPERPARAMETERS["smo.beta"]
     xi: float = HYPERPARAMETERS["smo.xi"]
@@ -20,14 +23,8 @@ class AcquisitionSpec:
     n_refine: int = HYPERPARAMETERS["smo.n_refine"]
 
     def __post_init__(self):
-        if self.n_candidates < 1:
-            raise ValueError("n_candidates must be >= 1")
-        if self.n_refine < 1:
-            raise ValueError("n_refine must be >= 1")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.xi < 0:
-            raise ValueError("xi must be nonnegative")
+        for f in fields(self)[1:]:
+            check_rule(f"smo.{f.name}", getattr(self, f.name))
 
 
 def expected_improvement(mean, variance, best, xi=0.0):

@@ -118,6 +118,12 @@ class Oracle:
         sigma = float(np.asarray(self.noise_fn(x[None, :]))[0])
         return fx + sigma * gen.standard_normal(replicates)
 
+    def draw(self, x_gen: np.random.Generator, y_gen: np.random.Generator, n: int) -> tuple:
+        """(X, y): n uniform points of the domain from x_gen, then one `sample`
+        at each point, in row order, from y_gen."""
+        X = self.domain.sample(x_gen, n)
+        return X, np.array([self.sample(x, y_gen, 1)[0] for x in X])
+
 
 @dataclass(frozen=True)
 class OracleRow:

@@ -229,14 +229,8 @@ def fit_uncertainty_command(config_path, out_dir, force: bool = False) -> dict:
     oracle = make_oracle(cfg.oracle_name, cfg.dimension, noise=cfg.hp("oracle.noise"))
     root = RngStream(cfg.seed, "fit-uncertainty")
     oracle_gen = root.child("oracle").generator()
-
-    def draw(label, n):
-        X = oracle.domain.sample(root.child(label).generator(), n)
-        y = np.array([oracle.sample(x, oracle_gen, 1)[0] for x in X])
-        return Dataset(X, y)
-
-    train = draw("train", cfg.n_init)
-    held_out = draw("oos", cfg.n_init)
+    train = Dataset(*oracle.draw(root.child("train").generator(), oracle_gen, cfg.n_init))
+    held_out = Dataset(*oracle.draw(root.child("oos").generator(), oracle_gen, cfg.n_init))
 
     state = est.deup_fixed_train(
         train,
@@ -332,10 +326,48 @@ def report_command(traces_dir, out_path=None, force: bool = False) -> Path:
 
 
 def _parse_seeds(text):
-    return [int(tok) for tok in text.split(",") if tok.strip()] if text else None
+    """The seeds of a comma list such as "0,1,2"; empty entries are skipped."""
+    seeds = []
+    for tok in [t.strip() for t in text.split(",") if t.strip()]:
+        try:
+            seeds.append(int(tok))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"seed {tok!r} is not an integer") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"{text!r} names no seed")
+    return seeds
+
+
+def _run_smo(args) -> int:
+    written = run_smo_command(args.config, args.seeds, args.out, args.force)
+    return 1 if any(not Path(p).exists() for p in written) else 0
+
+
+def _demo_fig1(args) -> int:
+    summary = demo_fig1(args.out, args.seed, args.force)
+    print(
+        f"spearman(deup_eu)={summary['spearman_deup_eu']:.3f} "
+        f"spearman(gp2_var)={summary['spearman_gp2_variance']:.3f}"
+    )
+    return 0
+
+
+def _check_theory(args) -> int:
+    return 0 if check_theory_command(args.out, args.seed, args.force) else 1
+
+
+def _fit_uncertainty(args) -> int:
+    fit_uncertainty_command(args.config, args.out, args.force)
+    return 0
+
+
+def _report(args) -> int:
+    print(f"wrote {report_command(args.traces, args.out, args.force)}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The `deup` parser; each command's `handler` runs it and returns its exit code."""
     parser = argparse.ArgumentParser(
         prog="deup",
         description="Epistemic-uncertainty-driven sequential model optimization toolkit",
@@ -347,51 +379,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_parse_seeds, default=None, help="comma-separated, e.g. 0,1,2")
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
+    p.set_defaults(handler=_run_smo)
 
     p = sub.add_parser("demo-fig1", help="1-D recalibration demo (grid CSV + summary)")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true")
+    p.set_defaults(handler=_demo_fig1)
 
     p = sub.add_parser("check-theory", help="uncertainty-decomposition identity checks")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--force", action="store_true")
+    p.set_defaults(handler=_check_theory)
 
     p = sub.add_parser("fit-uncertainty", help="fixed-training-set fit and error-data export")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--force", action="store_true")
+    p.set_defaults(handler=_fit_uncertainty)
 
     p = sub.add_parser("report", help="aggregate trace CSVs into per-mode curves")
     p.add_argument("--traces", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--force", action="store_true")
+    p.set_defaults(handler=_report)
     return parser
-
-
-def _dispatch(args) -> int:
-    if args.command == "run-smo":
-        written = run_smo_command(args.config, args.seeds, args.out, args.force)
-        missing = [p for p in written if not Path(p).exists()]
-        return 1 if missing else 0
-    if args.command == "demo-fig1":
-        summary = demo_fig1(args.out, args.seed, args.force)
-        print(
-            f"spearman(deup_eu)={summary['spearman_deup_eu']:.3f} "
-            f"spearman(gp2_var)={summary['spearman_gp2_variance']:.3f}"
-        )
-        return 0
-    if args.command == "check-theory":
-        return 0 if check_theory_command(args.out, args.seed, args.force) else 1
-    if args.command == "fit-uncertainty":
-        fit_uncertainty_command(args.config, args.out, args.force)
-        return 0
-    if args.command == "report":
-        path = report_command(args.traces, args.out, args.force)
-        print(f"wrote {path}")
-        return 0
-    return 2
 
 
 def main(argv=None) -> int:
@@ -402,7 +415,7 @@ def main(argv=None) -> int:
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
     logger.addHandler(handler)
     try:
-        return _dispatch(args)
+        return args.handler(args)
     except Exception as exc:  # CLI boundary: report and signal failure
         print(f"error: {exc}", file=sys.stderr)
         return 1

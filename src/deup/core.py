@@ -13,6 +13,7 @@ import enum
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,6 +104,8 @@ class Dataset:
 
     def contains(self, X: np.ndarray) -> np.ndarray:
         """Per row of the (m, d) batch X: whether it equals a stored input bit for bit."""
+        if np.ndim(X) != 2:
+            raise ValidationError(f"need a batch of inputs (m, d), got {np.shape(X)}")
         X = np.ascontiguousarray(X, dtype=np.float64)
         if not len(self):
             return np.zeros(len(X), dtype=bool)
@@ -206,26 +209,27 @@ _SCHEMA = {
 }
 
 
-# Schema keys held as typed ExperimentConfig fields; every other key is a
-# hyperparameter, named "section.key" in ExperimentConfig.hyperparameters.
-_FIELD_KEYS = {
-    "oracle.name", "oracle.dimension", "smo.n_init", "smo.budget",
-    "smo.acquisition", "smo.seed", "deup.features", "deup.aleatoric",
-}
 _ROWS = {f"{s}.{k}": row for s, keys in _SCHEMA.items() for k, row in keys.items()}
 _DEFAULTS = {key: default for key, (_, default, _) in _ROWS.items()}
-HYPERPARAMETERS = {key: default for key, default in _DEFAULTS.items() if key not in _FIELD_KEYS}
 
 
 def _breach(key: str, value) -> str | None:
-    """The error message if `value` breaks `key`'s rule, else None; an unset
-    optional key (None) breaks none."""
-    rule = _ROWS[key][2]
-    if value is None or rule is None:
-        return None
+    """The error message if `value` breaks `key`'s rule, else None. An unset
+    optional key (None) breaks none; a float key must be finite."""
+    typ, default, rule = _ROWS[key]
+    if value is None:
+        return None if default is None else f"key '{key}': must be set"
     if isinstance(rule, tuple):
         return None if value in rule else f"key '{key}': expected one of {', '.join(rule)}, got {value!r}"
-    return None if _RANGES[rule](value) else f"key '{key}': must be {rule}, got {value}"
+    if typ is float and not -math.inf < value < math.inf:
+        return f"key '{key}': must be finite, got {value}"
+    return None if rule is None or _RANGES[rule](value) else f"key '{key}': must be {rule}, got {value}"
+
+
+def check_rule(key: str, value) -> None:
+    """Raise ConfigError if `value` breaks `key`'s `_SCHEMA` rule, as `validate()` does."""
+    if message := _breach(key, value):
+        raise ConfigError(message)
 
 
 def _choice(key: str, raw: str) -> str:
@@ -239,6 +243,31 @@ def _choice(key: str, raw: str) -> str:
 def _features(raw: str) -> frozenset:
     names = [t.strip() for t in raw.split(",") if t.strip()]
     return frozenset(Feature(_choice("deup.features", n)) for n in names)
+
+
+# Schema keys held as typed ExperimentConfig fields: key -> (field name, what
+# turns the key's loaded value into the field's, or None where they are equal).
+# Every other key is a hyperparameter, named "section.key" in
+# ExperimentConfig.hyperparameters.
+_FIELDS = {
+    "oracle.name": ("oracle_name", None),
+    "oracle.dimension": ("dimension", None),
+    "smo.n_init": ("n_init", None),
+    "smo.budget": ("budget", None),
+    "smo.acquisition": ("acquisition", Acquisition),
+    "deup.features": ("feature_set", _features),
+    "smo.seed": ("seed", None),
+    "deup.aleatoric": ("aleatoric_mode", AleatoricMode),
+}
+_FIELD_KEYS = set(_FIELDS)
+HYPERPARAMETERS = {key: default for key, default in _DEFAULTS.items() if key not in _FIELD_KEYS}
+
+
+def _json_value(value):
+    """A field value as written to JSON: an enum as its value, a feature set as its sorted values."""
+    if isinstance(value, frozenset):
+        return sorted(f.value for f in value)
+    return value.value if isinstance(value, enum.Enum) else value
 
 
 def schema_section(name: str, hyperparameters: dict | None = None) -> dict:
@@ -315,17 +344,9 @@ class ExperimentConfig:
         return cfg
 
     def as_dict(self) -> dict:
-        return {
-            "oracle_name": self.oracle_name,
-            "dimension": self.dimension,
-            "n_init": self.n_init,
-            "budget": self.budget,
-            "acquisition": self.acquisition.value,
-            "feature_set": sorted(f.value for f in self.feature_set),
-            "seed": self.seed,
-            "aleatoric_mode": self.aleatoric_mode.value,
-            "hyperparameters": {key: self.hp(key) for key in HYPERPARAMETERS},
-        }
+        """Every field in field order, with each hyperparameter's value or default."""
+        out = {f.name: _json_value(getattr(self, f.name)) for f in dataclasses.fields(self)}
+        return {**out, "hyperparameters": {key: self.hp(key) for key in HYPERPARAMETERS}}
 
 
 def _parse_value(section: str, key: str, raw: str):
@@ -365,19 +386,11 @@ def load_config(path) -> ExperimentConfig:
         if isinstance(rule, tuple) and key != "deup.features":  # a comma list, read by _features
             values[key] = _choice(key, values[key])
 
-    dimension = values["oracle.dimension"]
-    if dimension is None:  # not `or`: a set 0 gets validate()'s ">= 1" message
-        dimension = ORACLES[values["oracle.name"]].dimension
+    if values["oracle.dimension"] is None:  # not `or`: a set 0 gets validate()'s ">= 1" message
+        values["oracle.dimension"] = ORACLES[values["oracle.name"]].dimension
 
     cfg = ExperimentConfig(
-        oracle_name=values["oracle.name"],
-        dimension=dimension,
-        n_init=values["smo.n_init"],
-        budget=values["smo.budget"],
-        acquisition=Acquisition(values["smo.acquisition"]),
-        feature_set=_features(values["deup.features"]),
-        seed=values["smo.seed"],
-        aleatoric_mode=AleatoricMode(values["deup.aleatoric"]),
+        **{name: convert(values[key]) if convert else values[key] for key, (name, convert) in _FIELDS.items()},
         hyperparameters={key: values[key] for key in HYPERPARAMETERS},
     )
     cfg.validate()

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, check_rule
 from .models import _pairwise_sq_dists, _query_rows
 
 
@@ -57,8 +57,7 @@ class KdePredictor:
 def kde_fit(d: Dataset, bandwidth: float | None = None) -> KdePredictor:
     if len(d) < 1:
         raise ValueError("KDE fit needs at least 1 example")
-    if bandwidth is not None and bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    check_rule("kde.bandwidth", bandwidth)  # None: Silverman's rule
     X = d.inputs()
     h = float(bandwidth) if bandwidth is not None else silverman_bandwidth(X)
     return KdePredictor(points=X, bandwidth=h)

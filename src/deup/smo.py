@@ -183,8 +183,7 @@ def run_smo(cfg: ExperimentConfig) -> RunTrace:
     # Mode-independent labels: every acquisition mode under one seed shares
     # these draws and therefore the same initial design.
     oracle_gen = root.child("oracle").generator()
-    X_init = oracle.domain.sample(root.child("init-design").generator(), cfg.n_init)
-    y_init = np.array([oracle.sample(x, oracle_gen, 1)[0] for x in X_init])
+    X_init, y_init = oracle.draw(root.child("init-design").generator(), oracle_gen, cfg.n_init)
 
     trace = RunTrace(config=cfg, init_X=X_init, init_y=y_init)
     spec = AcquisitionSpec(kind=cfg.acquisition, **cfg.section("smo"))

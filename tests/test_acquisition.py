@@ -176,10 +176,22 @@ class TestScore:
 
 @pytest.mark.parametrize(
     "field, value",
-    [("n_candidates", 0), ("n_refine", 0), ("n_refine", -3), ("beta", 0.0), ("xi", -0.1)],
+    [
+        ("n_candidates", 0),
+        ("n_refine", 0),
+        ("n_refine", -3),
+        ("beta", 0.0),
+        ("xi", -0.1),
+        ("beta", np.nan),
+        ("beta", np.inf),
+        ("xi", np.inf),
+        ("xi", -np.inf),
+        ("n_candidates", None),
+        ("beta", None),
+    ],
 )
 def test_spec_rejects_out_of_range(field, value):
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=f"key 'smo.{field}': must be "):
         AcquisitionSpec(Acquisition.EI, **{field: value})
 
 

@@ -87,6 +87,17 @@ class TestOracle:
         ys = o.sample(np.array([0.5]), RngStream(1, "oracle").generator(), replicates=100_000)
         assert 0.2375 <= np.var(ys, ddof=1) <= 0.2625
 
+    def test_draw_samples_points_then_one_oracle_value_per_point(self, monkeypatch):
+        o = make_oracle("ackley", dimension=3, noise=0.2)
+        calls = []
+        real = type(o).sample
+        monkeypatch.setattr(type(o), "sample", lambda self, *a: calls.append(a) or real(self, *a))
+        X, y = o.draw(RngStream(0, "x").generator(), RngStream(0, "y").generator(), 5)
+        y_gen = RngStream(0, "y").generator()
+        np.testing.assert_array_equal(X, o.domain.sample(RngStream(0, "x").generator(), 5))
+        np.testing.assert_array_equal(y, [real(o, x, y_gen, 1)[0] for x in X])
+        assert len(calls) == 5 and y.shape == (5,)
+
     def test_out_of_domain_rejected(self):
         o = make_oracle("levi13")
         with pytest.raises(ValueError):

@@ -105,6 +105,31 @@ class TestRunSmoSeeds:
         assert "seeds [0] repeated" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "seeds, message",
+        [
+            (",", "',' names no seed"),
+            ("", "'' names no seed"),
+            (" , ,", "' , ,' names no seed"),
+            ("0,x", "seed 'x' is not an integer"),
+            ("0, 1.5", "seed '1.5' is not an integer"),
+        ],
+    )
+    def test_a_seed_list_naming_no_integer_seed_is_refused_before_any_output(self, tmp_path, capsys, seeds, message):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exited:
+            main(["run-smo", "--config", str(write_cfg(tmp_path)), f"--seeds={seeds}", "--out", str(out)])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --seeds: {message}" in err
+        assert "_parse_seeds" not in err
+        assert not out.exists()
+
+    def test_a_seed_list_skips_empty_entries(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run-smo", "--config", str(write_cfg(tmp_path)), "--seeds", " 3,,4, ", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.glob("*_trace.csv")) == ["synth1d_random_seed3_trace.csv", "synth1d_random_seed4_trace.csv"]
+
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_bad_worker_cap_is_rejected_before_any_output(self, tmp_path, monkeypatch, capsys, value):
         monkeypatch.setenv("DEUP_THREADS", value)

@@ -1,11 +1,14 @@
+import dataclasses
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from deup.acquisition import AcquisitionSpec
 from deup.core import (
     _FIELD_KEYS,
+    _FIELDS,
     _ROWS,
     _SCHEMA,
     HYPERPARAMETERS,
@@ -19,6 +22,7 @@ from deup.core import (
     ValidationError,
     load_config,
 )
+from deup.density import kde_fit
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -76,6 +80,13 @@ class TestDataset:
         for width in (1, 3):
             with pytest.raises(ValidationError, match=f"got {width}, dataset has 2"):
                 d.contains(np.zeros((4, width)))
+
+    @pytest.mark.parametrize("batch", [np.zeros(3), np.zeros((1, 2, 2)), np.float64(0.0)], ids=["1-D", "3-D", "scalar"])
+    @pytest.mark.parametrize("stored", [0, 3], ids=["empty", "non-empty"])
+    def test_contains_rejects_a_batch_that_is_not_2d(self, batch, stored):
+        d = make_dataset(stored) if stored else Dataset()
+        with pytest.raises(ValidationError, match=re.escape(f"need a batch of inputs (m, d), got {np.shape(batch)}")):
+            d.contains(batch)
 
     def test_arrays_are_read_only(self):
         d = make_dataset(3)
@@ -247,6 +258,10 @@ RANGE_EDGES = [
 ]
 
 
+FLOAT_KEYS = [key for key, (typ, _, _) in _ROWS.items() if typ is float]
+NON_FINITE = [np.inf, -np.inf, np.nan]
+
+
 def config_with(key, value):
     """A synth1d EI config (ackley for `oracle.dimension`) with `key` set to `value`."""
     fields = {"oracle.dimension": {"oracle_name": "ackley", "dimension": value}, "smo.n_init": {"n_init": value}}
@@ -307,6 +322,25 @@ class TestExperimentConfig:
         with pytest.raises(error, match=re.escape(f"key '{key}': must be {rule}, got {failing}")):
             config_with(key, failing).validate()
 
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_every_float_key_must_be_finite(self, tmp_path, key, value):
+        message = re.escape(f"key '{key}': must be finite, got {value}")
+        with pytest.raises(ConfigError, match=message):
+            config_with(key, value).validate()
+        section, _, bare = key.partition(".")
+        sections = {"oracle": "name = synth1d\n", "smo": "acquisition = ei\n"}
+        sections[section] = sections.get(section, "") + f"{bare} = {value}\n"
+        path = tmp_path / "exp.cfg"
+        path.write_text("".join(f"[{name}]\n{lines}\n" for name, lines in sections.items()))
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+
+    def test_typed_field_table_holds_every_field_but_the_hyperparameters(self):
+        names = [name for name, _ in _FIELDS.values()]
+        assert names == [f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "hyperparameters"]
+        assert _FIELD_KEYS == set(_FIELDS) == set(_ROWS) - set(HYPERPARAMETERS)
+
     @pytest.mark.parametrize(
         "fields, message",
         [
@@ -364,6 +398,32 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(oracle_name="synth1d", dimension=1, hyperparameters={"gp.kernel": "matern52"})
         assert cfg.section("gp") == {"kernel": "matern52", "n_restarts": 8, "noise_floor": 1e-6, "max_sweeps": 12}
         assert cfg.section("kde") == {}
+
+
+# The keys whose rules AcquisitionSpec and kde_fit check, with a call that sets them.
+RULE_USERS = {
+    "smo.n_candidates": lambda v: AcquisitionSpec(Acquisition.EI, n_candidates=v),
+    "smo.n_refine": lambda v: AcquisitionSpec(Acquisition.EI, n_refine=v),
+    "smo.beta": lambda v: AcquisitionSpec(Acquisition.UCB, beta=v),
+    "smo.xi": lambda v: AcquisitionSpec(Acquisition.EI, xi=v),
+    "kde.bandwidth": lambda v: kde_fit(Dataset([[0.0], [1.0]], [0.0, 0.0]), v),
+}
+RULE_BREACHES = [
+    (key, value)
+    for key in RULE_USERS
+    for value in [e[3] for e in RANGE_EDGES if e[0] == key] + (NON_FINITE if _ROWS[key][0] is float else [])
+]
+
+
+class TestOneRuleTable:
+    @pytest.mark.parametrize("key, value", RULE_BREACHES, ids=[f"{k}:{v}" for k, v in RULE_BREACHES])
+    def test_each_breach_gets_the_message_validate_gives(self, key, value):
+        with pytest.raises(ConfigError) as validated:
+            config_with(key, value).validate()
+        with pytest.raises(ConfigError) as constructed:
+            RULE_USERS[key](value)
+        assert str(constructed.value) == str(validated.value)
+        assert str(validated.value).startswith(f"key '{key}': must be ")
 
 
 def readme_config_lines():

@@ -35,9 +35,10 @@ class TestKdeFit:
         h = silverman_bandwidth(x[:, None])
         assert abs(h - 1.06 * 100 ** (-1 / 5)) < 1e-6
 
-    def test_rejects_nonpositive_bandwidth(self):
-        with pytest.raises(ValueError):
-            kde_fit(dataset_1d([0.0, 1.0]), bandwidth=0.0)
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_rejects_nonpositive_bandwidth(self, bandwidth):
+        with pytest.raises(ValueError, match="key 'kde.bandwidth': must be "):
+            kde_fit(dataset_1d([0.0, 1.0]), bandwidth=bandwidth)
 
     def test_rejects_empty_dataset(self):
         with pytest.raises(ValueError):
