@@ -44,15 +44,13 @@ def expected_improvement(mean, variance, best, xi=0.0):
             improve * ndtr(z) + sigma * (np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)),
             np.maximum(improve, 0.0),
         )
-    out = np.maximum(ei, 0.0)
-    return float(out) if out.ndim == 0 else out
+    return np.maximum(ei, 0.0)
 
 
 def ucb(mean, variance, beta):
     """Upper confidence bound mean + beta * sqrt(variance)."""
     var = np.maximum(np.asarray(variance, dtype=np.float64), 0.0)
-    out = np.asarray(mean, dtype=np.float64) + beta * np.sqrt(var)
-    return float(out) if out.ndim == 0 else out
+    return np.asarray(mean, dtype=np.float64) + beta * np.sqrt(var)
 
 
 def acquisition_value(spec: AcquisitionSpec, mean, spread, best: float) -> np.ndarray:

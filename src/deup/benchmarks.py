@@ -52,22 +52,20 @@ def ackley(x):
     """
     x = np.asarray(x, dtype=np.float64)
     # Grouped so the optimum at the origin evaluates to exactly 0.0.
-    out = ACKLEY_A * (np.exp(-ACKLEY_B * np.sqrt(np.mean(x**2, axis=-1))) - 1.0) + (
+    return ACKLEY_A * (np.exp(-ACKLEY_B * np.sqrt(np.mean(x**2, axis=-1))) - 1.0) + (
         np.exp(np.mean(np.cos(ACKLEY_C * x), axis=-1)) - np.e
     )
-    return float(out) if out.ndim == 0 else out
 
 
 def levi13(x, y):
     """Negated Levi N.13: maximum 0 at (1, 1) on [-10, 10]^2."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    out = -(
+    return -(
         np.sin(3.0 * np.pi * x) ** 2
         + (x - 1.0) ** 2 * (1.0 + np.sin(3.0 * np.pi * y) ** 2)
         + (y - 1.0) ** 2 * (1.0 + np.sin(2.0 * np.pi * y) ** 2)
     )
-    return float(out) if out.ndim == 0 else out
 
 
 # One-dimensional multimodal test function on [0, 1]: a sharp Gaussian bump at
@@ -88,8 +86,7 @@ SYNTH1D_SCALE = float(_synth1d_raw(SYNTH1D_X_STAR))
 
 def synth1d(x):
     """Multimodal 1-D benchmark on [0, 1], normalized so the global maximum is 1."""
-    out = _synth1d_raw(x) / SYNTH1D_SCALE
-    return float(out) if np.ndim(out) == 0 else out
+    return _synth1d_raw(x) / SYNTH1D_SCALE
 
 
 @dataclass
@@ -97,7 +94,6 @@ class Oracle:
     """Ground-truth function f plus a noise profile sigma(x) >= 0."""
 
     name: str
-    dimension: int
     domain: BoxDomain
     f: object  # callable (m, d) array -> (m,) values
     noise_fn: object  # callable (m, d) array -> (m,) standard deviations
@@ -151,7 +147,6 @@ def make_oracle(name: str, dimension: int | None = None, noise=0.0) -> Oracle:
     sigma = float(noise)
     if sigma < 0:
         raise ValueError("noise sigma must be nonnegative")
-    name = name.lower()
     if name not in ORACLES:
         raise ValueError(f"unknown oracle {name!r}")
     row = ORACLES[name]
@@ -160,7 +155,6 @@ def make_oracle(name: str, dimension: int | None = None, noise=0.0) -> Oracle:
         raise ValueError(f"{name} needs dimension {row.dimension or '>= 1'}, got {dimension}")
     return Oracle(
         name=name,
-        dimension=d,
         domain=BoxDomain(np.full(d, row.lower), np.full(d, row.upper)),
         f=row.f,
         noise_fn=lambda X: np.full(len(X), sigma),

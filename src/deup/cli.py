@@ -19,19 +19,15 @@ from scipy.stats import spearmanr
 
 from . import estimator as est
 from .benchmarks import make_oracle
-from .core import Dataset, Feature, RngStream, load_config, one_blas_thread, write_csv, write_json
+from .core import ConfigError, Dataset, Feature, RngStream, load_config, one_blas_thread, write_csv, write_json
 from .models import Learner
 from .smo import GpState, build_aleatoric, deup_fit, read_trace, run_smo
 from .theory import run_theory_checks
 
 
-class OutputExistsError(FileExistsError):
-    pass
-
-
 def _ensure_writable(path: Path, force: bool) -> Path:
     if path.exists() and not force:
-        raise OutputExistsError(f"{path} exists; pass --force to overwrite")
+        raise FileExistsError(f"{path} exists; pass --force to overwrite")
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -49,22 +45,21 @@ def _max_workers(n_tasks: int) -> int:
 # --- run-smo ----------------------------------------------------------------
 
 
-def _run_one_seed(args):
-    cfg, seed = args
+def _run_one_seed(cfg, seed):
     return run_smo(cfg.replace(seed=seed))
 
 
-def _finished_seeds(jobs, workers):
-    """Yield (job index, trace) as each seed finishes. run_smo records its own
-    failures in the trace; a worker process can still fail (BrokenProcessPool),
+def _finished_seeds(cfg, seeds, workers):
+    """Yield (seed, trace) as each seed's run of cfg finishes. run_smo records its
+    own failures in the trace; a worker process can still fail (BrokenProcessPool),
     and then its exception is yielded in place of the trace."""
     if workers == 1:
-        for i, job in enumerate(jobs):
-            yield i, _run_one_seed(job)
+        for seed in seeds:
+            yield seed, _run_one_seed(cfg, seed)
         return
     # Worker processes: one run is a GIL-heavy loop, so threads do not scale.
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(_run_one_seed, job): i for i, job in enumerate(jobs)}
+        futures = {pool.submit(_run_one_seed, cfg, seed): seed for seed in seeds}
         for future in as_completed(futures):
             yield futures[future], future.exception() or future.result()
 
@@ -72,29 +67,28 @@ def _finished_seeds(jobs, workers):
 def run_smo_command(config_path, seeds, out_dir, force=False) -> list[Path]:
     """Write each seed's trace CSV and summary JSON as soon as it finishes, so a
     raise keeps the seeds already written. A failed worker process is reported
-    on stderr; the command raises once the other seeds are done."""
+    on stderr; the command raises once the other seeds are done. `seeds` None
+    runs the config's seed; an empty list is refused."""
     cfg = load_config(config_path)
     out = Path(out_dir)
-    seeds = list(seeds) if seeds else [cfg.seed]
+    seeds = [cfg.seed] if seeds is None else list(seeds)
+    if not seeds:
+        raise ValueError("no seeds to run; pass None to run the config's seed")
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
     if repeated:
         raise ValueError(f"seeds {repeated} repeated in --seeds; each seed runs once")
     workers = _max_workers(len(seeds))
-    names = []
+    paths = {}
     for s in seeds:
         stem = f"{cfg.oracle_name}_{cfg.acquisition.value}_seed{s}"
-        names.append(
-            (
-                s,
-                _ensure_writable(out / f"{stem}_trace.csv", force),
-                _ensure_writable(out / f"{stem}_summary.json", force),
-            )
+        paths[s] = (
+            _ensure_writable(out / f"{stem}_trace.csv", force),
+            _ensure_writable(out / f"{stem}_summary.json", force),
         )
 
-    jobs = [(cfg, s) for s in seeds]
     written, raised = [], []
-    for i, outcome in _finished_seeds(jobs, workers):
-        seed, csv_path, json_path = names[i]
+    for seed, outcome in _finished_seeds(cfg, seeds, workers):
+        csv_path, json_path = paths[seed]
         if isinstance(outcome, Exception):
             print(f"seed {seed}: raised {type(outcome).__name__}: {outcome}", file=sys.stderr)
             raised.append(seed)
@@ -221,6 +215,8 @@ def check_theory_command(out_dir, seed: int = 1, force: bool = False) -> bool:
 def fit_uncertainty_command(config_path, out_dir, force: bool = False) -> dict:
     """Fixed-training-set fit: train/held-out draw, error dataset export, EU grid."""
     cfg = load_config(config_path)
+    if not cfg.feature_set:  # validate() requires a feature only of DEUP acquisitions
+        raise ConfigError("key 'deup.features': must be nonempty for fit-uncertainty, which always fits DEUP")
     out = Path(out_dir)
     du_path = _ensure_writable(out / "error_dataset.csv", force)
     summary_path = _ensure_writable(out / "fit_summary.json", force)

@@ -14,6 +14,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,11 +25,11 @@ _UINT64_MASK = (1 << 64) - 1
 
 
 class ConfigError(ValueError):
-    """Config cannot be parsed, or names an unknown section/key or choice."""
+    """Config cannot be parsed, names an unknown section/key or choice, or breaks a `validate()` rule."""
 
 
 class ValidationError(ValueError):
-    """A structural invariant of a config or dataset is violated."""
+    """A `Dataset`'s inputs or targets break its shape or finiteness invariant."""
 
 
 class NumericsError(RuntimeError):
@@ -54,9 +55,6 @@ class Feature(enum.Enum):
     SEEN_BIT = "seen_bit"
     LOG_DENSITY = "log_density"
     LOG_VARIANCE = "log_variance"
-
-
-FEATURE_ORDER = (Feature.X, Feature.SEEN_BIT, Feature.LOG_DENSITY, Feature.LOG_VARIANCE)
 
 
 class AleatoricMode(enum.Enum):
@@ -215,12 +213,15 @@ _DEFAULTS = {key: default for key, (_, default, _) in _ROWS.items()}
 
 def _breach(key: str, value) -> str | None:
     """The error message if `value` breaks `key`'s rule, else None. An unset
-    optional key (None) breaks none; a float key must be finite."""
+    optional key (None) breaks none; an int key takes an integer and a float key
+    a finite number, never a bool."""
     typ, default, rule = _ROWS[key]
     if value is None:
         return None if default is None else f"key '{key}': must be set"
     if isinstance(rule, tuple):
         return None if value in rule else f"key '{key}': expected one of {', '.join(rule)}, got {value!r}"
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if typ is int else numbers.Real):
+        return f"key '{key}': must be {'an integer' if typ is int else 'a number'}, got {value!r}"
     if typ is float and not -math.inf < value < math.inf:
         return f"key '{key}': must be finite, got {value}"
     return None if rule is None or _RANGES[rule](value) else f"key '{key}': must be {rule}, got {value}"
@@ -301,18 +302,18 @@ class ExperimentConfig:
         unknown = sorted(set(self.hyperparameters) - HYPERPARAMETERS.keys())
         if unknown:
             raise ConfigError(f"not hyperparameter keys: {', '.join(unknown)}")
-        typed = {"oracle.dimension": self.dimension, "smo.n_init": self.n_init}
-        checked = {**typed, **{k: self.hp(k) for k in HYPERPARAMETERS}, "oracle.name": self.oracle_name}
+        # The fields that hold their key's value as loaded: no rule names a converted enum or feature set.
+        typed = {key: getattr(self, name) for key, (name, convert) in _FIELDS.items() if convert is None}
+        checked = {**typed, **{k: self.hp(k) for k in HYPERPARAMETERS}}
         for key, value in checked.items():
-            if message := _breach(key, value):
-                raise (ValidationError if key in typed else ConfigError)(message)
+            check_rule(key, value)
         fixed = ORACLES[self.oracle_name].dimension
         if self.dimension is None or fixed not in (None, self.dimension):
             raise ConfigError(f"key 'oracle.dimension': must be {fixed or 'set'} for {self.oracle_name}, got {self.dimension}")
         if self.budget < self.n_init:
-            raise ValidationError(f"key 'smo.budget': must be >= smo.n_init ({self.n_init}), got {self.budget}")
+            raise ConfigError(f"key 'smo.budget': must be >= smo.n_init ({self.n_init}), got {self.budget}")
         if self.acquisition.uses_error_model and not self.feature_set:
-            raise ValidationError("key 'deup.features': must be nonempty for DEUP acquisitions")
+            raise ConfigError("key 'deup.features': must be nonempty for DEUP acquisitions")
         if self.aleatoric_mode is AleatoricMode.REPLICATES and self.hp("deup.replicates_k") < 2:
             raise ConfigError(
                 f"key 'deup.replicates_k': must be >= 2 with deup.aleatoric = replicates, got {self.hp('deup.replicates_k')}"
@@ -327,7 +328,7 @@ class ExperimentConfig:
 
     def layout(self) -> tuple:
         """Feature layout in canonical order, fixed for the whole run."""
-        return tuple(f for f in FEATURE_ORDER if f in self.feature_set)
+        return tuple(f for f in Feature if f in self.feature_set)
 
     def hp(self, key: str):
         """The value of hyperparameter `key` ("section.key"), or its schema default."""

@@ -1,5 +1,5 @@
 """Error-predictor machinery: stationarizing features, training modes, and
-the epistemic-uncertainty query max(u(x) - a(x), 0).
+the epistemic-uncertainty query max(u(x) - a(x), 0), or u(x) with no a(x).
 
 The error predictor u is trained on log((y - f(x))^2 + eps) targets built
 from in-sample and out-of-sample rows; the seen bit and the feature context
@@ -165,10 +165,6 @@ class AleatoricEstimator:
         return np.maximum(np.asarray(self.fn(X), dtype=np.float64), 0.0)
 
 
-def zero_aleatoric() -> AleatoricEstimator:
-    return AleatoricEstimator(lambda X: np.zeros(len(X)))
-
-
 def estimate_aleatoric_from_replicates(groups, regressor: Learner, rng: RngStream) -> AleatoricEstimator:
     """Fit a(x) on unbiased per-group variance targets K/(K-1) * biased variance.
 
@@ -189,11 +185,11 @@ def estimate_aleatoric_from_replicates(groups, regressor: Learner, rng: RngStrea
 
 @dataclass
 class UncertaintyModel:
-    """Main predictor, error predictor, and aleatoric estimator queried together."""
+    """Main predictor, error predictor, and aleatoric estimator (None: a(x) = 0) queried together."""
 
     main: object
     error: ErrorPredictor
-    aleatoric: AleatoricEstimator
+    aleatoric: AleatoricEstimator | None
     context: FeatureContext
 
     def predict_batch(self, X: np.ndarray):
@@ -211,13 +207,14 @@ class UncertaintyModel:
         return self.main.predict_mean_batch(X)
 
     def epistemic_batch(self, X: np.ndarray, variance: np.ndarray | None = None) -> np.ndarray:
-        """max(u(features(x)) - a(x), 0) per row; with a == 0 this is the total-uncertainty estimate.
+        """max(u(features(x)) - a(x), 0) per row; with no a(x) this is u, the total-uncertainty estimate.
 
         `variance` is the variance source's posterior variance at X, if already solved."""
         F = build_features_batch(self.context, X, variance)
         u = np.exp(self.error.predict_log_error_batch(F))
-        a = self.aleatoric.values(X)
-        return np.maximum(u - a, 0.0)
+        if self.aleatoric is None:
+            return u
+        return np.maximum(u - self.aleatoric.values(X), 0.0)
 
 
 @dataclass(frozen=True)
@@ -258,7 +255,7 @@ class DeupFit:
     def state(self, main, context: FeatureContext, d_u: Dataset, rng: RngStream, error_label: str, aleatoric=None):
         """The step-0 state of f = `main` with `context`, and u fitted on d_u under stream `error_label`."""
         error = fit_error_predictor(d_u, self.u, rng.child(error_label))
-        return DeupState(self, d_u, UncertaintyModel(main, error, aleatoric or zero_aleatoric(), context), rng)
+        return DeupState(self, d_u, UncertaintyModel(main, error, aleatoric, context), rng)
 
 
 def deup_fixed_train(

@@ -266,7 +266,7 @@ def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
     med = float(np.median(off[off > 0])) if np.any(off > 0) else input_range
     med = float(np.clip(med, np.exp(bounds[0][0]), np.exp(bounds[0][1])))
 
-    search_kernel = _SearchKernel(sq, str(cfg["kernel"]).lower())
+    search_kernel = _SearchKernel(sq, cfg["kernel"])
     seen = {}  # the coordinate descent revisits points; evaluate each theta once
 
     def objective(theta):

@@ -116,10 +116,10 @@ def deup_fit(cfg: ExperimentConfig) -> est.DeupFit:
     )
 
 
-def build_aleatoric(cfg, oracle, d_init, rng) -> est.AleatoricEstimator:
+def build_aleatoric(cfg, oracle, d_init, rng) -> est.AleatoricEstimator | None:
     mode = cfg.aleatoric_mode
     if mode is AleatoricMode.ZERO:
-        return est.zero_aleatoric()
+        return None
     if mode is AleatoricMode.KNOWN:
         return est.AleatoricEstimator(lambda X: oracle.noise_fn(X) ** 2)
     # REPLICATES: groups drawn at the init points, fit once; the extra draws

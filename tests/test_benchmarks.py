@@ -129,9 +129,14 @@ class TestOracle:
         assert np.max(o3.true_batch(X)) <= o3.known_optimum[1] + 1e-9
 
     def test_registry_and_default_dimensions(self):
-        assert make_oracle("levi13").dimension == 2
-        assert make_oracle("synth1d").dimension == 1
+        assert make_oracle("levi13").domain.dimension == 2
+        assert make_oracle("synth1d").domain.dimension == 1
         with pytest.raises(ValueError):
             make_oracle("rosenbrock")
         with pytest.raises(ValueError):
             make_oracle("ackley")  # dimension required
+
+    def test_make_oracle_takes_the_name_as_given(self):
+        # Only load_config lower-cases a name, as validate() expects.
+        with pytest.raises(ValueError, match="unknown oracle 'Synth1d'"):
+            make_oracle("Synth1d")

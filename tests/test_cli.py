@@ -12,8 +12,8 @@ import deup.cli
 import deup.estimator
 import deup.models
 import deup.smo
-from deup.cli import _max_workers, demo_fig1, main, report_command
-from deup.core import HYPERPARAMETERS
+from deup.cli import _max_workers, demo_fig1, fit_uncertainty_command, main, report_command, run_smo_command
+from deup.core import HYPERPARAMETERS, ConfigError
 
 FAST_CFG = """
 [oracle]
@@ -129,6 +129,16 @@ class TestRunSmoSeeds:
         out = tmp_path / "out"
         assert main(["run-smo", "--config", str(write_cfg(tmp_path)), "--seeds", " 3,,4, ", "--out", str(out)]) == 0
         assert sorted(p.name for p in out.glob("*_trace.csv")) == ["synth1d_random_seed3_trace.csv", "synth1d_random_seed4_trace.csv"]
+
+    def test_python_seeds_none_runs_the_config_seed_and_an_empty_list_is_refused(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(FAST_CFG.format(mode="random").replace("[smo]\n", "[smo]\nseed = 7\n"))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="no seeds to run"):
+            run_smo_command(cfg, [], out)
+        assert not out.exists()
+        written = run_smo_command(cfg, None, out)
+        assert sorted(p.name for p in written) == ["synth1d_random_seed7_summary.json", "synth1d_random_seed7_trace.csv"]
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_bad_worker_cap_is_rejected_before_any_output(self, tmp_path, monkeypatch, capsys, value):
@@ -249,6 +259,17 @@ class TestFitUncertaintyCommand:
         assert "eu_grid.csv exists; pass --force" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["eu_grid.csv"]
         assert (out / "eu_grid.csv").read_text() == "kept\n"
+
+    def test_an_empty_feature_set_is_refused_before_any_output(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(FAST_CFG.format(mode="ei") + "features =\n")  # [deup] is the last section
+        out = tmp_path / "fit"
+        message = "key 'deup.features': must be nonempty for fit-uncertainty"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            fit_uncertainty_command(cfg, out)
+        assert main(["fit-uncertainty", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # sha256 of fit-uncertainty's outputs for a small levi13 config with all four

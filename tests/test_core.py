@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -156,7 +157,7 @@ class TestLoadConfig:
     def test_n_init_invariant(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("[oracle]\nname = synth1d\n\n[smo]\nn_init = 1\n")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             load_config(path)
 
     def test_empty_features_with_deup_acquisition(self, tmp_path):
@@ -164,7 +165,7 @@ class TestLoadConfig:
         path.write_text(
             "[oracle]\nname = synth1d\n\n[smo]\nacquisition = deup_ei\n\n[deup]\nfeatures =\n"
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             load_config(path)
 
     def test_unknown_key_named_in_error(self, tmp_path):
@@ -188,7 +189,7 @@ class TestLoadConfig:
     def test_budget_below_n_init(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("[oracle]\nname = synth1d\n\n[smo]\nn_init = 10\nbudget = 5\n")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigError):
             load_config(path)
 
     def test_feature_list_parsing(self, tmp_path):
@@ -259,6 +260,7 @@ RANGE_EDGES = [
 
 
 FLOAT_KEYS = [key for key, (typ, _, _) in _ROWS.items() if typ is float]
+INT_KEYS = [key for key, (typ, _, _) in _ROWS.items() if typ is int]
 NON_FINITE = [np.inf, -np.inf, np.nan]
 
 
@@ -267,6 +269,15 @@ def config_with(key, value):
     fields = {"oracle.dimension": {"oracle_name": "ackley", "dimension": value}, "smo.n_init": {"n_init": value}}
     kwargs = fields.get(key, {"hyperparameters": {key: value}})
     return ExperimentConfig(**{"oracle_name": "synth1d", "dimension": 1, "acquisition": Acquisition.EI, **kwargs})
+
+
+def int_config_with(key, value):
+    """`config_with`, reaching the `smo.budget` and `smo.seed` fields too (n_init 2, so a budget of 3 passes)."""
+    if key == "smo.budget":
+        return ExperimentConfig(oracle_name="synth1d", dimension=1, n_init=2, budget=value, acquisition=Acquisition.EI)
+    if key == "smo.seed":
+        return ExperimentConfig(oracle_name="synth1d", dimension=1, seed=value, acquisition=Acquisition.EI)
+    return config_with(key, value)
 
 
 class TestExperimentConfig:
@@ -318,8 +329,7 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("key, rule, passing, failing", RANGE_EDGES, ids=[f"{e[0]}:{e[3]}" for e in RANGE_EDGES])
     def test_validate_accepts_each_range_bound_and_rejects_the_first_value_past_it(self, key, rule, passing, failing):
         config_with(key, passing).validate()
-        error = ValidationError if key in _FIELD_KEYS else ConfigError
-        with pytest.raises(error, match=re.escape(f"key '{key}': must be {rule}, got {failing}")):
+        with pytest.raises(ConfigError, match=re.escape(f"key '{key}': must be {rule}, got {failing}")):
             config_with(key, failing).validate()
 
     @pytest.mark.parametrize("value", NON_FINITE, ids=str)
@@ -335,6 +345,19 @@ class TestExperimentConfig:
         path.write_text("".join(f"[{name}]\n{lines}\n" for name, lines in sections.items()))
         with pytest.raises(ConfigError, match=message):
             load_config(path)
+
+    @pytest.mark.parametrize("value", [2.5, math.inf, True, "3"], ids=repr)
+    @pytest.mark.parametrize("key", INT_KEYS)
+    def test_every_int_key_must_be_an_integer(self, key, value):
+        with pytest.raises(ConfigError, match=re.escape(f"key '{key}': must be an integer, got {value!r}")):
+            int_config_with(key, value).validate()
+        int_config_with(key, np.int64(3)).validate()
+
+    @pytest.mark.parametrize("value", [True, "0.1"], ids=repr)
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_every_float_key_must_be_a_number(self, key, value):
+        with pytest.raises(ConfigError, match=re.escape(f"key '{key}': must be a number, got {value!r}")):
+            config_with(key, value).validate()
 
     def test_typed_field_table_holds_every_field_but_the_hyperparameters(self):
         names = [name for name, _ in _FIELDS.values()]
@@ -353,7 +376,7 @@ class TestExperimentConfig:
     )
     def test_typed_field_errors_name_the_key(self, fields, message):
         cfg = ExperimentConfig(**{"oracle_name": "synth1d", "dimension": 1, **fields})
-        with pytest.raises(ValidationError, match=re.escape(message)):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             cfg.validate()
 
     @pytest.mark.parametrize(
@@ -362,7 +385,7 @@ class TestExperimentConfig:
             ("branin", 1, ConfigError, "oracle.name"),
             ("Synth1d", 1, ConfigError, "oracle.name"),  # only load_config lower-cases a name
             ("levi13", 3, ConfigError, "oracle.dimension"),
-            ("ackley", 0, ValidationError, "oracle.dimension"),
+            ("ackley", 0, ConfigError, "oracle.dimension"),
         ],
     )
     def test_programmatic_oracle_errors_keep_their_class_and_key(self, name, dimension, error, key):

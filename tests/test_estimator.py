@@ -275,6 +275,7 @@ class TestEpistemicQuery:
         model = deup_fixed_train(
             train, oos, DeupFit(Learner("gp", GP_NOISELESS), (Feature.LOG_VARIANCE,)), RngStream(0, "deup")
         ).model
+        assert model.aleatoric is None
         x = np.array([0.9])
         F = build_features_batch(model.context, x[None, :])
         u_val = np.exp(model.error.predict_log_error_batch(F))[0]

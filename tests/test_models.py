@@ -62,6 +62,12 @@ def fit_fixed(X, y, lengthscale=1.0, signal=1.0, noise=1e-6, kernel="rbf"):
 
 
 class TestGPFit:
+    def test_kernel_name_is_taken_as_given(self):
+        # Only load_config lower-cases a name, as validate() expects.
+        d = Dataset(np.array([[0.0], [0.5], [1.0]]), np.array([0.0, 1.0, 0.0]))
+        with pytest.raises(ValueError, match="unknown kernel 'RBF'"):
+            gp_fit(d, {"kernel": "RBF"}, RngStream(0, "fit"))
+
     def test_interpolates_noiseless_line(self):
         X = np.array([[0.0], [1.0]])
         y = np.array([0.0, 2.0])
