@@ -302,11 +302,17 @@ class ExperimentConfig:
         unknown = sorted(set(self.hyperparameters) - HYPERPARAMETERS.keys())
         if unknown:
             raise ConfigError(f"not hyperparameter keys: {', '.join(unknown)}")
-        # The fields that hold their key's value as loaded: no rule names a converted enum or feature set.
+        # A field that holds its key's value as loaded takes the key's rule; a converted field must hold
+        # what load_config converts to: an enum member, or a frozenset of Feature members.
         typed = {key: getattr(self, name) for key, (name, convert) in _FIELDS.items() if convert is None}
         checked = {**typed, **{k: self.hp(k) for k in HYPERPARAMETERS}}
         for key, value in checked.items():
             check_rule(key, value)
+        for key, kind in (("smo.acquisition", Acquisition), ("deup.aleatoric", AleatoricMode)):
+            if not isinstance(value := getattr(self, _FIELDS[key][0]), kind):
+                raise ConfigError(f"key '{key}': must be an {kind.__name__}, got {value!r}")
+        if not isinstance(self.feature_set, frozenset) or not all(isinstance(f, Feature) for f in self.feature_set):
+            raise ConfigError(f"key 'deup.features': must be a frozenset of Feature members, got {self.feature_set!r}")
         fixed = ORACLES[self.oracle_name].dimension
         if self.dimension is None or fixed not in (None, self.dimension):
             raise ConfigError(f"key 'oracle.dimension': must be {fixed or 'set'} for {self.oracle_name}, got {self.dimension}")

@@ -371,8 +371,16 @@ class TestExperimentConfig:
             ({"n_init": 6, "budget": 5}, "key 'smo.budget': must be >= smo.n_init (6), got 5"),
             ({"oracle_name": "ackley", "dimension": 0}, "key 'oracle.dimension': must be >= 1, got 0"),
             ({"feature_set": frozenset()}, "key 'deup.features': must be nonempty for DEUP acquisitions"),
+            ({"acquisition": "ei"}, "key 'smo.acquisition': must be an Acquisition, got 'ei'"),
+            ({"aleatoric_mode": "known"}, "key 'deup.aleatoric': must be an AleatoricMode, got 'known'"),
+            ({"feature_set": frozenset({"x"})}, "key 'deup.features': must be a frozenset of Feature members, got frozenset({'x'})"),
+            ({"feature_set": {Feature.LOG_VARIANCE}}, "key 'deup.features': must be a frozenset of Feature members, got {<Feature."),
+            ({"feature_set": [Feature.LOG_VARIANCE]}, "key 'deup.features': must be a frozenset of Feature members, got [<Feature."),
         ],
-        ids=["smo.n_init", "smo.budget", "oracle.dimension", "deup.features"],
+        ids=[
+            "smo.n_init", "smo.budget", "oracle.dimension", "deup.features",
+            "acquisition-str", "aleatoric-str", "feature-str", "feature-plain-set", "feature-list",
+        ],
     )
     def test_typed_field_errors_name_the_key(self, fields, message):
         cfg = ExperimentConfig(**{"oracle_name": "synth1d", "dimension": 1, **fields})

@@ -1,6 +1,10 @@
-"""The `deup` module graph stays acyclic with every import at module top."""
+"""The `deup` module graph stays acyclic with every import at module top, and the
+package itself imports nothing."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,3 +30,13 @@ def test_benchmarks_imports_no_deup_module():
     modules = [alias.name for node in imports(tree) if isinstance(node, ast.Import) for alias in node.names]
     modules += ["." * node.level + (node.module or "") for node in imports(tree) if isinstance(node, ast.ImportFrom)]
     assert [m for m in modules if m.startswith(".") or m.split(".")[0] == "deup"] == []
+
+
+def test_a_module_loads_only_its_own_imports():
+    # The package holds no import, so importing one module loads no sibling it does not import.
+    package = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert imports(package) == []
+    probe = "import sys, deup.benchmarks; print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'deup')))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["deup", "deup.benchmarks"]
