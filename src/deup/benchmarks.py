@@ -145,8 +145,8 @@ def make_oracle(name: str, dimension: int | None = None, noise=0.0) -> Oracle:
     """The oracle of row `name` of ORACLES with constant noise sigma `noise`,
     at `dimension` (by default the row's fixed one)."""
     sigma = float(noise)
-    if sigma < 0:
-        raise ValueError("noise sigma must be nonnegative")
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError(f"noise sigma must be finite and nonnegative, got {noise}")
     if name not in ORACLES:
         raise ValueError(f"unknown oracle {name!r}")
     row = ORACLES[name]

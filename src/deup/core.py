@@ -233,6 +233,11 @@ def check_rule(key: str, value) -> None:
         raise ConfigError(message)
 
 
+def cv_train_rows(n: int, k: int) -> int:
+    """Rows each fit of f sees in k-fold CV over n rows: every fold but the smallest, the last one."""
+    return n - n // k
+
+
 def _choice(key: str, raw: str) -> str:
     """`raw` lower-cased, if `key`'s rule allows it."""
     value = raw.strip().lower()
@@ -328,8 +333,7 @@ class ExperimentConfig:
         pretrains = self.acquisition.uses_error_model and self.hp("deup.n_pretrain") != 0
         if pretrains and not 2 <= folds <= self.n_init:
             raise ConfigError(f"key 'deup.cv_folds': must be in [2, n_init={self.n_init}], got {folds}")
-        # The CV fits of f see every fold but the smallest, the last one: n_init - n_init // folds rows.
-        if pretrains and self.n_init - self.n_init // folds < 2:
+        if pretrains and cv_train_rows(self.n_init, folds) < 2:
             raise ConfigError(f"key 'smo.n_init': must leave >= 2 rows in {folds}-fold CV training folds, got {self.n_init}")
 
     def layout(self) -> tuple:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import HYPERPARAMETERS, Dataset, Feature, RngStream, schema_section, write_csv
+from .core import HYPERPARAMETERS, Dataset, Feature, RngStream, cv_train_rows, schema_section, write_csv
 from .density import KdePredictor, kde_fit
 from .models import Learner
 
@@ -34,34 +34,27 @@ def log_error_target(residual_sq) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureContext:
-    """The dataset and layout features are built for, and the estimators fitted on it."""
+    """Main predictor f fitted on `dataset`, and the layout and estimators its features are built from."""
 
+    main: object
     dataset: Dataset
     layout: tuple
     kde: KdePredictor | None = None
-    variance_source: object | None = None  # exposes predict_batch -> (mean, var)
+    variance_source: object | None = None  # f or the side GP; exposes predict_batch -> (mean, var)
 
 
-def fit_feature_context(
-    d: Dataset,
-    layout: tuple,
-    rng: RngStream,
-    bandwidth: float | None = None,
-    variance_source=None,
-    variance_gp: Learner = Learner("gp"),
-) -> FeatureContext:
-    """Fit the density / variance estimators the layout requires on d.
+def fit_feature_context(fit: DeupFit, main, d: Dataset, rng: RngStream) -> FeatureContext:
+    """f = `main`, fitted by `fit.learner` on d, with the density / variance estimators `fit.layout` requires.
 
-    A main-model GP can be passed as `variance_source` so its posterior
-    variance doubles as the feature at no extra cost; otherwise the side GP
-    `variance_gp` is fitted when the layout asks for log variance.
+    The log-variance source is f itself when it is a GP, whose posterior
+    variance doubles as the feature at no extra cost; an MLP f gets the side
+    GP `fit.variance_gp`, fitted on d.
     """
-    kde = kde_fit(d, bandwidth) if Feature.LOG_DENSITY in layout else None
-    if Feature.LOG_VARIANCE not in layout:
-        variance_source = None
-    elif variance_source is None:
-        variance_source = variance_gp.fit(d, rng.child("variance-gp"))
-    return FeatureContext(d, layout, kde, variance_source)
+    kde = kde_fit(d, fit.bandwidth) if Feature.LOG_DENSITY in fit.layout else None
+    source = None
+    if Feature.LOG_VARIANCE in fit.layout:
+        source = main if fit.learner.kind == "gp" else fit.variance_gp.fit(d, rng.child("variance-gp"))
+    return FeatureContext(main, d, fit.layout, kde, source)
 
 
 def build_features_batch(context: FeatureContext, X: np.ndarray, variance: np.ndarray | None = None) -> np.ndarray:
@@ -185,12 +178,15 @@ def estimate_aleatoric_from_replicates(groups, regressor: Learner, rng: RngStrea
 
 @dataclass
 class UncertaintyModel:
-    """Main predictor, error predictor, and aleatoric estimator (None: a(x) = 0) queried together."""
+    """Error predictor, aleatoric estimator (None: a(x) = 0) and feature context, with f, queried together."""
 
-    main: object
     error: ErrorPredictor
     aleatoric: AleatoricEstimator | None
     context: FeatureContext
+
+    @property
+    def main(self):
+        return self.context.main
 
     def predict_batch(self, X: np.ndarray):
         """(mean, epistemic) at each row of X, shaped like a GP's (mean, variance).
@@ -232,30 +228,22 @@ class DeupFit:
         if self.u is None:
             object.__setattr__(self, "u", error_learner(self.layout))
 
-    def main(self, d: Dataset, rng: RngStream, labels: tuple):
-        """Fit f on d under stream labels[0], then the feature context under labels[1].
+    def main(self, d: Dataset, rng: RngStream, labels: tuple) -> FeatureContext:
+        """Fit f on d under stream labels[0], then its feature context under labels[1]."""
+        return fit_feature_context(self, self.learner.fit(d, rng.child(labels[0])), d, rng.child(labels[1]))
 
-        A main GP doubles as the log-variance source; an MLP main gets the side
-        GP `variance_gp`.
-        """
-        main = self.learner.fit(d, rng.child(labels[0]))
-        variance_source = main if self.learner.kind == "gp" else None
-        context = fit_feature_context(
-            d, self.layout, rng.child(labels[1]), self.bandwidth, variance_source, self.variance_gp
-        )
-        return main, context
-
-    def error_rows(self, main, context: FeatureContext, d: Dataset) -> tuple[np.ndarray, np.ndarray]:
-        """(features, targets): the error rows of f = `main`, fitted with `context`,
-        at the rows of d, with log squared errors as targets."""
-        X = d.inputs()
-        targets = log_error_target((d.targets() - main.predict_mean_batch(X)) ** 2)
-        return build_features_batch(context, X), targets
-
-    def state(self, main, context: FeatureContext, d_u: Dataset, rng: RngStream, error_label: str, aleatoric=None):
-        """The step-0 state of f = `main` with `context`, and u fitted on d_u under stream `error_label`."""
+    def state(self, context: FeatureContext, d_u: Dataset, rng: RngStream, error_label: str, aleatoric=None):
+        """The step-0 state of f and its `context`, and u fitted on d_u under stream `error_label`."""
         error = fit_error_predictor(d_u, self.u, rng.child(error_label))
-        return DeupState(self, d_u, UncertaintyModel(main, error, aleatoric, context), rng)
+        return DeupState(self, d_u, UncertaintyModel(error, aleatoric, context), rng)
+
+
+def error_rows(context: FeatureContext, d: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """(features, targets): the error rows of the context's f at the rows of d,
+    with log squared errors as targets."""
+    X = d.inputs()
+    targets = log_error_target((d.targets() - context.main.predict_mean_batch(X)) ** 2)
+    return build_features_batch(context, X), targets
 
 
 def deup_fixed_train(
@@ -273,15 +261,15 @@ def deup_fixed_train(
     """
     if len(train) < 1:
         raise ValueError("train dataset is empty")
-    main, context = fit.main(train, rng, ("main", "features"))
+    context = fit.main(train, rng, ("main", "features"))
 
-    d_u = Dataset(*fit.error_rows(main, context, train))
+    d_u = Dataset(*error_rows(context, train))
     if len(out_of_sample):
-        d_u = d_u.append(*fit.error_rows(main, context, out_of_sample))
+        d_u = d_u.append(*error_rows(context, out_of_sample))
     else:
         logger.warning("deup_fixed_train: no out-of-sample data; u sees in-sample errors only")
 
-    return fit.state(main, context, d_u, rng, "error", aleatoric)
+    return fit.state(context, d_u, rng, "error", aleatoric)
 
 
 def deup_pretrain_cv(d_init: Dataset, k: int, n_pretrain: int, fit: DeupFit, rng: RngStream) -> Dataset:
@@ -290,19 +278,22 @@ def deup_pretrain_cv(d_init: Dataset, k: int, n_pretrain: int, fit: DeupFit, rng
     Repeats {random split into k folds; fit f and features on k-1 folds; add an
     error row for every point of d_init} until at least n_pretrain rows exist.
     Held-out-fold rows get seen bit 0, in-fold rows 1. Each pass permutes d_init;
-    its k-1 training folds are the first n - n // k rows, the held-out fold the rest.
+    its k-1 training folds are the first `cv_train_rows(n, k)` rows, the held-out fold the rest.
     """
     n = len(d_init)
     if not 2 <= k <= n:
         raise ValueError(f"cv needs 2 <= k <= {n} folds for {n} examples, got {k}")
+    n_train = cv_train_rows(n, k)
+    if n_train < 2:
+        raise ValueError(f"cv with k={k} folds over n={n} examples trains f on {n_train} < 2 rows")
     d_u = Dataset()
     pass_idx = 0
     while len(d_u) < n_pretrain:
         pass_idx += 1
         perm = rng.child(f"split-{pass_idx}").generator().permutation(n)
-        d_tilde = d_init.take(perm[: n - n // k])
-        main, context = fit.main(d_tilde, rng, (f"fit-{pass_idx}", f"features-{pass_idx}"))
-        d_u = d_u.append(*fit.error_rows(main, context, d_init))
+        d_tilde = d_init.take(perm[:n_train])
+        context = fit.main(d_tilde, rng, (f"fit-{pass_idx}", f"features-{pass_idx}"))
+        d_u = d_u.append(*error_rows(context, d_init))
     return d_u
 
 
@@ -336,8 +327,7 @@ def deup_init_state(
     if n_pretrain is None:
         n_pretrain = 4 * len(d_init)
     d_u = deup_pretrain_cv(d_init, k, n_pretrain, fit, rng.child("pretrain")) if n_pretrain > 0 else Dataset()
-    main, context = fit.main(d_init, rng, ("main-0", "features-0"))
-    return fit.state(main, context, d_u, rng, "error-0", aleatoric)
+    return fit.state(fit.main(d_init, rng, ("main-0", "features-0")), d_u, rng, "error-0", aleatoric)
 
 
 def deup_interactive_step(state: DeupState, x_acq, y_acq: float) -> DeupState:
@@ -353,15 +343,15 @@ def deup_interactive_step(state: DeupState, x_acq, y_acq: float) -> DeupState:
     X, y = np.reshape(x_acq, (1, -1)), [y_acq]
     acquired = Dataset(X, y)
     fit, old = state.fit, state.model
-    pre = fit.error_rows(old.main, old.context, acquired)
+    pre = error_rows(old.context, acquired)
 
     t = state.step + 1
-    main, context = fit.main(old.context.dataset.append(X, y), state.rng, (f"main-{t}", f"features-{t}"))
-    post = fit.error_rows(main, context, acquired)
+    context = fit.main(old.context.dataset.append(X, y), state.rng, (f"main-{t}", f"features-{t}"))
+    post = error_rows(context, acquired)
 
     new_du = state.d_u.append(*pre).append(*post)
     error = fit_error_predictor(new_du, fit.u, state.rng.child(f"error-{t}"), old.error.model)
-    model = replace(old, main=main, error=error, context=context)
+    model = replace(old, error=error, context=context)
     return replace(state, d_u=new_du, model=model, step=t)
 
 

@@ -82,6 +82,11 @@ class TestOracle:
         ys = o.sample(x, RngStream(0, "oracle").generator(), replicates=4)
         assert np.all(ys == o.true_batch(x[None])[0])
 
+    @pytest.mark.parametrize("noise", [-0.1, float("nan"), float("inf"), -float("inf")])
+    def test_rejects_noise_not_finite_and_nonnegative(self, noise):
+        with pytest.raises(ValueError, match="noise sigma must be finite and nonnegative"):
+            make_oracle("synth1d", noise=noise)
+
     def test_constant_noise_variance(self):
         o = make_oracle("synth1d", noise=0.5)
         ys = o.sample(np.array([0.5]), RngStream(1, "oracle").generator(), replicates=100_000)

@@ -7,12 +7,13 @@ import re
 
 import numpy as np
 import pytest
+from scipy.stats import ConstantInputWarning, spearmanr
 
 import deup.cli
 import deup.estimator
 import deup.models
 import deup.smo
-from deup.cli import _max_workers, demo_fig1, fit_uncertainty_command, main, report_command, run_smo_command
+from deup.cli import _max_workers, _spearman, demo_fig1, fit_uncertainty_command, main, report_command, run_smo_command
 from deup.core import HYPERPARAMETERS, ConfigError
 
 FAST_CFG = """
@@ -182,6 +183,28 @@ class TestLibraryWarnings:
         cfg = write_cfg(tmp_path, mode="ei")
         assert main(["run-smo", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert "WARNING deup.models: GP fit used elevated jitter" in capsys.readouterr().err
+
+
+class TestSpearman:
+    """demo_fig1's rank correlation is scipy's spearmanr, bit for bit, without importing scipy.stats."""
+
+    GEN = np.random.default_rng(4)
+    A = GEN.normal(size=60)
+    B = A + GEN.normal(size=60)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(A, B), (np.round(A), np.round(2 * B) / 2), (np.round(A), -A), ([3, 1, 2, 2, 5, 1], [1, 2, 3, 4, 5, 6])],
+        ids=["no-ties", "ties-in-both", "ties-in-one", "small"],
+    )
+    def test_equals_scipy(self, a, b):
+        assert np.float64(_spearman(a, b)).tobytes() == np.float64(spearmanr(a, b).statistic).tobytes()
+
+    @pytest.mark.parametrize("a, b", [(np.ones(5), np.arange(5.0)), (np.arange(5.0), np.full(5, 2.0))])
+    def test_constant_input_is_nan(self, a, b):
+        with pytest.warns(ConstantInputWarning):
+            assert np.isnan(spearmanr(a, b).statistic)
+        assert np.isnan(_spearman(a, b))
 
 
 class TestDemoFig1:

@@ -39,13 +39,13 @@ class TestBuildFeatures:
         x_new = np.array([0.734])
         learner = Learner("gp", GP_NOISELESS)
         gp = learner.fit(d, RngStream(0, "fit"))
-        ctx = fit_feature_context(d, FULL_LAYOUT, RngStream(0, "feat"), variance_source=gp)
+        ctx = fit_feature_context(DeupFit(learner, FULL_LAYOUT), gp, d, RngStream(0, "feat"))
         before = build_features_batch(ctx, x_new[None, :])[0]
         assert before[1] == 0.0
 
         d2 = d.append(x_new[None, :], [0.5])
         gp2 = learner.fit(d2, RngStream(1, "fit"))
-        ctx2 = fit_feature_context(d2, FULL_LAYOUT, RngStream(1, "feat"), variance_source=gp2)
+        ctx2 = fit_feature_context(DeupFit(learner, FULL_LAYOUT), gp2, d2, RngStream(1, "feat"))
         after = build_features_batch(ctx2, x_new[None, :])[0]
         assert after[1] == 1.0
 
@@ -53,7 +53,7 @@ class TestBuildFeatures:
         d = make_1d_dataset(6)
         gp = Learner("gp", GP_NOISELESS).fit(d, RngStream(0, "fit"))
         layout = (Feature.LOG_VARIANCE,)
-        ctx = fit_feature_context(d, layout, RngStream(0, "feat"), variance_source=gp)
+        ctx = fit_feature_context(DeupFit(Learner("gp", GP_NOISELESS), layout), gp, d, RngStream(0, "feat"))
         row = build_features_batch(ctx, np.array([0.7])[None, :])[0]
         assert row.shape == (1,)
 
@@ -61,7 +61,7 @@ class TestBuildFeatures:
         d = make_1d_dataset(6)
         gp = Learner("gp", GP_NOISELESS).fit(d, RngStream(0, "fit"))
         layout = (Feature.LOG_VARIANCE,)
-        ctx = fit_feature_context(d, layout, RngStream(0, "feat"), variance_source=gp)
+        ctx = fit_feature_context(DeupFit(Learner("gp", GP_NOISELESS), layout), gp, d, RngStream(0, "feat"))
         x = np.array([0.45])
         row = build_features_batch(ctx, x[None, :])[0]
         _, (var,) = gp.predict_batch(x[None])
@@ -71,7 +71,7 @@ class TestBuildFeatures:
         d = make_1d_dataset(6)
         layout = (Feature.SEEN_BIT, Feature.LOG_VARIANCE)
         gp = Learner("gp", GP_NOISELESS).fit(d, RngStream(0, "fit"))
-        ctx = fit_feature_context(d, layout, RngStream(0, "feat"), variance_source=gp)
+        ctx = fit_feature_context(DeupFit(Learner("gp", GP_NOISELESS), layout), gp, d, RngStream(0, "feat"))
         x = np.array([[0.9]])
         before = build_features_batch(ctx, x)
         d.append(x, [0.0])
@@ -162,6 +162,12 @@ class TestPretrainCv:
         fit = DeupFit(Learner("gp", GP_NOISELESS), (Feature.SEEN_BIT,))
         with pytest.raises(ValueError, match="2 <= k <= 6"):
             deup_pretrain_cv(make_1d_dataset(6), k, 1, fit, RngStream(0, "cv"))
+
+    def test_rejects_a_split_that_trains_f_on_one_row(self):
+        # 2 <= k <= n holds, but the first fold of 2 rows keeps 2 - 2 // 2 = 1 row for f.
+        fit = DeupFit(Learner("gp", GP_NOISELESS), (Feature.SEEN_BIT,))
+        with pytest.raises(ValueError, match=r"k=2 folds over n=2 examples trains f on 1 < 2 rows"):
+            deup_pretrain_cv(make_1d_dataset(2), 2, 1, fit, RngStream(0, "cv"))
 
     def test_n_folds_hold_out_one_row_each(self):
         fit = DeupFit(Learner("gp", GP_NOISELESS), (Feature.SEEN_BIT,))

@@ -32,11 +32,20 @@ def test_benchmarks_imports_no_deup_module():
     assert [m for m in modules if m.startswith(".") or m.split(".")[0] == "deup"] == []
 
 
+def loaded_modules(module: str, prefix: str) -> list:
+    """The modules under `prefix` that a fresh interpreter holds after `import module`."""
+    probe = f"import sys, {module}; print(' '.join(sorted(m for m in sys.modules if m.startswith({prefix!r}))))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout.split()
+
+
 def test_a_module_loads_only_its_own_imports():
     # The package holds no import, so importing one module loads no sibling it does not import.
     package = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
     assert imports(package) == []
-    probe = "import sys, deup.benchmarks; print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'deup')))"
-    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["deup", "deup.benchmarks"]
+    assert loaded_modules("deup.benchmarks", "deup") == ["deup", "deup.benchmarks"]
+
+
+def test_cli_loads_no_scipy_stats():
+    # Every `deup` command imports deup.cli; scipy.stats alone took most of that import's time.
+    assert loaded_modules("deup.cli", "scipy.stats") == []
