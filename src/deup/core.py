@@ -160,6 +160,8 @@ _RANGES = {
     ">= 2": lambda v: v >= 2,
     "> 0": lambda v: v > 0,
     "in (0, 1]": lambda v: 0 < v <= 1,
+    # A KDE bandwidth whose square (the kernel's variance) is a finite normal float.
+    "in [1e-150, 1e150]": lambda v: 1e-150 <= v <= 1e150,
 }
 _SCHEMA = {
     "oracle": {
@@ -202,7 +204,7 @@ _SCHEMA = {
         "hidden_units": (int, 128, ">= 1"),
     },
     "kde": {
-        "bandwidth": (float, None, "> 0"),  # None -> Silverman's rule
+        "bandwidth": (float, None, "in [1e-150, 1e150]"),  # None -> Silverman's rule
     },
 }
 

@@ -39,6 +39,8 @@ _potrf, _trtrs = get_lapack_funcs(("potrf", "trtrs"), (np.empty(0),))
 UNIT_KERNEL_CACHE = 3
 UNIT_KERNEL_MIN_EXPONENT = -345.0
 
+_LOG_2PI = float(np.log(2 * np.pi))
+
 
 def _pairwise_sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     d = A[:, None, :] - B[None, :, :]
@@ -146,7 +148,8 @@ class _SearchKernel:
     n x n buffer that the search factors in place, with the bits of
     `_kernel_from_sq_dists` except the RBF entries that `_unit_kernel` zeroes.
     The RBF kernel's lengthscale-only part, that unit kernel, is kept for the
-    last UNIT_KERNEL_CACHE lengthscales."""
+    last UNIT_KERNEL_CACHE lengthscales, and `exp` keeps the np.exp of each
+    log signal and log noise the search has evaluated."""
 
     def __init__(self, sq: np.ndarray, kernel: str):
         n = len(sq)
@@ -156,6 +159,9 @@ class _SearchKernel:
         # C-ordered transpose writes K, in memory order.
         self._rows = self.buf.T
         self.diag = self._rows.reshape(-1)[:: n + 1]
+        self.exp = {}
+        self._signal, self._log_diag, self._log_det = np.empty(()), np.empty(n), np.empty(())
+        self._half_n_log_2pi = 0.5 * n * _LOG_2PI
         if kernel == "rbf":
             neg_half_sq = -0.5 * sq
             self.neg_half_sq_min = float(neg_half_sq.min())
@@ -169,11 +175,19 @@ class _SearchKernel:
         Both kernels are exactly `signal` on the diagonal, so a caller adding
         noise and jitter passes (signal + noise) + jitter."""
         if self.kernel == "rbf":
-            np.multiply(signal, self.unit(log_ls), out=self._rows)
+            self._signal[()] = signal  # numpy multiplies by a 0-d array faster than by a Python float
+            np.multiply(self.unit(log_ls), self._signal, out=self._rows)
         else:
             self._rows[...] = _kernel_from_sq_dists(self.sq, self.kernel, np.exp(log_ls), signal)
         self.diag.fill(diag)
         return self.buf
+
+    def log_likelihood(self, a) -> float:
+        """Log marginal likelihood (GPML eq. 5.8) from the factor L in the buffer and a = L^-1 z."""
+        # -0.5 is a power of two, so scaling a . a gives the bits of (-0.5 * a) @ a;
+        # np.add.reduce is the reduction `ndarray.sum` calls.
+        np.add.reduce(np.log(self.diag, out=self._log_diag), 0, None, self._log_det)
+        return -0.5 * float(a.dot(a)) - float(self._log_det) - self._half_n_log_2pi
 
 
 def _chol_with_jitter(kernel: _SearchKernel, log_ls, signal, noise, base_jitter, clean=0):
@@ -200,30 +214,34 @@ def _chol_with_jitter(kernel: _SearchKernel, log_ls, signal, noise, base_jitter,
     )
 
 
-_LOG_2PI = float(np.log(2 * np.pi))
-
-
-def _log_likelihood_from_factor(L, a) -> float:
-    """Log marginal likelihood from the lower factor L of the kernel matrix and a = L^-1 z."""
-    # -0.5 is a power of two, so scaling a . a gives the bits of (-0.5 * a) @ a.
-    return -0.5 * float(a.dot(a)) - float(np.log(L.diagonal()).sum()) - 0.5 * len(a) * _LOG_2PI
-
-
 def _log_marginal_likelihood(kernel, z, log_ls, log_sig, log_noise, base_jitter):
-    try:
-        L, _ = _chol_with_jitter(kernel, log_ls, np.exp(log_sig), np.exp(log_noise), base_jitter)
-    except NumericsError:
-        return -np.inf
+    """Log marginal likelihood at theta, -inf if the jitter ladder gives up. The ladder's
+    first rung is factored here; only if it fails does the ladder go on, from the next."""
+    exp = kernel.exp
+    signal = exp.get(log_sig)
+    if signal is None:
+        signal = exp[log_sig] = float(np.exp(log_sig))
+    noise = exp.get(log_noise)
+    if noise is None:
+        noise = exp[log_noise] = float(np.exp(log_noise))
+    L, info = _potrf(kernel.write(log_ls, signal, signal + noise + base_jitter), 1, 0, 1)
+    if info:
+        try:
+            L, _ = _chol_with_jitter(kernel, log_ls, signal, noise, base_jitter * 10.0)
+        except NumericsError:
+            return -np.inf
     a, _ = _trtrs(L, z, 1)  # lower=1
-    return _log_likelihood_from_factor(L, a)
+    return kernel.log_likelihood(a)
 
 
 def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
     """Fit an exact GP by maximizing log marginal likelihood.
 
     Hyperparameters (lengthscale, signal variance, noise variance) are searched
-    in log space with `n_restarts` random restarts of a coordinate descent whose
-    accepted steps never decrease the likelihood. A `lengthscale`,
+    in log space by a coordinate descent, whose accepted steps never decrease
+    the likelihood, from max(n_restarts, 1) starts: the median-distance
+    lengthscale start, then n_restarts - 1 uniform draws within the bounds.
+    So n_restarts = 0 and 1 fit the same GP. A `lengthscale`,
     `signal_variance` or `noise_variance` set in cfg is held: both its search
     bounds are that value, at any n_restarts. The searched noise is bounded
     below by `noise_floor` in standardized units. A fit with all three held
@@ -260,50 +278,55 @@ def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
             raise ValueError(f"gp_fit: {key} must be {'> 0' if positive else '>= 0'}, got {value}")
         held = float(np.log(max(float(value) / unit, 1e-300)))
         bounds[i] = (held, held)
+    lows, highs = np.array(bounds).T
 
     # Off-diagonal median distance is a robust lengthscale init.
     off = np.sqrt(sq[~np.eye(n, dtype=bool)])
     med = float(np.median(off[off > 0])) if np.any(off > 0) else input_range
-    med = float(np.clip(med, np.exp(bounds[0][0]), np.exp(bounds[0][1])))
+    med = min(max(med, float(np.exp(bounds[0][0]))), float(np.exp(bounds[0][1])))  # np.clip's bits
+
+    # The starts, clipped to the bounds: the median start, then n_restarts - 1
+    # rows of uniform draws, the doubles of one scalar draw per coordinate in turn.
+    starts = np.empty((max(int(cfg["n_restarts"]), 1), 3))
+    starts[0] = (float(np.log(med)), 0.0, float(np.log(1e-4)))
+    starts[1:] = rng.generator().uniform(lows, highs, size=(len(starts) - 1, 3))
+    starts = np.minimum(np.maximum(starts, lows), highs).tolist()
 
     search_kernel = _SearchKernel(sq, cfg["kernel"])
     seen = {}  # the coordinate descent revisits points; evaluate each theta once
-
-    def objective(theta):
-        val = seen.get(theta)
-        if val is None:
-            val = seen[theta] = _log_marginal_likelihood(search_kernel, z, *theta, JITTER_START)
-        return val
-
-    gen = rng.generator()
-    starts = [(float(np.log(med)), 0.0, float(np.log(1e-4)))]
-    for _ in range(max(int(cfg["n_restarts"]) - 1, 0)):
-        starts.append(tuple(gen.uniform(lo, hi) for lo, hi in bounds))
-    starts = [tuple(min(max(v, lo), hi) for v, (lo, hi) in zip(theta, bounds)) for theta in starts]
+    free = [(i, lo, hi) for i, (lo, hi) in enumerate(bounds) if lo < hi]
 
     # With all three held every start is the held theta: it is taken unevaluated.
-    best_theta, best_val = starts[0], -np.inf
-    for theta in starts if any(lo < hi for lo, hi in bounds) else ():
-        val = objective(theta)
+    best_theta, best_val = tuple(starts[0]), -np.inf
+    for theta in starts if free else ():
+        cand = tuple(theta)
+        val = seen.get(cand)
+        if val is None:
+            val = seen[cand] = _log_marginal_likelihood(search_kernel, z, *cand, JITTER_START)
         step = 1.0
         for _ in range(int(cfg["max_sweeps"])):
             improved = False
-            for i, (lo, hi) in enumerate(bounds):
-                for direction in (1.0, -1.0):
-                    x = min(max(theta[i] + direction * step, lo), hi)
+            for i, lo, hi in free:
+                for move in (step, -step):
+                    x = theta[i] + move
+                    x = lo if x < lo else hi if x > hi else x  # min(max(x, lo), hi), without two calls
                     if x == theta[i]:
                         continue
-                    cand = theta[:i] + (x,) + theta[i + 1 :]
-                    cand_val = objective(cand)
+                    old, theta[i] = theta[i], x
+                    cand = tuple(theta)
+                    cand_val = seen.get(cand)
+                    if cand_val is None:
+                        cand_val = seen[cand] = _log_marginal_likelihood(search_kernel, z, *cand, JITTER_START)
                     if cand_val > val:
-                        theta, val = cand, cand_val
-                        improved = True
+                        val, improved = cand_val, True
+                    else:
+                        theta[i] = old
             if not improved:
                 step *= 0.5
                 if step < 1e-3:
                     break
         if val > best_val:
-            best_theta, best_val = theta, val
+            best_theta, best_val = tuple(theta), val
 
     # The final factor is the one the search evaluated at best_theta with the
     # upper triangle zeroed, so the likelihood taken from it has the search's
@@ -326,7 +349,7 @@ def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
         y_mean=y_mean,
         y_std=y_std,
         jitter=jitter,
-        log_marginal_likelihood=_log_likelihood_from_factor(L, a),
+        log_marginal_likelihood=search_kernel.log_likelihood(a),
     )
 
 

@@ -39,6 +39,7 @@ SIDES = {
     ">= 2": ((2, 3), (1,)),
     "> 0": ((1e-3, 1), (0,)),
     "in (0, 1]": ((1e-3, 1), (0, 2)),
+    "in [1e-150, 1e150]": ((1e-3, 1), (1e-200, 1e155)),
 }
 ORACLES = {"ackley": (1, 2, 3), "levi13": (2,), "synth1d": (1,)}
 NON_FINITE = re.compile(r"NumericsError: step \d+: acq_value \S+ and epistemic \S+ at x = .* are not finite", re.S)

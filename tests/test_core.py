@@ -247,6 +247,7 @@ def range_edges(typ, rule):
         ">= 2": [(2, step(2, -1))],
         "> 0": [(step(0, 1), 0)],
         "in (0, 1]": [(step(0, 1), 0), (1, step(1, 1))],
+        "in [1e-150, 1e150]": [(1e-150, step(1e-150, -1)), (1e150, step(1e150, 1))],
     }[rule]
     return [(typ(passing), typ(failing)) for passing, failing in edges]
 

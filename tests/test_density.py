@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from deup.core import Dataset
+from deup.core import ConfigError, Dataset, ExperimentConfig, load_config
 from deup.density import _logsumexp_rows, kde_fit, silverman_bandwidth
 
 
@@ -39,6 +39,26 @@ class TestKdeFit:
     def test_rejects_nonpositive_bandwidth(self, bandwidth):
         with pytest.raises(ValueError, match="key 'kde.bandwidth': must be "):
             kde_fit(dataset_1d([0.0, 1.0]), bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("bandwidth", [1e-200, 1e155])
+    def test_rejects_a_bandwidth_whose_square_is_not_a_finite_normal_float(self, bandwidth, tmp_path):
+        # 1e-200 squares to 0.0 (NaN at a training point), 1e155 past the largest float (OverflowError).
+        message = f"key 'kde.bandwidth': must be in [1e-150, 1e150], got {bandwidth}"
+        with pytest.raises(ConfigError) as fitted:
+            kde_fit(dataset_1d([0.0, 1.0]), bandwidth=bandwidth)
+        cfg = ExperimentConfig(oracle_name="synth1d", dimension=1, hyperparameters={"kde.bandwidth": bandwidth})
+        with pytest.raises(ConfigError) as validated:
+            cfg.validate()
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"[oracle]\nname = synth1d\n\n[kde]\nbandwidth = {bandwidth}\n")
+        with pytest.raises(ConfigError) as loaded:
+            load_config(path)
+        assert str(fitted.value) == str(validated.value) == str(loaded.value) == message
+
+    @pytest.mark.parametrize("bandwidth", [1e-150, 1e150])
+    def test_bandwidths_at_the_bounds_give_finite_log_densities(self, bandwidth):
+        k = kde_fit(dataset_1d([0.0, 1.0]), bandwidth=bandwidth)
+        assert np.isfinite(k.log_density_batch(np.array([[0.0], [0.5], [2.0]]))).all()
 
     def test_rejects_empty_dataset(self):
         with pytest.raises(ValueError):

@@ -459,6 +459,24 @@ def spy_on_thetas(monkeypatch) -> list:
     return thetas
 
 
+def spy_on_factors(monkeypatch) -> list:
+    """The size of each matrix `models._potrf` factors, in order, once patched in."""
+    factors, potrf = [], models._potrf
+
+    def spy(K, *args):
+        factors.append(len(K))
+        return potrf(K, *args)
+
+    monkeypatch.setattr(models, "_potrf", spy)
+    return factors
+
+
+def gp_signature(gp) -> tuple:
+    """Every bit of a fitted GP: its hyperparameters, likelihood and jitter, alpha and the factor."""
+    values = (gp.lengthscale, gp.signal_variance, gp.noise_variance, gp.log_marginal_likelihood, gp.jitter)
+    return tuple(float(v).hex() for v in values) + (gp.alpha.tobytes(), gp.chol_factor.tobytes(order="A"))
+
+
 class TestLogMarginalLikelihoodSearch:
     def test_search_improves_over_bad_start(self):
         # The fitted likelihood should be at least as good as any fixed guess.
@@ -530,6 +548,50 @@ class TestLogMarginalLikelihoodSearch:
             gp.lengthscale, gp.signal_variance, gp.noise_variance, gp.log_marginal_likelihood, gp.jitter
         ))
         assert got + (hashlib.sha256(gp.alpha.tobytes()).hexdigest(),) == GOLDEN_FITS[name]
+
+    def test_each_evaluated_theta_is_factored_once_plus_the_final_factor(self, monkeypatch):
+        factors = spy_on_factors(monkeypatch)
+        d, cfg = golden_case("rbf")  # no evaluation of this search escalates its jitter
+        gp_fit(d, cfg, RngStream(3, "fit"))
+        assert len(factors) == GOLDEN_TRAJECTORIES["rbf"][0] + 1
+
+    @pytest.mark.parametrize("signal", [1e9, 1e16])
+    def test_an_escalating_search_factors_each_rung_once(self, signal, monkeypatch):
+        # Duplicated inputs, zero noise and a held large signal: the search moves the
+        # lengthscale alone, and each evaluation climbs the jitter ladder (1e16: to its end).
+        sq, y = duplicated_grid()
+        X = np.repeat(np.linspace(0.0, 1.0, 5), 2)[:, None]
+        factors, rungs = spy_on_factors(monkeypatch), []
+        evaluate = models._log_marginal_likelihood
+
+        def spy(kernel, z, log_ls, log_sig, log_noise, base_jitter):
+            before = len(factors)
+            value = evaluate(kernel, z, log_ls, log_sig, log_noise, base_jitter)
+            K = reference_kernel(sq, "rbf", np.exp(log_ls), np.exp(log_sig))
+            K[np.diag_indices_from(K)] += np.exp(log_noise)
+            try:
+                jitter = reference_chol_with_jitter(K, base_jitter)[1]
+            except NumericsError:
+                jitter = JITTER_MAX  # every rung failed
+            rungs.append((len(factors) - before, round(np.log10(jitter / base_jitter)) + 1))
+            return value
+
+        monkeypatch.setattr(models, "_log_marginal_likelihood", spy)
+        cfg = {"signal_variance": signal * np.var(y), "noise_variance": 0.0}
+        if signal < 1e16:
+            gp_fit(Dataset(X, y), cfg, RngStream(3, "fit"))
+        else:
+            with pytest.raises(NumericsError):
+                gp_fit(Dataset(X, y), cfg, RngStream(3, "fit"))
+        factored, expected = zip(*rungs)
+        assert len(rungs) > 10 and factored == expected
+        assert max(factored) >= 2 and (set(factored) == {7}) == (signal == 1e16)
+
+    def test_zero_and_one_restarts_fit_the_same_gp(self):
+        # Each runs one start, the median-distance one; n_restarts - 1 uniform draws follow it.
+        d, _ = golden_case("rbf")
+        zero, one = (gp_fit(d, {"n_restarts": k}, RngStream(3, "fit")) for k in (0, 1))
+        assert gp_signature(zero) == gp_signature(one)
 
     def test_fixed_fit_factors_its_kernel_once(self, monkeypatch):
         calls = []
