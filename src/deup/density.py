@@ -47,7 +47,11 @@ class KdePredictor:
     bandwidth: float
 
     def log_density_batch(self, X: np.ndarray) -> np.ndarray:
-        """Log mixture density at each row of X, finite for any finite X by log-sum-exp."""
+        """Log mixture density at each row of X, by log-sum-exp.
+
+        Finite while each squared distance over bandwidth**2 stays below the
+        largest float. A query past that, about 1.3e4 from every point at the
+        smallest bandwidth 1e-150, reads -inf, with RuntimeWarnings."""
         n, d = self.points.shape
         sq = _pairwise_sq_dists(_query_rows(X, d), self.points)
         log_norm = np.log(n) + d * np.log(self.bandwidth * np.sqrt(2.0 * np.pi))
@@ -55,9 +59,12 @@ class KdePredictor:
 
 
 def kde_fit(d: Dataset, bandwidth: float | None = None) -> KdePredictor:
+    """The KDE of d's inputs at `bandwidth`, by default Silverman's rule. Either
+    value must keep the `kde.bandwidth` rule, so that its square is a normal float:
+    Silverman's bandwidth of inputs 1e-155 apart squares to a subnormal, refused."""
     if len(d) < 1:
         raise ValueError("KDE fit needs at least 1 example")
-    check_rule("kde.bandwidth", bandwidth)  # None: Silverman's rule
     X = d.inputs()
-    h = float(bandwidth) if bandwidth is not None else silverman_bandwidth(X)
-    return KdePredictor(points=X, bandwidth=h)
+    h = silverman_bandwidth(X) if bandwidth is None else bandwidth
+    check_rule("kde.bandwidth", h)
+    return KdePredictor(points=X, bandwidth=float(h))

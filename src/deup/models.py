@@ -148,8 +148,7 @@ class _SearchKernel:
     n x n buffer that the search factors in place, with the bits of
     `_kernel_from_sq_dists` except the RBF entries that `_unit_kernel` zeroes.
     The RBF kernel's lengthscale-only part, that unit kernel, is kept for the
-    last UNIT_KERNEL_CACHE lengthscales, and `exp` keeps the np.exp of each
-    log signal and log noise the search has evaluated."""
+    last UNIT_KERNEL_CACHE lengthscales."""
 
     def __init__(self, sq: np.ndarray, kernel: str):
         n = len(sq)
@@ -159,8 +158,7 @@ class _SearchKernel:
         # C-ordered transpose writes K, in memory order.
         self._rows = self.buf.T
         self.diag = self._rows.reshape(-1)[:: n + 1]
-        self.exp = {}
-        self._signal, self._log_diag, self._log_det = np.empty(()), np.empty(n), np.empty(())
+        self._log_diag, self._log_det = np.empty(n), np.empty(())
         self._half_n_log_2pi = 0.5 * n * _LOG_2PI
         if kernel == "rbf":
             neg_half_sq = -0.5 * sq
@@ -175,8 +173,7 @@ class _SearchKernel:
         Both kernels are exactly `signal` on the diagonal, so a caller adding
         noise and jitter passes (signal + noise) + jitter."""
         if self.kernel == "rbf":
-            self._signal[()] = signal  # numpy multiplies by a 0-d array faster than by a Python float
-            np.multiply(self.unit(log_ls), self._signal, out=self._rows)
+            np.multiply(signal, self.unit(log_ls), out=self._rows)
         else:
             self._rows[...] = _kernel_from_sq_dists(self.sq, self.kernel, np.exp(log_ls), signal)
         self.diag.fill(diag)
@@ -215,21 +212,11 @@ def _chol_with_jitter(kernel: _SearchKernel, log_ls, signal, noise, base_jitter,
 
 
 def _log_marginal_likelihood(kernel, z, log_ls, log_sig, log_noise, base_jitter):
-    """Log marginal likelihood at theta, -inf if the jitter ladder gives up. The ladder's
-    first rung is factored here; only if it fails does the ladder go on, from the next."""
-    exp = kernel.exp
-    signal = exp.get(log_sig)
-    if signal is None:
-        signal = exp[log_sig] = float(np.exp(log_sig))
-    noise = exp.get(log_noise)
-    if noise is None:
-        noise = exp[log_noise] = float(np.exp(log_noise))
-    L, info = _potrf(kernel.write(log_ls, signal, signal + noise + base_jitter), 1, 0, 1)
-    if info:
-        try:
-            L, _ = _chol_with_jitter(kernel, log_ls, signal, noise, base_jitter * 10.0)
-        except NumericsError:
-            return -np.inf
+    """Log marginal likelihood at theta, -inf if the jitter ladder gives up."""
+    try:
+        L, _ = _chol_with_jitter(kernel, log_ls, np.exp(log_sig), np.exp(log_noise), base_jitter)
+    except NumericsError:
+        return -np.inf
     a, _ = _trtrs(L, z, 1)  # lower=1
     return kernel.log_likelihood(a)
 
@@ -262,8 +249,8 @@ def gp_fit(d: Dataset, cfg: dict | None, rng: RngStream) -> GPPredictor:
     if input_range <= 0.0:
         input_range = 1.0
 
-    # theta = (log lengthscale, log signal, log noise) as a tuple of Python
-    # floats, signal and noise standardized; a held value is both its bounds.
+    # theta = (log lengthscale, log signal, log noise) in Python floats,
+    # signal and noise standardized; a held value is both its bounds.
     bounds = [
         (float(np.log(1e-2 * input_range)), float(np.log(1e2 * input_range))),
         (float(np.log(1e-3)), float(np.log(1e3))),

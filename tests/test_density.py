@@ -60,6 +60,19 @@ class TestKdeFit:
         k = kde_fit(dataset_1d([0.0, 1.0]), bandwidth=bandwidth)
         assert np.isfinite(k.log_density_batch(np.array([[0.0], [0.5], [2.0]]))).all()
 
+    def test_a_query_past_the_overflow_at_the_smallest_bandwidth_reads_minus_inf(self):
+        # 1e4 squared over 1e-300 is 1e308, a float; 2e4 squared over it is not.
+        k = kde_fit(dataset_1d([0.0, 1.0]), bandwidth=1e-150)
+        assert np.isfinite(k.log_density_batch(np.array([[1e4]])))
+        with pytest.warns(RuntimeWarning):
+            assert k.log_density_batch(np.array([[2e4]]))[0] == -np.inf
+
+    def test_rejects_a_silverman_bandwidth_whose_square_is_subnormal(self):
+        h = silverman_bandwidth(np.array([[0.0], [1e-155]]))
+        assert 0.0 < h**2 < np.finfo(float).tiny
+        with pytest.raises(ConfigError, match=rf"^key 'kde.bandwidth': must be in \[1e-150, 1e150\], got {h}$"):
+            kde_fit(dataset_1d([0.0, 1e-155]))
+
     def test_rejects_empty_dataset(self):
         with pytest.raises(ValueError):
             kde_fit(Dataset())

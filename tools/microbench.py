@@ -2,8 +2,7 @@
 n = 20/60, one GP log-likelihood evaluation at a short and a medium
 lengthscale, one candidate-scoring pass,
 the 5-row `score_batch` call of the refine, the GP posterior, the KDE
-log-density, one epoch of the error MLP and the set-up of each benchmark
-workload.
+log-density and one epoch of the error MLP.
 
 Usage, from the root of a source checkout (no install needed):
 
@@ -63,12 +62,6 @@ forward and backward pass), `update_us_per_epoch` the rest of the fit: the
 Adam update, the gradient copy and the loop, plus the once-per-fit set-up
 (standardizing, drawing the initial weights), which is under 1 % of a fit.
 Each is given as the quartiles of REPEATS fits.
-
-setup: per layout, `run_smo` on its perfbench workload's config (synth1d-deup,
-levi13-mlp) cut to budget = n_init, as perfbench's set-up probes run it: the
-initial design, DEUP's CV pretraining and the first fits of f and u, with no
-acquisition. Each of the workload's default SMO seeds runs REPEATS times after
-one warm-up run; `ms_*` are the quartiles of all those runs.
 """
 
 from __future__ import annotations
@@ -84,7 +77,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numpy as np  # noqa: E402
 
@@ -92,8 +84,7 @@ from deup import acquisition, models  # noqa: E402
 from deup.benchmarks import make_oracle  # noqa: E402
 from deup.core import Acquisition, Dataset, ExperimentConfig, Feature, RngStream, one_blas_thread  # noqa: E402
 from deup.estimator import deup_init_state  # noqa: E402
-from deup.smo import deup_fit, run_smo  # noqa: E402
-from workloads import DEFAULT_SMO_SEEDS, WORKLOADS  # noqa: E402
+from deup.smo import deup_fit  # noqa: E402
 
 SIZES = (3, 6, 20, 60, 140, 280)
 HELD_SIZES, HELD_NOISE = (20, 60), 0.3**2
@@ -104,7 +95,6 @@ LAYOUTS = {
     "synth1d": (1, ("log_variance",), 56),
     "levi13": (2, ("x", "seen_bit", "log_density", "log_variance"), 26),
 }
-SETUP_WORKLOADS = {"synth1d": "synth1d-deup", "levi13": "levi13-mlp"}
 CANDIDATES = (2048, 16384)
 REFINE_CALLS = 200
 POSTERIOR_ROWS = 2048
@@ -278,22 +268,6 @@ def bench_kde() -> dict:
     return {"layout": "levi13", "points": len(model.context.dataset), "rows": POSTERIOR_ROWS, **timing}
 
 
-def bench_setup(layout: str) -> dict:
-    workload = WORKLOADS[SETUP_WORKLOADS[layout]]
-    configs = [workload.config(seed, budget=workload.n_init) for seed in DEFAULT_SMO_SEEDS]
-    for cfg in configs:  # warm-up
-        run_smo(cfg)
-    seconds = []
-    for _ in range(REPEATS):
-        for cfg in configs:
-            t0 = time.perf_counter()
-            run_smo(cfg)
-            seconds.append(time.perf_counter() - t0)
-    quartiles = statistics.quantiles(seconds, n=4)
-    ms = {f"ms_{k}": round(1e3 * v, 3) for k, v in zip(("q1", "median", "q3"), quartiles)}
-    return {"layout": layout, "workload": workload.name, "seeds": list(DEFAULT_SMO_SEEDS), "runs": len(seconds), **ms}
-
-
 def per_epoch(name: str, seconds: list[float]) -> dict:
     """Quartiles of per-fit seconds as µs per epoch, keyed `<name>_q1`, `_median`, `_q3`."""
     quartiles = statistics.quantiles(seconds, n=4)
@@ -338,7 +312,6 @@ def main() -> int:
             "gp_posterior": [bench_posterior(name) for name in LAYOUTS],
             "kde_log_density": bench_kde(),
             "mlp_epoch": bench_mlp_epoch(),
-            "setup": [bench_setup(name) for name in LAYOUTS],
         }
     env = {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__}
     out = {"blas_threads": 1, "repeats": REPEATS, "environment": env, "gp_fit": gp, "gp_fit_held_noise": held}
