@@ -28,7 +28,9 @@ def silverman_bandwidth(X: np.ndarray) -> float:
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     """log(sum(exp(a), axis=1)) with the bits of `scipy.special.logsumexp`, without its
     array-API overhead. The m terms equal to the row max stay out of the sum:
-    log1p(s / m) + log(m) + max, s the sum of exp(a - max) over the other terms."""
+    log1p(s / m) + log(m) + max, s the sum of exp(a - max) over the other terms.
+    A row whose terms are all -inf reads -inf: each term is its max, so the NaN of
+    -inf - -inf, which numpy flags as invalid, is set to 0 before the sum."""
     a_max = a.max(axis=1, keepdims=True)
     is_max = a == a_max
     m = is_max.sum(axis=1, keepdims=True, dtype=np.float64)
@@ -51,11 +53,14 @@ class KdePredictor:
 
         Finite while each squared distance over bandwidth**2 stays below the
         largest float. A query past that, about 1.3e4 from every point at the
-        smallest bandwidth 1e-150, reads -inf, with RuntimeWarnings."""
+        smallest bandwidth 1e-150, reads -inf without a warning: its terms
+        overflow to -inf, a density of 0. Every finite result keeps its bits."""
         n, d = self.points.shape
         sq = _pairwise_sq_dists(_query_rows(X, d), self.points)
         log_norm = np.log(n) + d * np.log(self.bandwidth * np.sqrt(2.0 * np.pi))
-        return _logsumexp_rows(-0.5 * sq / self.bandwidth**2) - log_norm
+        # The overflow, and -inf - -inf in _logsumexp_rows, both mean a density of 0.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _logsumexp_rows(-0.5 * sq / self.bandwidth**2) - log_norm
 
 
 def kde_fit(d: Dataset, bandwidth: float | None = None) -> KdePredictor:

@@ -64,8 +64,7 @@ class TestKdeFit:
         # 1e4 squared over 1e-300 is 1e308, a float; 2e4 squared over it is not.
         k = kde_fit(dataset_1d([0.0, 1.0]), bandwidth=1e-150)
         assert np.isfinite(k.log_density_batch(np.array([[1e4]])))
-        with pytest.warns(RuntimeWarning):
-            assert k.log_density_batch(np.array([[2e4]]))[0] == -np.inf
+        assert k.log_density_batch(np.array([[2e4]]))[0] == -np.inf
 
     def test_rejects_a_silverman_bandwidth_whose_square_is_subnormal(self):
         h = silverman_bandwidth(np.array([[0.0], [1e-155]]))

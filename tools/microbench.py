@@ -1,71 +1,77 @@
-"""Microbenchmarks: `gp_fit` at n = 3/6/20/60/140/280 and with a held noise at
-n = 20/60, one GP log-likelihood evaluation at a short and a medium
-lengthscale, one candidate-scoring pass,
-the 5-row `score_batch` call of the refine, the GP posterior, the KDE
-log-density and one epoch of the error MLP.
+"""Microbenchmarks of the kernels under `run_smo`, on one source tree or two paired.
 
 Usage, from the root of a source checkout (no install needed):
 
-    python3 tools/microbench.py
+    python3 tools/microbench.py              # this checkout's src
+    python3 tools/microbench.py BASE/src     # BASE/src against this checkout's src
 
-Everything runs on one BLAS thread, as `run_smo` does. The only output is
-one JSON object on stdout.
+where BASE/src is another tree's src directory, made for example by
+`mkdir BASE && git archive <rev> src | tar -x -C BASE`. Each tree's `deup`
+package is loaded from its path under its own name, `base` and `change`, so
+two trees share the interpreter, the libraries and the host's moment-to-moment
+speed. Everything runs on one BLAS thread, as `run_smo` does.
 
-gp_fit: each size fits one seeded 1-D dataset (noisy sine on [0, 1], the
-regime of the synth1d main and error GPs) with the default `[gp]` settings.
-n = 3 and 6 are the synth1d-deup set-up's CV folds and initial design.
-A fit is repeated REPEATS times after one warm-up fit; every repeat is
-bitwise the same fit. An extra, untimed fit counts the log-likelihood
-evaluations of the search, so `eval_us` is the median fit time divided by
-that count.
+Every row runs through one loop: one untimed warm-up call per tree, then
+REPEATS rounds that each call each tree once, the tree that goes first
+alternating from round to round. Before timing, the warm-up outputs of the two
+trees must be equal bit for bit: a fit's hyperparameters, likelihood, jitter
+and alpha; a set-up run's initial design, with no failure; every other row's
+output arrays. If a row's differ, the tool names it on stderr and exits 1.
 
-gp_loglik_short_ls: one log-likelihood evaluation on the n = 60 and 140
-datasets at a lengthscale of 10^-2 (the search's lower bound, where the RBF
-unit kernel has entries below 1e-150) and 10^-0.5 of the input range, with
-signal 1 and noise 1e-4 in standardized units. `cold_us` clears the unit-kernel
-cache before each evaluation, so it builds the unit kernel as a new lengthscale
-does; `warm_us` reuses the cached one and is mostly the Cholesky factor. Each
-is the quartiles over REPEATS repeats of LOGLIK_CALLS evaluations, per call.
+Prints one JSON object. Per row, each tree gives the quartiles of its REPEATS
+times in the row's `unit` (ms per call, or us per call or epoch of a row that
+loops). With two trees a row also gives the ratio change/base of the two
+medians, the quartiles of the per-round ratios (a host slowdown hits both calls
+of a round, so these spread less than either tree's times) and in how many
+rounds the change was faster. Two copies of one tree do not time alike to the
+last percent: where their code and arrays lie in memory moves a row's median
+paired ratio by up to about 3 % (seen on a 2-core x86-64 host), so a row whose
+quartiles exclude 1 by less than that has not shown a difference.
 
-gp_fit_held_noise: the n = 20 and 60 fits with `noise_variance` set to
-HELD_NOISE, the data's own noise variance, as demo-fig1's GP #1 sets it:
-the search then holds the noise and moves lengthscale and signal only.
+Rows:
 
-score_candidates: a DEUP-EI model on the layout of each benchmark workload
-(synth1d {log_variance}, levi13 {x, seen_bit, log_density, log_variance}),
-fitted on as many points as the workload's last step sees, scores 2048 and
-16384 uniform candidates in blocks of 128 to 1024 rows (`score_candidates`
-with that `SCORE_BLOCK`) and in one `score_batch` call over all of them
-(`block` null), as the candidate search did before it scored in blocks.
-`ms` is the median of REPEATS passes; `peak_kb` is the tracemalloc peak of
-one pass, output included.
-
-score_batch_5: on the same two models, one `score_batch` call over 5 rows,
-the batch each golden-section step of the refine scores (`n_refine` = 5).
-One repeat is REFINE_CALLS calls on the same 5 rows; `us_median` is the
-median repeat divided by REFINE_CALLS.
-
-gp_posterior: on the same two models, the main GP's `predict_batch` (mean
-and variance) over 2048 uniform candidates, the posterior alone without the
-features or u. `ms_median` is the median of REPEATS calls.
-
-kde_log_density: the levi13 model's KDE, fitted on its 26 points with the
-default (Silverman) bandwidth, evaluates `log_density_batch` over 2048
-uniform candidates. `ms_median` is the median of REPEATS calls.
-
-mlp_epoch: the default error MLP (3 hidden layers of 128 ReLU units, Adam)
-trained from scratch by `mlp_fit` on 64 seeded rows of 5 features, the width
-of the levi13 layout, for MLP_EPOCHS full-batch epochs, one Adam step each.
-`us_per_epoch` is a fit divided by MLP_EPOCHS. Each fit is split in two:
-`gradients_us_per_epoch` is the time inside `loss_and_gradients` (the
-forward and backward pass), `update_us_per_epoch` the rest of the fit: the
-Adam update, the gradient copy and the loop, plus the once-per-fit set-up
-(standardizing, drawing the initial weights), which is under 1 % of a fit.
-Each is given as the quartiles of REPEATS fits.
+- gp_fit: a default-settings fit of one seeded 1-D dataset (noisy sine on
+  [0, 1], the regime of the synth1d main and error GPs) of n = 3 to 280 rows;
+  n = 3 and 6 are the synth1d-deup set-up's CV folds and initial design.
+  `evaluations` counts the search's log-likelihood evaluations in one more,
+  untimed fit, and `eval_us` is the median fit over that count.
+  gp_fit_held_noise: the n = 20 and 60 fits with `noise_variance` held at
+  HELD_NOISE, the data's own noise variance, as demo-fig1's GP #1 holds it.
+- gp_loglik_short_ls: LOGLIK_CALLS log-likelihood evaluations on the n = 60 and
+  140 datasets at a lengthscale of 10^-2 (the search's lower bound, where the
+  RBF unit kernel has entries below 1e-150) and 10^-0.5 of the input range,
+  signal 1 and noise 1e-4 in standardized units. `cold` clears the unit-kernel
+  cache before each evaluation, as a new lengthscale does; `warm` reuses it
+  and is mostly the Cholesky factor.
+- score_candidates: a DEUP-EI model on the layout of each benchmark workload
+  (synth1d {log_variance}, levi13 {x, seen_bit, log_density, log_variance}),
+  fitted on as many points as the workload's last step sees, scores 2048 and
+  16384 uniform candidates in blocks of 128 to 1024 rows (`score_candidates`
+  with that `SCORE_BLOCK`) and in one `score_batch` call over all of them
+  (`block` null). `peak_kb` is the tracemalloc peak of one more call, output
+  included.
+- score_batch_5: on the same two models, REFINE_CALLS `score_batch` calls over
+  the 5 rows each golden-section step of the refine scores.
+- gp_posterior: the same models' main GP `predict_batch` (mean and variance)
+  over 2048 uniform candidates, without the features or u.
+- kde_log_density: the levi13 model's KDE (its 26 points, Silverman bandwidth)
+  over 2048 uniform candidates.
+- mlp_epoch: the default error MLP (3 hidden layers of 128 ReLU units, Adam)
+  fitted from scratch on 64 seeded rows of 5 features, the width of the levi13
+  layout, for MLP_EPOCHS full-batch epochs. `gradients_us_per_epoch` is the
+  time inside `loss_and_gradients` (the forward and backward pass) and
+  `update_us_per_epoch` the rest: the Adam update, the loop and the
+  once-per-fit set-up, under 1 % of a fit.
+- setup: `run_smo` on the synth1d-deup workload cut to budget = n_init (its
+  initial design, DEUP's CV pretraining and the first fits of f and u), over
+  SMO seeds 0 and 1; the config is written out here.
 """
 
 from __future__ import annotations
 
+import argparse
+import importlib
+import importlib.util
 import json
 import os
 import platform
@@ -73,211 +79,197 @@ import statistics
 import sys
 import time
 import tracemalloc
+from dataclasses import dataclass
+from functools import cache, partial
 from pathlib import Path
+from typing import Callable
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-
-import numpy as np  # noqa: E402
-
-from deup import acquisition, models  # noqa: E402
-from deup.benchmarks import make_oracle  # noqa: E402
-from deup.core import Acquisition, Dataset, ExperimentConfig, Feature, RngStream, one_blas_thread  # noqa: E402
-from deup.estimator import deup_init_state  # noqa: E402
-from deup.smo import deup_fit  # noqa: E402
-
 SIZES = (3, 6, 20, 60, 140, 280)
 HELD_SIZES, HELD_NOISE = (20, 60), 0.3**2
 LOGLIK_SIZES, LOGLIK_LENGTHSCALES, LOGLIK_CALLS = (60, 140), (1e-2, 10**-0.5), 100
-REPEATS = 15
+REPEATS = 30
 # Dimension, feature layout and budget of the benchmark workloads synth1d-deup and levi13-mlp.
 LAYOUTS = {
     "synth1d": (1, ("log_variance",), 56),
     "levi13": (2, ("x", "seen_bit", "log_density", "log_variance"), 26),
 }
 CANDIDATES = (2048, 16384)
+BLOCKS = (128, 256, 512, 1024, None)  # None: one call over all candidates
 REFINE_CALLS = 200
 POSTERIOR_ROWS = 2048
 MLP_ROWS, MLP_FEATURES, MLP_EPOCHS = 64, 5, 100
-BLOCKS = (128, 256, 512, 1024, None)  # None: one call over all candidates
+SETUP_SEEDS = (0, 1)
 
 
-def dataset(n: int) -> Dataset:
+def load(src, name: str):
+    """The `deup` package under `src`, imported as `name`."""
+    root = Path(src).resolve() / "deup"
+    spec = importlib.util.spec_from_file_location(name, root / "__init__.py", submodule_search_locations=[str(root)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for module in ("core", "models", "acquisition", "benchmarks", "estimator", "smo"):
+        importlib.import_module(f"{name}.{module}")
+    return package
+
+
+def array_bits(out):
+    """The dtype, shape and bytes of an array or float, or of each in a tuple or list."""
+    if isinstance(out, (tuple, list)):
+        return tuple(array_bits(v) for v in out)
+    a = np.asarray(out)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def fit_bits(gp) -> tuple:
+    values = (gp.lengthscale, gp.signal_variance, gp.noise_variance, gp.log_marginal_likelihood, gp.jitter)
+    return tuple(float(v).hex() for v in values) + (gp.alpha.tobytes(),)
+
+
+def setup_bits(traces) -> tuple:
+    for t in traces:
+        if t.failure:
+            raise RuntimeError(f"the set-up run of seed {t.config.seed} failed: {t.failure}")
+    return tuple((t.init_X.tobytes(), t.init_y.tobytes()) for t in traces)
+
+
+@dataclass
+class Timed:
+    """One tree's side of a row: `call` is the timed work, `bits` maps its output
+    to what the trees must agree on, times are given in `unit` per `per`
+    operations of a call, and `info(seconds)` gives the tree's extra fields."""
+
+    call: Callable
+    bits: Callable = array_bits
+    unit: str = "ms"
+    per: int = 1
+    info: Callable = lambda seconds: {}
+
+
+def quartiles(seconds: list[float], scale: float) -> list[float]:
+    return [round(scale * v, 4) for v in statistics.quantiles(seconds, n=4)]
+
+
+def dataset(pkg, n: int):
     gen = np.random.default_rng(n)
     X = gen.uniform(0.0, 1.0, size=(n, 1))
-    return Dataset(X, np.sin(8.0 * X[:, 0]) + 0.3 * gen.normal(size=n))
+    return pkg.core.Dataset(X, np.sin(8.0 * X[:, 0]) + 0.3 * gen.normal(size=n))
 
 
-def count_evaluations(d: Dataset, cfg: dict | None) -> int:
-    real, count = models._log_marginal_likelihood, 0
+def fit_row(pkg, n: int, cfg: dict | None) -> Timed:
+    d = dataset(pkg, n)
+    real, count = pkg.models._log_marginal_likelihood, 0
+
+    def fit():
+        return pkg.models.gp_fit(d, cfg, pkg.core.RngStream(0, "fit"))
 
     def counting(*args):
         nonlocal count
         count += 1
         return real(*args)
 
-    models._log_marginal_likelihood = counting
-    try:
-        models.gp_fit(d, cfg, RngStream(0, "fit"))
-    finally:
-        models._log_marginal_likelihood = real
-    return count
+    def info(seconds):
+        pkg.models._log_marginal_likelihood = counting  # for one more, untimed fit
+        try:
+            fit()
+        finally:
+            pkg.models._log_marginal_likelihood = real
+        return {"evaluations": count, "eval_us": round(1e6 * statistics.median(seconds) / count, 2)}
+
+    return Timed(fit, fit_bits, info=info)
 
 
-def samples(fn) -> list[float]:
-    """Seconds of each of REPEATS calls of fn, after one warm-up call."""
-    fn()
-    times = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return times
-
-
-def timed(fn) -> tuple[float, float, float]:
-    """(q1, median, q3) in seconds of REPEATS calls of fn, after one warm-up call."""
-    return tuple(statistics.quantiles(samples(fn), n=4))
-
-
-def bench(n: int, cfg: dict | None = None) -> dict:
-    d = dataset(n)
-    q1, median, q3 = timed(lambda: models.gp_fit(d, cfg, RngStream(0, "fit")))
-    evals = count_evaluations(d, cfg)
-    return {
-        "n": n,
-        "repeats": REPEATS,
-        "fit_ms_median": round(1e3 * median, 3),
-        "fit_ms_q1": round(1e3 * q1, 3),
-        "fit_ms_q3": round(1e3 * q3, 3),
-        "evaluations": evals,
-        "eval_us": round(1e6 * median / evals, 2),
-    }
-
-
-def bench_loglik(n: int, fraction: float) -> dict:
-    d = dataset(n)
+def loglik_row(pkg, n: int, fraction: float, cold: bool) -> Timed:
+    d = dataset(pkg, n)
     X, y = d.inputs(), d.targets()
-    search = models._SearchKernel(models._pairwise_sq_dists(X, X), "rbf")
+    search = pkg.models._SearchKernel(pkg.models._pairwise_sq_dists(X, X), "rbf")
     z = (y - y.mean()) / y.std()
-    args = (float(np.log(fraction * np.ptp(X))), 0.0, float(np.log(1e-4)), models.JITTER_START)
+    args = (float(np.log(fraction * np.ptp(X))), 0.0, float(np.log(1e-4)), pkg.models.JITTER_START)
 
-    def calls(cold: bool):
+    def call():
         for _ in range(LOGLIK_CALLS):
             if cold:
                 search.unit.cache_clear()
-            models._log_marginal_likelihood(search, z, *args)
+            value = pkg.models._log_marginal_likelihood(search, z, *args)
+        return value
 
-    out = {"n": n, "lengthscale_of_range": fraction, "calls": LOGLIK_CALLS, "repeats": REPEATS}
-    for name, cold in (("cold_us", True), ("warm_us", False)):
-        quartiles = timed(lambda: calls(cold))
-        out.update({f"{name}_{k}": round(1e6 * v / LOGLIK_CALLS, 2) for k, v in zip(("q1", "median", "q3"), quartiles)})
-    return out
+    return Timed(call, unit="us/call", per=LOGLIK_CALLS)
 
 
-def layout_search(name: str):
-    """(domain, DEUP-EI model, incumbent) on a workload's layout, default settings."""
+@cache
+def layout_search(pkg, name: str):
+    """(domain, DEUP-EI spec, model, incumbent) on a workload's layout, default settings."""
     dimension, features, n = LAYOUTS[name]
-    cfg = ExperimentConfig(
+    acquisition = pkg.core.Acquisition.DEUP_EI
+    cfg = pkg.core.ExperimentConfig(
         oracle_name=name,
         dimension=dimension,
         n_init=n,
         budget=n,
-        acquisition=Acquisition.DEUP_EI,
-        feature_set=frozenset(Feature(f) for f in features),
+        acquisition=acquisition,
+        feature_set=frozenset(pkg.core.Feature(f) for f in features),
     )
-    oracle = make_oracle(name, dimension)
+    oracle = pkg.benchmarks.make_oracle(name, dimension)
     gen = np.random.default_rng(0)
     X = oracle.domain.sample(gen, n)
     y = np.array([oracle.sample(x, gen, 1)[0] for x in X])
-    state = deup_init_state(Dataset(X, y), deup_fit(cfg), RngStream(0, "deup"))
-    return oracle.domain, state.model, float(np.max(y))
+    state = pkg.estimator.deup_init_state(pkg.core.Dataset(X, y), pkg.smo.deup_fit(cfg), pkg.core.RngStream(0, "deup"))
+    return oracle.domain, pkg.acquisition.AcquisitionSpec(acquisition), state.model, float(np.max(y))
 
 
-def scoring_pass(spec, X, model, best, block):
-    if block is None:
-        return acquisition.score_batch(spec, X, model, best)
-    acquisition.SCORE_BLOCK = block
-    return acquisition.score_candidates(spec, X, model, best)
+def scoring_row(pkg, name: str, m: int, block: int | None) -> Timed:
+    domain, spec, model, best = layout_search(pkg, name)
+    X = domain.sample(np.random.default_rng(1), m)
+
+    def call():
+        if block is None:
+            return pkg.acquisition.score_batch(spec, X, model, best)
+        default, pkg.acquisition.SCORE_BLOCK = pkg.acquisition.SCORE_BLOCK, block
+        try:
+            return pkg.acquisition.score_candidates(spec, X, model, best)
+        finally:
+            pkg.acquisition.SCORE_BLOCK = default
+
+    def info(seconds):
+        tracemalloc.start()
+        try:
+            call()
+            return {"peak_kb": round(tracemalloc.get_traced_memory()[1] / 1024, 1)}
+        finally:
+            tracemalloc.stop()
+
+    return Timed(call, info=info)
 
 
-def bench_scoring(name: str) -> list[dict]:
-    domain, model, best = layout_search(name)
-    spec = acquisition.AcquisitionSpec(Acquisition.DEUP_EI)
-    default_block = acquisition.SCORE_BLOCK
-    results = []
-    try:
-        for m in CANDIDATES:
-            X = domain.sample(np.random.default_rng(1), m)
-            for block in BLOCKS:
-                q1, median, q3 = timed(lambda: scoring_pass(spec, X, model, best, block))
-                tracemalloc.start()
-                try:
-                    scoring_pass(spec, X, model, best, block)
-                    _, peak = tracemalloc.get_traced_memory()
-                finally:
-                    tracemalloc.stop()
-                results.append(
-                    {
-                        "layout": name,
-                        "candidates": m,
-                        "block": block,
-                        "ms_median": round(1e3 * median, 3),
-                        "ms_q1": round(1e3 * q1, 3),
-                        "ms_q3": round(1e3 * q3, 3),
-                        "peak_kb": round(peak / 1024, 1),
-                    }
-                )
-    finally:
-        acquisition.SCORE_BLOCK = default_block
-    return results
-
-
-def bench_refine_call(name: str) -> dict:
-    domain, model, best = layout_search(name)
-    spec = acquisition.AcquisitionSpec(Acquisition.DEUP_EI)
+def refine_row(pkg, name: str) -> Timed:
+    domain, spec, model, best = layout_search(pkg, name)
     X = domain.sample(np.random.default_rng(2), 5)
-    q1, median, q3 = timed(lambda: [acquisition.score_batch(spec, X, model, best) for _ in range(REFINE_CALLS)])
-    return {
-        "layout": name,
-        "calls": REFINE_CALLS,
-        "us_median": round(1e6 * median / REFINE_CALLS, 2),
-        "us_q1": round(1e6 * q1 / REFINE_CALLS, 2),
-        "us_q3": round(1e6 * q3 / REFINE_CALLS, 2),
-    }
+
+    def call():
+        return [pkg.acquisition.score_batch(spec, X, model, best) for _ in range(REFINE_CALLS)]
+
+    return Timed(call, unit="us/call", per=REFINE_CALLS)
 
 
-def timed_ms(fn) -> dict:
-    """`timed` of fn, in ms."""
-    q1, median, q3 = timed(fn)
-    ms = {"ms_median": round(1e3 * median, 4), "ms_q1": round(1e3 * q1, 4), "ms_q3": round(1e3 * q3, 4)}
-    return {"repeats": REPEATS, **ms}
-
-
-def bench_posterior(name: str) -> dict:
-    domain, model, _ = layout_search(name)
+def posterior_row(pkg, name: str) -> Timed:
+    domain, _, model, _ = layout_search(pkg, name)
     X = domain.sample(np.random.default_rng(3), POSTERIOR_ROWS)
-    timing = timed_ms(lambda: model.main.predict_batch(X))
-    return {"layout": name, "n_train": len(model.context.dataset), "rows": POSTERIOR_ROWS, **timing}
+    return Timed(lambda: model.main.predict_batch(X))
 
 
-def bench_kde() -> dict:
-    domain, model, _ = layout_search("levi13")
+def kde_row(pkg) -> Timed:
+    domain, _, model, _ = layout_search(pkg, "levi13")
     X = domain.sample(np.random.default_rng(4), POSTERIOR_ROWS)
-    timing = timed_ms(lambda: model.context.kde.log_density_batch(X))
-    return {"layout": "levi13", "points": len(model.context.dataset), "rows": POSTERIOR_ROWS, **timing}
+    return Timed(lambda: model.context.kde.log_density_batch(X))
 
 
-def per_epoch(name: str, seconds: list[float]) -> dict:
-    """Quartiles of per-fit seconds as µs per epoch, keyed `<name>_q1`, `_median`, `_q3`."""
-    quartiles = statistics.quantiles(seconds, n=4)
-    return {f"{name}_{k}": round(1e6 * v / MLP_EPOCHS, 2) for k, v in zip(("q1", "median", "q3"), quartiles)}
-
-
-def bench_mlp_epoch() -> dict:
+def mlp_row(pkg) -> Timed:
     gen = np.random.default_rng(5)
-    d = Dataset(gen.normal(size=(MLP_ROWS, MLP_FEATURES)), gen.normal(size=MLP_ROWS))
-    real, gradient_s = models.loss_and_gradients, []
+    d = pkg.core.Dataset(gen.normal(size=(MLP_ROWS, MLP_FEATURES)), gen.normal(size=MLP_ROWS))
+    real, gradient_s = pkg.models.loss_and_gradients, []
 
     def timed_gradients(*args):
         t0 = time.perf_counter()
@@ -285,37 +277,106 @@ def bench_mlp_epoch() -> dict:
         gradient_s[-1] += time.perf_counter() - t0
         return out
 
-    def fit():
+    def call():
         gradient_s.append(0.0)
-        models.mlp_fit(d, {"epochs": MLP_EPOCHS}, RngStream(0, "mlp"))
+        pkg.models.loss_and_gradients = timed_gradients
+        try:
+            fit = pkg.models.mlp_fit(d, {"epochs": MLP_EPOCHS}, pkg.core.RngStream(0, "mlp"))
+        finally:
+            pkg.models.loss_and_gradients = real
+        return fit.weights + fit.biases
 
-    models.loss_and_gradients = timed_gradients
-    try:
-        fit_s = samples(fit)
-    finally:
-        models.loss_and_gradients = real
-    gradient_s = gradient_s[1:]  # drop the warm-up fit
-    update_s = [total - grad for total, grad in zip(fit_s, gradient_s)]
-    split = {**per_epoch("gradients_us_per_epoch", gradient_s), **per_epoch("update_us_per_epoch", update_s)}
-    sizes = {"rows": MLP_ROWS, "features": MLP_FEATURES, "epochs": MLP_EPOCHS, "repeats": REPEATS}
-    return {**sizes, **per_epoch("us_per_epoch", fit_s), **split}
+    def info(seconds):
+        gradients = gradient_s[-len(seconds) :]  # the timed fits
+        updates = [total - grad for total, grad in zip(seconds, gradients)]
+        scale = 1e6 / MLP_EPOCHS
+        return {"gradients_us_per_epoch": quartiles(gradients, scale), "update_us_per_epoch": quartiles(updates, scale)}
+
+    return Timed(call, unit="us/epoch", per=MLP_EPOCHS, info=info)
+
+
+def setup_row(pkg) -> Timed:
+    configs = [
+        pkg.core.ExperimentConfig(
+            oracle_name="synth1d",
+            dimension=1,
+            n_init=6,
+            budget=6,
+            acquisition=pkg.core.Acquisition.DEUP_EI,
+            feature_set=frozenset({pkg.core.Feature("log_variance")}),
+            seed=seed,
+        )
+        for seed in SETUP_SEEDS
+    ]
+    return Timed(lambda: [pkg.smo.run_smo(cfg) for cfg in configs], setup_bits)
+
+
+def rows():
+    """(label, make) of every row, in order; make(pkg) is one tree's `Timed`."""
+    for n in SIZES:
+        yield {"row": "gp_fit", "n": n}, partial(fit_row, n=n, cfg=None)
+    for n in HELD_SIZES:
+        yield {"row": "gp_fit_held_noise", "n": n}, partial(fit_row, n=n, cfg={"noise_variance": HELD_NOISE})
+    for n in LOGLIK_SIZES:
+        for fraction in LOGLIK_LENGTHSCALES:
+            for cold in (True, False):
+                label = {"row": "gp_loglik_short_ls", "n": n, "lengthscale_of_range": fraction, "cold": cold}
+                yield label, partial(loglik_row, n=n, fraction=fraction, cold=cold)
+    for name in LAYOUTS:
+        for m in CANDIDATES:
+            for block in BLOCKS:
+                label = {"row": "score_candidates", "layout": name, "candidates": m, "block": block}
+                yield label, partial(scoring_row, name=name, m=m, block=block)
+    for name in LAYOUTS:
+        yield {"row": "score_batch_5", "layout": name}, partial(refine_row, name=name)
+    for name in LAYOUTS:
+        yield {"row": "gp_posterior", "layout": name, "rows": POSTERIOR_ROWS}, partial(posterior_row, name=name)
+    yield {"row": "kde_log_density", "layout": "levi13", "rows": POSTERIOR_ROWS}, kde_row
+    yield {"row": "mlp_epoch", "rows": MLP_ROWS, "features": MLP_FEATURES, "epochs": MLP_EPOCHS}, mlp_row
+    yield {"row": "setup", "workload": "synth1d-deup", "seeds": list(SETUP_SEEDS)}, setup_row
+
+
+def paired(base: list[float], change: list[float]) -> dict:
+    ratios = statistics.quantiles([c / b for b, c in zip(base, change)], n=4)
+    return {
+        "ratio": round(statistics.median(change) / statistics.median(base), 4),
+        "paired_ratio_q1_median_q3": [round(v, 4) for v in ratios],
+        "change_faster": f"{sum(c < b for b, c in zip(base, change))}/{len(base)}",
+    }
 
 
 def main() -> int:
-    with one_blas_thread():
-        gp = [bench(n) for n in SIZES]
-        held = [bench(n, {"noise_variance": HELD_NOISE}) for n in HELD_SIZES]
-        loglik = [bench_loglik(n, fraction) for n in LOGLIK_SIZES for fraction in LOGLIK_LENGTHSCALES]
-        scoring = [row for name in LAYOUTS for row in bench_scoring(name)]
-        refine = [bench_refine_call(name) for name in LAYOUTS]
-        kernels = {
-            "gp_posterior": [bench_posterior(name) for name in LAYOUTS],
-            "kde_log_density": bench_kde(),
-            "mlp_epoch": bench_mlp_epoch(),
-        }
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", nargs="?", help="another tree's src directory, timed against this checkout's")
+    args = parser.parse_args()
+    trees = {"base": Path(args.base).resolve()} if args.base else {}
+    trees["change"] = ROOT / "src"
+    pkgs = {side: load(src, side) for side, src in trees.items()}
+    sides = list(pkgs)
+    results = []
+    with pkgs["change"].core.one_blas_thread():
+        for label, make in rows():
+            timed = {side: make(pkg) for side, pkg in pkgs.items()}
+            if len({t.bits(t.call()) for t in timed.values()}) > 1:  # the warm-up call
+                print(f"{json.dumps(label)}: the two trees differ", file=sys.stderr)
+                return 1
+            seconds = {side: [] for side in sides}
+            for r in range(REPEATS):
+                for side in sides if r % 2 == 0 else sides[::-1]:
+                    t0 = time.perf_counter()
+                    timed[side].call()
+                    seconds[side].append(time.perf_counter() - t0)
+            unit, per = timed["change"].unit, timed["change"].per
+            scale = (1e3 if unit == "ms" else 1e6) / per
+            result = {**label, "unit": unit}
+            for side, t in timed.items():
+                result[side] = {"q1_median_q3": quartiles(seconds[side], scale), **t.info(seconds[side])}
+            if "base" in seconds:
+                result.update(paired(seconds["base"], seconds["change"]))
+            results.append(result)
     env = {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__}
-    out = {"blas_threads": 1, "repeats": REPEATS, "environment": env, "gp_fit": gp, "gp_fit_held_noise": held}
-    print(json.dumps({**out, "gp_loglik_short_ls": loglik, "score_candidates": scoring, "score_batch_5": refine, **kernels}))
+    out = {"trees": {side: str(src) for side, src in trees.items()}, "repeats": REPEATS, "blas_threads": 1}
+    print(json.dumps({**out, "environment": env, "rows": results}))
     return 0
 
 
